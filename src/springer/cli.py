@@ -68,13 +68,13 @@ def cmd_series(args) -> int:
     lines = []
     if args.group == "spin":
         if args.N is None:
-            raise SystemExit(2)
+            args.parser.error("--group spin needs --N")
         lines.append("d\tlevi_type\tweyl_rank")
         for c in sr.enumerate_spin_series(args.N):
             lines.append(f"{c.d}\t{c.levi_type}\t{c.weyl_rank}")
     else:
         if args.n is None or args.q is None:
-            raise SystemExit(2)
+            args.parser.error("--group sl needs --n and --q")
         p, _ = _prime_of(args.q)
         lines.append("d\tf_rational")
         for c in sr.enumerate_sl_series(args.n, p, q=args.q):
@@ -103,7 +103,8 @@ def cmd_split(args) -> int:
         lines.append(_mat_str(K, data.form))
         lines.append("check form_hermitian: pass")
         lines.append("check u_preserves_form: pass")
-        lines.append(f"check jordan_type: {list(sp.jordan_type(data.unipotent, K, 'unipotent'))}")
+        x = fla.mat_add(K, data.unipotent, fla.mat_neg(K, fla.identity(K, len(data.unipotent))))
+        lines.append(f"check jordan_type: {list(fla.jordan_partition(K, x))}")
         lines.append("check fixed_by_twisted_frobenius: pass")
     else:
         data = sp.build_so_split(lam, p, k)
@@ -114,7 +115,7 @@ def cmd_split(args) -> int:
         lines.append(_mat_str(K, data.form))
         lines.append("check form_symmetric_nondegenerate: pass")
         lines.append("check x_skew_adjoint: pass")
-        lines.append(f"check jordan_type: {list(sp.jordan_type(data.nilpotent, K, 'nilpotent'))}")
+        lines.append(f"check jordan_type: {list(fla.jordan_partition(K, data.nilpotent))}")
         rep = sp.frobenius_action_report(data)
         lines.append(f"frobenius_signs_on_generators: {list(rep.signs)}")
     _emit(lines, args.output)
@@ -187,7 +188,7 @@ def cmd_restrict(args) -> int:
     lines = ["lambda\tlambda_prime\tcase\tmultiplicity"]
     n, d = args.n, args.d
     if n - 2 * d < 0:
-        raise SystemExit(2)
+        args.parser.error(f"--n {n} is smaller than twice --d {d}")
     for la in pt.partitions_of(n):
         if any(x % d for x in la):
             continue
@@ -215,12 +216,12 @@ def cmd_tables(args) -> int:
     p, k = _prime_of(args.q)
     if args.group == "sl":
         if args.n is None or args.xi_order is None:
-            raise SystemExit(2)
+            args.parser.error("--group sl needs --n and --xi-order")
         rows = tb.y0_table_sl(args.n, args.xi_order, p, k)
         series = args.xi_order
     else:
         if args.N is None:
-            raise SystemExit(2)
+            args.parser.error("--group spin needs --N")
         rows = tb.y0_table_spin(args.N, p, k, omega_value=args.omega, extension=args.extension)
         series = "by-defect"
     if args.format == "json":
@@ -282,7 +283,7 @@ def cmd_verify(args) -> int:
         if report["ok"]:
             report["results"].append({"checked": "all", "n_max": args.n_max})
     else:
-        raise SystemExit(2)
+        args.parser.error(f"unknown suite {args.suite!r}")
     _emit([json.dumps(report, sort_keys=True)], args.output)
     return 0 if report["ok"] else 1
 
@@ -303,20 +304,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
     add_output(p)
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_series, parser=p)
 
     p = sub.add_parser("xn", help="list the partitions of N with even parts paired and odd parts distinct")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tilde", action="store_true", help="drop the odd-multiplicity condition")
     add_output(p)
-    p.set_defaults(func=cmd_xn)
+    p.set_defaults(func=cmd_xn, parser=p)
 
     p = sub.add_parser("split", help="construct a split element and print its verification checklist")
     p.add_argument("--group", choices=("sl", "so"), required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="ascending parts, comma separated")
     p.add_argument("--q", type=int, required=True)
     add_output(p)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, parser=p)
 
     p = sub.add_parser("flags", help="enumerate flag varieties over a small field")
     p.add_argument("--group", choices=("sl", "so"), required=True)
@@ -326,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--orbits", action="store_true", help="also compute centralizer-unit orbit ids (budget permitting)")
     add_output(p)
-    p.set_defaults(func=cmd_flags)
+    p.set_defaults(func=cmd_flags, parser=p)
 
     p = sub.add_parser("restrict", help="two-step branching case and multiplicity table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     add_output(p)
-    p.set_defaults(func=cmd_restrict)
+    p.set_defaults(func=cmd_restrict, parser=p)
 
     p = sub.add_parser("tables", help="emit characteristic-function table rows")
     p.add_argument("--group", choices=("sl", "spin"), required=True)
@@ -344,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extension", choices=("plus", "minus", "trivial"))
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     add_output(p)
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, parser=p)
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on failure")
     p.add_argument("--suite", choices=("spin-series", "restriction"), required=True)
     p.add_argument("--N-max", dest="N_max", type=int, default=20)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
     add_output(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return ap
 

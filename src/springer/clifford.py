@@ -63,9 +63,6 @@ class QuadSpace:
         """Coefficient Frobenius x -> x^q."""
         return self.field.frobenius(c, self.qexp)
 
-    def base_scalar(self, n: int) -> int:
-        return self.field.scalar(n)
-
 
 def standard_space(N: int, q_p: int, q_k: int = 1, twist: str = "split") -> QuadSpace:
     """The split or non-split quadratic space of dimension N over F_q.
@@ -208,13 +205,6 @@ class CliffordElement:
             raise ValueError("element is not a scalar")
         return self.terms[()]
 
-    def parity(self) -> Optional[int]:
-        """0 for even, 1 for odd, None for mixed."""
-        ps = {len(w) % 2 for w in self.terms}
-        if len(ps) == 1:
-            return ps.pop()
-        return None if ps else 0
-
     def inverse(self) -> "CliffordElement":
         """Inverse, available when x rev(x) is a nonzero scalar.
 
@@ -277,12 +267,6 @@ def _word_times_vector(space: QuadSpace, word: Word, j: int) -> dict[Word, int]:
         w2 = w + (s,)
         out[w2] = K.sub(out.get(w2, 0), c)
     return {w: c for w, c in out.items() if c}
-
-
-def clifford_mul(a: CliffordElement, b: CliffordElement, space: QuadSpace) -> CliffordElement:
-    if a.space != space or b.space != space:
-        raise ValueError("space mismatch")
-    return a * b
 
 
 def product_of_vectors(space: QuadSpace, vectors: Iterable[Sequence[int]]) -> CliffordElement:
@@ -600,9 +584,6 @@ class GammaGenerators:
     la_parts: Partition
     space: QuadSpace
     generators: tuple[GammaGenerator, ...]
-
-    def frob_sign_vector(self) -> tuple[int, ...]:
-        return tuple(g.frob_sign for g in self.generators)
 
 
 def gamma_generators(la_parts: Partition, q_p: int, q_k: int = 1) -> GammaGenerators:

@@ -438,7 +438,7 @@ class SpinRepresentation:
     def __init__(self, G: SpinGamma, ring: CycRing, gen_mats: list, label: str):
         self.G = G
         self.ring = ring
-        self.gen_mats = gen_mats  # one matrix per generator index, or pair maps
+        self.gen_mats = gen_mats  # one matrix per generator index
         self.label = label
         self._cache: dict[Element, tuple] = {}
 
@@ -446,24 +446,21 @@ class SpinRepresentation:
         if g in self._cache:
             return self._cache[g]
         a, s = g
-        idx = [i for i in range(self.G.r) if s >> i & 1]
-        out = cmat_identity(self.ring, self.dim)
-        for i in idx:
-            out = cmat_mul(out, self.gen_mats[i])
+        low = s & -s
         if a:
-            out = cmat_scale(self.ring.from_int(-1), out)
+            out = cmat_scale(self.ring.from_int(-1), self.matrix((0, s)))
+        elif s:
+            # the word x_S is x_i x_{S - i} for its least index i; the
+            # shorter words are cached too, so each word costs one product
+            out = cmat_mul(self.gen_mats[low.bit_length() - 1], self.matrix((0, s ^ low)))
+        else:
+            out = cmat_identity(self.ring, self.dim)
         self._cache[g] = out
         return out
 
     @property
     def dim(self) -> int:
         return len(self.gen_mats[0]) if self.gen_mats else 1
-
-    def verify_homomorphism(self) -> None:
-        for g in self.G.elements:
-            for h in self.G.elements:
-                if not cmat_eq(cmat_mul(self.matrix(g), self.matrix(h)), self.matrix(self.G.mul(g, h))):
-                    raise AssertionError("matrix model violates the group law")
 
     def character(self) -> dict[Element, Cyc]:
         return {g: cmat_trace(self.matrix(g)) for g in self.G.elements}
@@ -485,51 +482,24 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
         signs = [1 if e == 0 else -1 for e in G.exponents]
         mats = anticommuting_matrices(signs, ring)
         return [SpinRepresentation(G, ring, mats, "neg")]
-    # even r: reduced generators z_k = x_k x_{r-1}, k = 0..r-2
+    # even r: the reduced generators z_k = x_k x_last (k < last) form an
+    # odd family.  Only even words are evaluated, so it suffices that
+    # pairs come out right: with c^2 = (-1)^(e_last + 1), X_k = c z_k and
+    # X_last = c^-1 I give X_a X_last = z_a and X_a X_b = c^2 z_a z_b,
+    # the images of x_a x_last and x_a x_b.
     last = r - 1
     e_last = G.exponents[last]
     z_signs = [(-1) ** ((1 + G.exponents[k] + e_last) % 2) for k in range(r - 1)]
+    c, c_inv = (ring.one(), ring.one()) if e_last % 2 else (ring.i(), -ring.i())
     reps = []
     for variant, lab in ((1, "a"), (-1, "b")):
         zmats = anticommuting_matrices(z_signs, ring)
         if variant == -1:
             # flip the chirality generator (the odd-count completion)
             zmats[-1] = cmat_scale(ring.from_int(-1), zmats[-1])
-        dim = len(zmats[0]) if zmats else 1
-        # generator images: X_i is not itself represented (odd word), but
-        # every even word decomposes into the pair elements below.
-        pair_cache = {}
-
-        def pair_matrix(aidx: int, bidx: int, zmats=zmats, cache=pair_cache):
-            # matrix of x_a x_b for a < b
-            if (aidx, bidx) in cache:
-                return cache[(aidx, bidx)]
-            if bidx == last:
-                out = zmats[aidx]
-            else:
-                out = cmat_scale(ring.from_int((-1) ** ((e_last + 1) % 2)), cmat_mul(zmats[aidx], zmats[bidx]))
-            cache[(aidx, bidx)] = out
-            return out
-
-        rep = SpinRepresentation(G, ring, [], f"neg{lab}")
-        rep._pair_matrix = pair_matrix  # type: ignore[attr-defined]
-        rep._dim_override = dim  # type: ignore[attr-defined]
-
-        def matrix(g, rep=rep, dim=dim):
-            if g in rep._cache:
-                return rep._cache[g]
-            a, s = g
-            idx = [i for i in range(rep.G.r) if s >> i & 1]
-            out = cmat_identity(rep.ring, dim)
-            for t in range(0, len(idx), 2):
-                out = cmat_mul(out, rep._pair_matrix(idx[t], idx[t + 1]))
-            if a:
-                out = cmat_scale(rep.ring.from_int(-1), out)
-            rep._cache[g] = out
-            return out
-
-        rep.matrix = matrix  # type: ignore[method-assign]
-        reps.append(rep)
+        mats = [cmat_scale(c, z) for z in zmats]
+        mats.append(cmat_scale(c_inv, cmat_identity(ring, len(zmats[0]))))
+        reps.append(SpinRepresentation(G, ring, mats, f"neg{lab}"))
     return reps
 
 

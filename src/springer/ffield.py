@@ -317,17 +317,3 @@ def make_field(p: int, k: int = 1, seed_modulus: Optional[tuple[int, ...]] = Non
         if _is_irreducible(m, p):
             return FieldSpec(p, k, m)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over F_{p} found")
-
-
-def frobenius_pow(x: int, field: FieldSpec, e: int) -> int:
-    """x^(p^e) in the given field.
-
-    For a quadratic extension of F_q (k = 2m, q = p^m) the exponent
-    e = m is the conjugation x -> x^q used by sesquilinear forms.
-    """
-    return field.frobenius(x, e)
-
-
-def quadratic_extension(field_q: FieldSpec) -> FieldSpec:
-    """The field F_{q^2} containing the given F_q (same p, doubled degree)."""
-    return make_field(field_q.p, 2 * field_q.k)

@@ -8,7 +8,8 @@ to compare subspaces.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .ffield import FieldSpec
 
@@ -40,10 +41,6 @@ def mat_neg(K: FieldSpec, a: Matrix) -> Matrix:
     return tuple(tuple(K.neg(x) for x in r) for r in a)
 
 
-def scalar_mul(K: FieldSpec, c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(K.mul(c, x) for x in r) for r in a)
-
-
 def mat_mul(K: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     out = []
@@ -68,10 +65,6 @@ def mat_vec(K: FieldSpec, a: Matrix, v: Vector) -> Vector:
                 s = K.add(s, K.mul(x, y))
         out.append(s)
     return tuple(out)
-
-
-def vec_mat(K: FieldSpec, v: Vector, a: Matrix) -> Vector:
-    return mat_vec(K, transpose(a), v)
 
 
 def mat_pow(K: FieldSpec, a: Matrix, e: int) -> Matrix:
@@ -132,6 +125,43 @@ def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
 
 def span_contains(K: FieldSpec, big: Matrix, small: Matrix) -> bool:
     return all(in_span(K, big, v) for v in small)
+
+
+def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = None) -> Iterator[Vector]:
+    """Every combination of the rows with coefficients from coeffs (all
+    of K by default), the coefficient of row 0 varying fastest.  An
+    empty basis spans only the empty vector."""
+    if not basis:
+        yield ()
+        return
+    n = len(basis[0])
+    for cs in product(K.elements() if coeffs is None else coeffs, repeat=len(basis)):
+        v = [0] * n
+        for cf, row in zip(reversed(cs), basis):
+            if cf:
+                for j, rv in enumerate(row):
+                    if rv:
+                        v[j] = K.add(v[j], K.mul(cf, rv))
+        yield tuple(v)
+
+
+def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:
+    """One vector per line of the span: its leading coefficient is 1."""
+    for lead in range(len(basis)):
+        for w in span_vectors(K, basis[lead + 1 :]):
+            yield tuple(K.add(a, b) for a, b in zip(basis[lead], w)) if w else basis[lead]
+
+
+def extend_basis(K: FieldSpec, small: Matrix, big: Matrix) -> Matrix:
+    """Rows of big, chosen greedily in order, extending small to a basis
+    of span(small + big)."""
+    cur = list(small)
+    out = []
+    for v in big:
+        if not in_span(K, mat(cur), v):
+            cur.append(v)
+            out.append(v)
+    return mat(out)
 
 
 def nullspace(K: FieldSpec, a: Matrix) -> Matrix:
@@ -206,11 +236,8 @@ def is_nilpotent(K: FieldSpec, a: Matrix) -> bool:
 
 
 def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix, as ascending block sizes.
-
-    Block counts come from the rank sequence: a matrix with r_k =
-    rank(a^k) has r_{k-1} - 2 r_k + r_{k+1} blocks of size exactly k.
-    """
+    """Jordan type of a nilpotent matrix, as ascending block sizes, from
+    the rank sequence of its powers."""
     if not is_nilpotent(K, a):
         raise ValueError("matrix is not nilpotent")
     n = len(a)
@@ -219,11 +246,17 @@ def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
     for _ in range(n):
         power = mat_mul(K, power, a)
         ranks.append(rank(K, power))
+    return partition_from_ranks(ranks)
+
+
+def partition_from_ranks(ranks: Sequence[int]) -> tuple[int, ...]:
+    """Ascending Jordan block sizes from r_k = rank(a^k), k = 0..len - 1,
+    for a nilpotent a: there are r_{k-1} - 2 r_k + r_{k+1} blocks of size
+    exactly k, with ranks past the end read as 0."""
+    r = list(ranks) + [0]
     parts = []
-    for k in range(1, n + 1):
-        r_prev, r_k = ranks[k - 1], ranks[k]
-        r_next = ranks[k + 1] if k + 1 <= n else 0
-        parts.extend([k] * (r_prev - 2 * r_k + r_next))
+    for k in range(1, len(ranks)):
+        parts.extend([k] * (r[k - 1] - 2 * r[k] + r[k + 1]))
     return tuple(sorted(parts))
 
 
@@ -242,11 +275,13 @@ def restrict_to_subspace(K: FieldSpec, a: Matrix, basis: Matrix) -> Matrix:
     return transpose(mat(cols))
 
 
-def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> Matrix:
-    """Matrix of the induced action on V / span(sub).
+def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> tuple[Matrix, list[int]]:
+    """Matrix of the induced action on V / span(sub), and its basis.
 
     The quotient basis is the set of standard coordinates that are not
-    pivot columns of the subspace's echelon basis.
+    pivot columns of the subspace's echelon basis; their indices are
+    returned with the matrix, so a quotient vector lifts to V by placing
+    its entries at those coordinates.
     """
     n = len(a)
     red, pivots = rref(K, sub) if sub else ((), ())
@@ -265,19 +300,13 @@ def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> Matrix:
     for c in compl:
         e = tuple(1 if i == c else 0 for i in range(n))
         cols.append(project(mat_vec(K, a, e)))
-    return transpose(mat(cols))
+    return transpose(mat(cols)), compl
 
 
 def action_between(K: FieldSpec, a: Matrix, small: Matrix, big: Matrix) -> Matrix:
     """Action of a on span(big)/span(small) for a-stable nested spans."""
-    # extend small to a basis of big by greedy independence
-    ext = list(small)
-    chosen = []
-    for v in big:
-        if not in_span(K, mat(ext), v):
-            ext.append(v)
-            chosen.append(v)
-    full = mat(ext)
+    chosen = extend_basis(K, small, big)
+    full = tuple(small) + chosen
     k = len(small)
     cols = []
     for v in chosen:
@@ -291,10 +320,3 @@ def action_between(K: FieldSpec, a: Matrix, small: Matrix, big: Matrix) -> Matri
 
 def gram(K: FieldSpec, form: Matrix, u: Vector, v: Vector) -> int:
     return mat_vec(K, (u,), mat_vec(K, form, v))[0]
-
-
-def annihilator(K: FieldSpec, basis: Matrix, n: int) -> Matrix:
-    """Functionals (as coordinate vectors) vanishing on the span."""
-    if not basis:
-        return identity(K, n)
-    return nullspace(K, basis)

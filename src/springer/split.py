@@ -121,7 +121,7 @@ def jordan_positions(la_parts: Partition) -> list[tuple[int, int]]:
 
 
 def _subfield_coords(K2: FieldSpec, qexp: int):
-    """F_q-coordinates on F_{q^2}: returns (beta, decompose, subfield list)."""
+    """F_q-coordinates on F_{q^2}: returns (beta, decompose)."""
     sub = K2.subfield_elements(qexp)
     subset = set(sub)
     beta = next(a for a in K2.elements() if a not in subset)
@@ -129,7 +129,7 @@ def _subfield_coords(K2: FieldSpec, qexp: int):
     for c0 in sub:
         for c1 in sub:
             table[K2.add(c0, K2.mul(c1, beta))] = (c0, c1)
-    return beta, table, sub
+    return beta, table
 
 
 @lru_cache(maxsize=None)
@@ -141,10 +141,9 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
     +-1 block multiplier) and solves the invariance + Hermitian
     conditions over F_q, free variables set to zero.
     """
-    beta, table, sub = _subfield_coords(K2, qexp)
+    beta, table = _subfield_coords(K2, qexp)
     conj_beta = K2.frobenius(beta, qexp)
     cb0, cb1 = table[conj_beta]
-    sub_sorted = sorted(sub)
 
     nvar = 2 * h * h  # (i, j, component)
 
@@ -205,7 +204,7 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
 
     # solve over F_q: every coefficient and rhs lives in the subfield, so
     # K2 arithmetic restricted to sub is exactly F_q arithmetic
-    sol = _solve_in_subfield(K2, sub_sorted, rows, rhs)
+    sol = la.solve(K2, la.mat(rows), tuple(rhs))
     if sol is None:
         raise AssertionError(f"no invariant Hermitian form with the prescribed antidiagonal (h={h})")
     B = [[0] * h for _ in range(h)]
@@ -215,42 +214,6 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
             c1 = sol[var(i, j, 1)]
             B[i][j] = K2.add(c0, K2.mul(c1, beta))
     return la.mat(B)
-
-
-def _solve_in_subfield(K2: FieldSpec, sub_sorted: list[int], rows, rhs) -> Optional[list[int]]:
-    """Gaussian elimination where all values stay in the subfield of K2."""
-    if not rows:
-        return []
-    nvar = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nvar):
-        pr = None
-        for i in range(r, len(aug)):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = K2.inv(aug[r][c])
-        aug[r] = [K2.mul(inv, x) for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [K2.sub(x, K2.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][nvar]:
-            return None
-    sol = [0] * nvar
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][nvar]
-    return sol
 
 
 def build_sl_split(
@@ -320,15 +283,6 @@ def _verify_sl_split(data: SplitSLData) -> None:
     )
     if fu != u:
         raise AssertionError("u is not fixed by the twisted Frobenius")
-
-
-def jordan_type(m: la.Matrix, K: FieldSpec, mode: str = "nilpotent") -> Partition:
-    """Jordan type from the rank sequence of powers."""
-    if mode == "unipotent":
-        m = la.mat_add(K, m, la.mat_neg(K, la.identity(K, len(m))))
-    elif mode != "nilpotent":
-        raise ValueError("mode must be 'nilpotent' or 'unipotent'")
-    return la.jordan_partition(K, m)
 
 
 # ---------------------------------------------------------------------------

@@ -183,15 +183,40 @@ def _rep_str(group: str, rep) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def _check_row(row: GreenBasisRow) -> GreenBasisRow:
-    ident_value = row.values[0]
-    if ident_value.as_int() != row.dim:
+def _checked_row(
+    group: str, q: int, la: Partition, series: int, rho: IrrChar, ext: ExtendedChar, A, exp: ExponentData
+) -> GreenBasisRow:
+    """The row of ext's values on the twisted classes of A.
+
+    Checked: each value is constant on its class, the identity class
+    carries dim rho, and the exponent identity holds with an even sum.
+    """
+    table = twisted_classes(A)
+    vm = ext.coset_value_map()
+    values = []
+    for rep, members in table.classes:
+        vals = {tuple(vm[m].coeffs) for m in members}
+        if len(vals) != 1:
+            raise AssertionError("extension value is not constant on a twisted class")
+        values.append(vm[rep])
+    if values[0].as_int() != rho.dim:
         raise AssertionError("identity-class value differs from the dimension")
-    if not row.exponents.consistent:
+    if not exp.consistent:
         raise AssertionError("exponent identity failed")
-    if not row.exponents.even:
-        raise AssertionError(f"odd exponent sum {row.exponents.total} in an emitted row")
-    return row
+    if not exp.even:
+        raise AssertionError(f"odd exponent sum {exp.total} in an emitted row")
+    return GreenBasisRow(
+        group=group,
+        q=q,
+        la=la,
+        series=series,
+        rho_label=rho.label,
+        extension_label=ext.label,
+        dim=rho.dim,
+        classes=tuple((rep, len(members)) for rep, members in table.classes),
+        values=tuple(values),
+        exponents=exp,
+    )
 
 
 def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasisRow:
@@ -216,28 +241,7 @@ def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasi
     if not is_tau_stable(A, rho):
         raise NotFStableError("the local system attached to the pair is moved by F")
     ext = extend_character(rho, A)[0]
-    table = twisted_classes(A)
-    values = []
-    vm = ext.coset_value_map()
-    for rep, members in table.classes:
-        vals = {tuple(vm[m].coeffs) for m in members}
-        if len(vals) != 1:
-            raise AssertionError("extension value is not constant on a twisted class")
-        values.append(vm[rep])
-    exp = exponents_sl(la, xi_order)
-    row = GreenBasisRow(
-        group="sl",
-        q=q,
-        la=la,
-        series=xi_order,
-        rho_label=rho.label,
-        extension_label=ext.label,
-        dim=rho.dim,
-        classes=tuple((rep, len(members)) for rep, members in table.classes),
-        values=tuple(values),
-        exponents=exp,
-    )
-    return _check_row(row)
+    return _checked_row("sl", q, la, xi_order, rho, ext, A, exponents_sl(la, xi_order))
 
 
 def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
@@ -306,28 +310,7 @@ def y0_row_spin(
         if extension is None:
             raise ValueError(f"two extensions exist; pass extension= one of {[e.label for e in exts]}")
         ext = next(e for e in exts if e.label == extension)
-    table = twisted_classes(A)
-    vm = ext.coset_value_map()
-    values = []
-    for rep, members in table.classes:
-        vals = {tuple(vm[m].coeffs) for m in members}
-        if len(vals) != 1:
-            raise AssertionError("extension value is not constant on a twisted class")
-        values.append(vm[rep])
-    exp = exponents_spin(la)
-    row = GreenBasisRow(
-        group="spin",
-        q=q,
-        la=la,
-        series=defect(la),
-        rho_label=rho.label,
-        extension_label=ext.label,
-        dim=rho.dim,
-        classes=tuple((rep, len(members)) for rep, members in table.classes),
-        values=tuple(values),
-        exponents=exp,
-    )
-    return _check_row(row)
+    return _checked_row("spin", q, la, defect(la), rho, ext, A, exponents_spin(la))
 
 
 def y0_table_sl(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 from . import flinalg as la
 from .ffield import FieldSpec
 from .partitions import Partition, normalize
-from .split import SplitSLData, SplitSOData
+from .split import SplitSLData, SplitSOData, jordan_positions
 
 DEFAULT_BUDGET = 10**6
 
@@ -55,52 +55,6 @@ def _kernel_of_power(K: FieldSpec, x: la.Matrix, k: int) -> la.Matrix:
     return la.nullspace(K, la.mat_pow(K, x, k))
 
 
-def _complement_in(K: FieldSpec, small: la.Matrix, big: la.Matrix) -> la.Matrix:
-    """Rows of big extending small to a basis of span(big)."""
-    cur = list(small)
-    out = []
-    for v in big:
-        if not la.in_span(K, la.mat(cur), v):
-            cur.append(v)
-            out.append(v)
-    return la.mat(out)
-
-
-def _span_vectors(K: FieldSpec, basis: la.Matrix) -> Iterator[la.Vector]:
-    """All vectors in the span (including zero)."""
-    if not basis:
-        yield tuple()
-        return
-    n = len(basis[0])
-    coeffs = [0] * len(basis)
-    total = K.q ** len(basis)
-    for code in range(total):
-        c = code
-        for i in range(len(basis)):
-            coeffs[i] = c % K.q
-            c //= K.q
-        v = [0] * n
-        for cf, row in zip(coeffs, basis):
-            if cf:
-                for j, rv in enumerate(row):
-                    if rv:
-                        v[j] = K.add(v[j], K.mul(cf, rv))
-        yield tuple(v)
-
-
-def _projective_reps(K: FieldSpec, basis: la.Matrix) -> Iterator[la.Vector]:
-    """One representative per line of the span: leading coefficient 1."""
-    if not basis:
-        return
-    r = len(basis)
-    n = len(basis[0])
-    for lead in range(r):
-        tail = basis[lead + 1 :]
-        for w in _span_vectors(K, la.mat(tail)) if tail else [tuple([0] * n)]:
-            v = tuple(K.add(a, b) for a, b in zip(basis[lead], w)) if w else basis[lead]
-            yield v
-
-
 def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = None) -> list[la.Matrix]:
     """All d-dimensional x-stable W with x|_W regular nilpotent.
 
@@ -115,7 +69,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
         return []
     kd = _kernel_of_power(K, x, d)
     kdm1 = _kernel_of_power(K, x, d - 1) if d > 1 else ()
-    comp = _complement_in(K, la.mat(kdm1), kd)
+    comp = la.extend_basis(K, la.mat(kdm1), kd)
     if not comp:
         return []
 
@@ -138,7 +92,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
         count = (K.q ** len(comp) - 1) // (K.q - 1)
         if count > bound:
             raise VarietyBudgetError(f"{count} candidate lines exceed budget {bound}")
-        for v in _projective_reps(K, comp):
+        for v in la.line_representatives(K, comp):
             w = span_of(v)
             if w is not None:
                 out.append(w)
@@ -148,11 +102,11 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
         per_line = K.q ** max(len(kdm1) - 1, 0)
         if nlines * per_line > bound:
             raise VarietyBudgetError(f"{nlines * per_line} candidates exceed budget {bound}")
-        for c in _projective_reps(K, comp):
+        for c in la.line_representatives(K, comp):
             xc = la.mat_vec(K, x, c)
             # shifts by ker x modulo the span of x c cover each W once
-            kermod = _complement_in(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
-            for w in _span_vectors(K, kermod):
+            kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
+            for w in la.span_vectors(K, kermod):
                 v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
                 sp = span_of(v)
                 if sp is not None and sp not in seen:
@@ -163,11 +117,11 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
     count = K.q ** len(comp) * K.q ** len(kdm1)
     if count > bound:
         raise VarietyBudgetError(f"{count} candidates exceed budget {bound}")
-    for c in _span_vectors(K, comp):
+    for c in la.span_vectors(K, comp):
         if not any(c):
             continue
-        for w in _span_vectors(K, la.mat(kdm1)) if kdm1 else [None]:
-            v = c if w is None else tuple(K.add(a, b) for a, b in zip(c, w))
+        for w in la.span_vectors(K, la.mat(kdm1)):
+            v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
             sp = span_of(v)
             if sp is not None and sp not in seen:
                 seen.add(sp)
@@ -186,20 +140,9 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Op
     if pow_images is None:
         pow_images = power_images(K, x)
     ranks = [n - d]
-    for img in pow_images[1:]:
-        if not img:
-            ranks.append(0)
-            continue
-        stacked = la.echelon_basis(K, img + w_basis)
-        ranks.append(len(stacked) - d)
-    while len(ranks) <= n:
-        ranks.append(0)
-    parts = []
-    for k in range(1, n + 1):
-        r_prev, r_k = ranks[k - 1], ranks[k]
-        r_next = ranks[k + 1] if k + 1 <= n else 0
-        parts.extend([k] * (r_prev - 2 * r_k + r_next))
-    return tuple(sorted(parts))
+    for img in pow_images[1 : n + 1]:
+        ranks.append(len(la.echelon_basis(K, img + w_basis)) - d if img else 0)
+    return la.partition_from_ranks(ranks)
 
 
 def power_images(K: FieldSpec, x: la.Matrix) -> list:
@@ -278,10 +221,6 @@ class Flag:
     type_mod_W: Partition  # x on V/W (the stratum invariant)
 
 
-def _annihilator_space(K: FieldSpec, basis: la.Matrix, n: int) -> la.Matrix:
-    return la.annihilator(K, basis, n)
-
-
 def enumerate_flags_sl(
     data: SplitSLData, d: int, lap: Partition, bound: Optional[int] = None
 ) -> list[Flag]:
@@ -306,19 +245,7 @@ def enumerate_flags_sl(
         nu = quotient_type(K, x, w, pows)
         if lap not in horizontal_strip_drops(nu, d):
             continue
-        # enumerate W' through the quotient V/W: W'/W must be x-stable of
-        # type lap with regular quotient; work in quotient coordinates
-        qact, lift = _quotient_data(K, x, w)
-        duals = cyclic_subspaces(K, la.transpose(qact), d, bound)
-        for u_dual in duals:
-            wp_bar = la.nullspace(K, u_dual)
-            mid_type = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
-            if mid_type != lap:
-                continue
-            wp = la.echelon_basis(K, tuple(lift(v) for v in wp_bar) + w)
-            top_type = quotient_type(K, x, wp, pows)
-            if top_type != (d,):
-                continue
+        for wp in _completions(K, x, pows, w, d, lap, bound):
             produced += 1
             if produced > bound:
                 raise VarietyBudgetError(f"flag count exceeds budget {bound}")
@@ -327,8 +254,8 @@ def enumerate_flags_sl(
                     W=w,
                     Wp=wp,
                     type_W=(d,),
-                    type_quotient=mid_type,
-                    type_top=top_type,
+                    type_quotient=lap,
+                    type_top=(d,),
                     type_mod_W=nu,
                 )
             )
@@ -336,34 +263,32 @@ def enumerate_flags_sl(
     return flags
 
 
-def _quotient_data(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix):
-    """Action of x on V/W in complement coordinates, plus the lift map."""
+def _completions(
+    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, lap: Partition, bound: Optional[int] = None
+) -> Iterator[la.Matrix]:
+    """Every W' over W with x of type lap on W'/W and regular on V/W'.
+
+    Enumerated through the quotient V/W: W'/W must be x-stable of type
+    lap with regular quotient, so it is the annihilator of a d-dimensional
+    cyclic subspace for the transpose action; work in quotient coordinates.
+    """
     n = len(x)
-    red, pivots = la.rref(K, w_basis) if w_basis else ((), ())
-    pivset = set(pivots)
-    compl = [c for c in range(n) if c not in pivset]
-
-    def project(v: la.Vector) -> la.Vector:
-        vv = list(v)
-        for r, pc in enumerate(pivots):
-            f = vv[pc]
-            if f:
-                vv = [K.sub(a, K.mul(f, b)) for a, b in zip(vv, red[r])]
-        return tuple(vv[c] for c in compl)
-
-    cols = []
-    for c in compl:
-        e = tuple(1 if i == c else 0 for i in range(n))
-        cols.append(project(la.mat_vec(K, x, e)))
-    qact = la.transpose(la.mat(cols))
-
-    def lift(vbar: la.Vector) -> la.Vector:
-        v = [0] * n
-        for coord, c in zip(vbar, compl):
-            v[c] = coord
-        return tuple(v)
-
-    return qact, lift
+    qact, compl = la.quotient_action(K, x, w)
+    for u_dual in cyclic_subspaces(K, la.transpose(qact), d, bound):
+        wp_bar = la.nullspace(K, u_dual)
+        mid = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
+        if mid != lap:
+            continue
+        # lift: quotient coordinate t is the standard coordinate compl[t]
+        lifted = []
+        for vbar in wp_bar:
+            v = [0] * n
+            for c, coord in zip(compl, vbar):
+                v[c] = coord
+            lifted.append(tuple(v))
+        wp = la.echelon_basis(K, tuple(lifted) + w)
+        if quotient_type(K, x, wp, pows) == (d,):
+            yield wp
 
 
 def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: Flag) -> bool:
@@ -384,7 +309,7 @@ def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: Flag) -> boo
         return False
     if la.jordan_partition(K, la.action_between(K, x, W, Wp)) != tuple(lap):
         return False
-    if la.jordan_partition(K, la.quotient_action(K, x, Wp)) != (d,):
+    if la.jordan_partition(K, la.quotient_action(K, x, Wp)[0]) != (d,):
         return False
     return True
 
@@ -462,7 +387,7 @@ def enumerate_flags_so(data: SplitSOData, lap: Partition, bound: Optional[int] =
     lap = tuple(lap)
     k2 = _kernel_of_power(K, x, 2)
     k1 = _kernel_of_power(K, x, 1)
-    comp = _complement_in(K, la.mat(k1), k2)
+    comp = la.extend_basis(K, la.mat(k1), k2)
     if not comp:
         return []
     nlines = (K.q ** len(comp) - 1) // (K.q - 1)
@@ -471,10 +396,10 @@ def enumerate_flags_so(data: SplitSOData, lap: Partition, bound: Optional[int] =
         raise VarietyBudgetError(f"{nlines * per_line} candidates exceed budget {bound}")
     out = []
     seen = set()
-    for c in _projective_reps(K, comp):
+    for c in la.line_representatives(K, comp):
         xc = la.mat_vec(K, x, c)
-        kermod = _complement_in(K, la.echelon_basis(K, [xc]), la.mat(k1))
-        for shift in _span_vectors(K, kermod):
+        kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(k1))
+        for shift in la.span_vectors(K, kermod):
             v = tuple(K.add(a, b) for a, b in zip(c, shift)) if shift else c
             xv = la.mat_vec(K, x, v)
             # isotropy of <v, xv>
@@ -557,15 +482,8 @@ def centralizer_units(
         raise VarietyBudgetError(f"{K.q**dim} algebra elements exceed budget {bound}")
     basis = tuple(tuple(tuple(b[i * n + j] for j in range(n)) for i in range(n)) for b in basis_flat)
     units = []
-    for coeffs in _all_coeff_vectors(K, dim):
-        m = [[0] * n for _ in range(n)]
-        for cf, b in zip(coeffs, basis):
-            if cf:
-                for i in range(n):
-                    for j in range(n):
-                        if b[i][j]:
-                            m[i][j] = K.add(m[i][j], K.mul(cf, b[i][j]))
-        mm = la.mat(m)
+    for flat in la.span_vectors(K, basis_flat):
+        mm = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         dv = la.det(K, mm)
         if dv == 0:
             continue
@@ -573,17 +491,6 @@ def centralizer_units(
             continue
         units.append(mm)
     return CentralizerUnits(dimension=dim, algebra_basis=basis, units=tuple(units))
-
-
-def _all_coeff_vectors(K: FieldSpec, dim: int) -> Iterator[tuple[int, ...]]:
-    total = K.q**dim
-    for code in range(total):
-        c = code
-        out = []
-        for _ in range(dim):
-            out.append(c % K.q)
-            c //= K.q
-        yield tuple(out)
 
 
 @dataclass(frozen=True)
@@ -696,41 +603,12 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
         if la.jordan_partition(K, la.action_between(K, x, w, wp)) == tuple(lap):
             if quotient_type(K, x, wp, pows) == (d,):
                 return wp
-    qact, lift = _quotient_data(K, x, w)
-    candidates = []
-    for u_dual in cyclic_subspaces(K, la.transpose(qact), d):
-        wp_bar = la.nullspace(K, u_dual)
-        mid = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
-        if mid != tuple(lap):
-            continue
-        cand = la.echelon_basis(K, tuple(lift(v) for v in wp_bar) + w)
-        if quotient_type(K, x, cand, pows) == (d,):
-            candidates.append(cand)
+    candidates = list(_completions(K, x, pows, w, d, tuple(lap)))
     if not candidates:
         raise AssertionError("no completion W' exists for the explicit flag")
     rational = [c for c in candidates if _frob0(data, c) == c]
     pool = rational if rational else candidates
     return min(pool)
-
-
-def _span_vectors_subfield(K: FieldSpec, basis: la.Matrix, sub: list[int]):
-    """Vectors in the span with coefficients restricted to a subfield."""
-    if not basis:
-        return
-    n = len(basis[0])
-    r = len(basis)
-    total = len(sub) ** r
-    for code in range(total):
-        c = code
-        v = [0] * n
-        for i in range(r):
-            cf = sub[c % len(sub)]
-            c //= len(sub)
-            if cf:
-                for j, rv in enumerate(basis[i]):
-                    if rv:
-                        v[j] = K.add(v[j], K.mul(cf, rv))
-        yield tuple(v)
 
 
 def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, target_nu: Partition) -> Optional[Flag]:
@@ -743,7 +621,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     kd = _kernel_of_power(K, x, d)
     best = None
     seen = set()
-    for v in _span_vectors_subfield(K, la.mat(kd), sub):
+    for v in la.span_vectors(K, la.mat(kd), sub):
         if not any(v):
             continue
         vecs = []
@@ -780,16 +658,6 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     return best
 
 
-def _position_index(la_parts: Partition) -> dict[tuple[int, int], int]:
-    out = {}
-    t = 0
-    for k, h in enumerate(la_parts, start=1):
-        for j in range(1, h + 1):
-            out[(k, j)] = t
-            t += 1
-    return out
-
-
 def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[Flag]:
     """The explicit rational flags of the three removal cases.
 
@@ -802,7 +670,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[Flag]
     K = data.field
     n = len(data.unipotent)
     x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
-    pos = _position_index(data.la)
+    pos = {kj: t for t, kj in enumerate(jordan_positions(data.la))}
     pows = power_images(K, x)
 
     def unit_vec(k, j):
@@ -839,7 +707,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[Flag]
         def rational(v):
             return all(K.pow(c, q) == c for c in v)
 
-        iso = [v for v in _projective_reps(K, la.mat(tops)) if aux(v, v) == 0]
+        iso = [v for v in la.line_representatives(K, la.mat(tops)) if aux(v, v) == 0]
         if not iso:
             raise AssertionError("no isotropic vector for the auxiliary form")
         iso.sort(key=lambda v: (not rational(v), v))

@@ -867,8 +867,9 @@ def _class_point_count_isometry(
     Even-N orthogonal counts are taken in the split group O^+_N(q), the
     isometry group of so_form_and_nilpotent's form at every q.  Each
     rational orbit is the isometry group's order over a stabilizer from
-    the commutant scan or, past its budget, the layered count; failing
-    both, the orbit is crawled."""
+    the layered count or, past its budget, the commutant scan; failing
+    both, the orbit is crawled.  The two stabilizer counts agree wherever
+    both run (test_layered_stabilizer_count_against_direct_scan)."""
     if all(part == 1 for part in lam):
         return 1
     if kind == "SO":
@@ -904,9 +905,9 @@ def _class_point_count_isometry(
             ok = _symmetric_forms_equivalent(fe, f, q)
         if not ok:
             continue
-        stab = stabilizer_order_by_enumeration(x, fe, q, budget)
+        stab = stabilizer_order_layered(x, fe, q, budget)
         if stab is None:
-            stab = stabilizer_order_layered(x, fe, q, budget)
+            stab = stabilizer_order_by_enumeration(x, fe, q, budget)
         if stab is not None:
             assert group_order % stab == 0
             total += group_order // stab

@@ -113,7 +113,16 @@ def test_console_entry_point():
     assert json.loads(proc.stdout) == [[5], [1, 2, 2]]
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["series"])
-    assert exc.value.code == 2
+def test_usage_error_exit_2(capsys):
+    for argv in (
+        ["series"],
+        ["series", "--group", "spin"],
+        ["series", "--group", "sl", "--n", "4"],
+        ["tables", "--group", "spin", "--q", "3"],
+        ["tables", "--group", "sl", "--n", "4", "--q", "3"],
+        ["restrict", "--n", "1", "--d", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err, argv

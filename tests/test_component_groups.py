@@ -98,6 +98,9 @@ def test_prop_2_5_dimension_table():
             assert len(neg) == 1 and neg[0].dim == 2 ** ((r - 1) // 2)
         else:
             assert len(neg) == 2 and all(c.dim == 2 ** ((r - 2) // 2) for c in neg)
+        # the matrix models report the size of their own matrices
+        for rep in cg._spin_negative_representations(g, CycRing(4)):
+            assert rep.dim == len(rep.matrix(g.identity()))
 
 
 def test_full_character_table_is_complete_and_orthonormal():

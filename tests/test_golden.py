@@ -44,12 +44,6 @@ def test_cli_stdout_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_orbit_ids_golden_case_has_three_orbits(capsys):
-    main("flags --group sl --lambda 1,2 --d 1 --q 2 --orbits".split())
-    lines = capsys.readouterr().out.strip().splitlines()[1:]
-    assert {l.split("\t")[5] for l in lines} == {"0", "1", "2"}
-
-
 def test_even_generator_extensions_digest():
     # (1,3,7,9) at q = 3: F flips x3 and x4, so both xi(eps) = -1
     # characters are tau-stable and extend through the intertwiner

@@ -42,7 +42,7 @@ def test_so_jordan_roundtrip():
         for N in range(1, 11):
             for lam in pt.enumerate_XN(N, tilde=True):
                 data = sp.build_so_split(lam, q_p, q_k)
-                assert sp.jordan_type(data.nilpotent, data.field, "nilpotent") == lam
+                assert la.jordan_partition(data.field, data.nilpotent) == lam
 
 
 def test_build_sl_split_examples():
@@ -81,7 +81,9 @@ def test_sl_jordan_roundtrip_and_form_invariance():
         for n in range(1, 11):
             for lam in pt.partitions_of(n):
                 data = sp.build_sl_split(lam, q_p, q_k)
-                assert sp.jordan_type(data.unipotent, data.field, "unipotent") == lam
+                K = data.field
+                x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+                assert la.jordan_partition(K, x) == lam
 
 
 def test_jordan_type_edge_cases():
@@ -89,11 +91,11 @@ def test_jordan_type_edge_cases():
 
     K = make_field(3, 1)
     zero = la.zeros(K, 4, 4)
-    assert sp.jordan_type(zero, K, "nilpotent") == (1, 1, 1, 1)
+    assert la.jordan_partition(K, zero) == (1, 1, 1, 1)
     shift = la.mat([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
-    assert sp.jordan_type(shift, K, "nilpotent") == (4,)
+    assert la.jordan_partition(K, shift) == (4,)
     with pytest.raises(ValueError):
-        sp.jordan_type(la.identity(K, 3), K, "nilpotent")
+        la.jordan_partition(K, la.identity(K, 3))
 
 
 def test_spin_frobenius_report_signs():

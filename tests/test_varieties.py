@@ -22,7 +22,7 @@ def _nilpotent_of_type(K, lam):
 
 def _all_subspaces(K, n, d):
     """Brute-force d-dimensional subspaces as canonical echelon bases."""
-    vecs = [v for v in vr._span_vectors(K, la.identity(K, n)) if any(v)]
+    vecs = [v for v in la.span_vectors(K, la.identity(K, n)) if any(v)]
     seen = set()
     for combo in itertools.combinations(vecs, d):
         b = la.echelon_basis(K, combo)
