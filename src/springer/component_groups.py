@@ -446,12 +446,12 @@ class SpinRepresentation:
         if g in self._cache:
             return self._cache[g]
         a, s = g
-        low = s & -s
         if a:
             out = cmat_scale(self.ring.from_int(-1), self.matrix((0, s)))
         elif s:
             # the word x_S is x_i x_{S - i} for its least index i; the
             # shorter words are cached too, so each word costs one product
+            low = s & -s
             out = cmat_mul(self.gen_mats[low.bit_length() - 1], self.matrix((0, s ^ low)))
         else:
             out = cmat_identity(self.ring, self.dim)
