@@ -34,6 +34,25 @@ GOLDEN = [
         "97740017cec33bea4df30be42117ff2a4931d816f9267621faf8a65d810f7dca",
     ),
     ("tables --group spin --N 9 --q 7", "0e89bc6b4a26612b25427ea162ab59938af95eb86c72454847e9a90d08dda7ea"),
+    # one lambda' of several (181 flags), an SO plane filter (1 flag), a
+    # lambda' of the wrong size (header only), and every lambda' with
+    # orbits whose unit group exceeds the budget (orbit ids all "-")
+    (
+        "flags --group sl --lambda 1,1,2 --lambda-prime 1,1 --d 1 --q 3",
+        "e04971ad276fbf5ecc6e408f32b3fcf0614bff1965540139914b2039abb31392",
+    ),
+    (
+        "flags --group so --lambda 1,2,2,5 --lambda-prime 1,1,2,2 --q 3",
+        "a772092f37d03f09fac25a6f09f987235337132b1b2ef9ff0c50009512da531d",
+    ),
+    (
+        "flags --group sl --lambda 1,2 --lambda-prime 3 --d 1 --q 3",
+        "8db2c4c2b8da26ca02a1f0e6a3abeab84bf9f3ac5918e1c8e9811918b447b507",
+    ),
+    (
+        "flags --group sl --lambda 2,2 --d 1 --q 3 --orbits",
+        "119e93474936baf7bc5e36ba3e9b50e805f981134fff4c0233343eb278032fc8",
+    ),
 ]
 
 
