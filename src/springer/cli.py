@@ -4,10 +4,12 @@ Subcommands: series, xn, split, flags, restrict, tables, verify.  All
 numeric output is exact (integers or cyclotomic coefficient vectors),
 TSV uses tab separators without quoting, JSON is canonical (sorted
 keys), and identical invocations produce byte-identical output.  The
-environment variable SPRINGER_BUDGET overrides the enumeration caps.
+enumeration budget is fixed (varieties.DEFAULT_BUDGET).
 
-Exit status: 0 on success, 1 on verification failure (with a
-machine-readable report), 2 on usage errors.
+Exit status: 0 on success, 1 on verification failure or refusal (with a
+machine-readable report), 2 on usage errors, 3 when an internal
+invariant fails (one JSON line on stderr naming AssertionError and its
+message).
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ def cmd_split(args) -> int:
         lines.append(_mat_str(K, data.form))
         lines.append("check form_hermitian: pass")
         lines.append("check u_preserves_form: pass")
-        x = fla.mat_add(K, data.unipotent, fla.mat_neg(K, fla.identity(K, len(data.unipotent))))
-        lines.append(f"check jordan_type: {list(fla.jordan_partition(K, x))}")
+        lines.append(f"check jordan_type: {list(fla.jordan_partition(K, data.nilpotent))}")
         lines.append("check fixed_by_twisted_frobenius: pass")
     else:
         data = sp.build_so_split(lam, p, k)
@@ -122,64 +123,52 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _lambda_primes(args, size: int) -> list[pt.Partition]:
+    """The --lambda-prime partition, else every partition of size."""
+    if args.lam_prime is not None:
+        return [_parse_partition(args.lam_prime)]
+    return list(pt.partitions_of(max(size, 0)))
+
+
+def _flag_row(idx: int, lap, sub, sup, invariant, orbit, stable: bool) -> str:
+    """One TSV row: id, lambda', the two subspaces, the stratum type, orbit id, F-stability."""
+    cells = [str(idx), json.dumps(list(lap))]
+    cells += [json.dumps([list(r) for r in m]) for m in (sub, sup)]
+    cells += [json.dumps(list(invariant)), str(orbit), str(stable).lower()]
+    return "\t".join(cells)
+
+
 def cmd_flags(args) -> int:
     lam = _parse_partition(args.lam)
     p, k = _prime_of(args.q)
     lines = ["flag_id\tlambda_prime\tW\tWp\ttype_mod_W\torbit\tf_stable"]
     if args.group == "sl":
         data = sp.build_sl_split(lam, p, k)
-        n = sum(lam)
-        laps = [ _parse_partition(args.lam_prime) ] if args.lam_prime is not None else list(pt.partitions_of(max(n - 2 * args.d, 0)))
+        K = data.field
+        laps = _lambda_primes(args, sum(lam) - 2 * args.d)
+        all_flags = vr.enumerate_flags_sl(data, args.d, laps)
+        units = None
+        if all_flags and args.orbits:
+            try:
+                units = vr.centralizer_units(data.nilpotent, K)
+            except vr.VarietyBudgetError:
+                pass
         for lap in laps:
-            flags = vr.enumerate_flags_sl(data, args.d, lap)
+            flags = [f for f in all_flags if f.type_quotient == lap]
             orbit_of = {}
-            if flags and args.orbits:
-                K = data.field
-                x = fla.mat_add(K, data.unipotent, fla.mat_neg(K, fla.identity(K, n)))
-                try:
-                    units = vr.centralizer_units(x, K)
-                    dec = vr.orbit_decomposition(flags, units, K)
-                    for idx, (orbit, _) in enumerate(dec.orbits):
-                        for key in orbit:
-                            orbit_of[key] = idx
-                except vr.VarietyBudgetError:
-                    orbit_of = {}
+            if units is not None:
+                for idx, (orbit, _) in enumerate(vr.orbit_decomposition(flags, units, K).orbits):
+                    for key in orbit:
+                        orbit_of[key] = idx
             for idx, f in enumerate(flags):
-                orb = orbit_of.get((f.W, f.Wp), "-")
-                stable = vr.is_sl_flag_f_stable(data, f)
-                lines.append(
-                    "\t".join(
-                        [
-                            str(idx),
-                            json.dumps(list(lap)),
-                            json.dumps([list(r) for r in f.W]),
-                            json.dumps([list(r) for r in f.Wp]),
-                            json.dumps(list(f.type_mod_W)),
-                            str(orb),
-                            str(stable).lower(),
-                        ]
-                    )
-                )
+                orbit = orbit_of.get((f.W, f.Wp), "-")
+                lines.append(_flag_row(idx, lap, f.W, f.Wp, f.type_mod_W, orbit, vr.is_sl_flag_f_stable(data, f)))
     else:
         data = sp.build_so_split(lam, p, k)
-        laps = [ _parse_partition(args.lam_prime) ] if args.lam_prime is not None else list(pt.partitions_of(max(sum(lam) - 4, 0)))
-        for lap in laps:
-            flags = vr.enumerate_flags_so(data, lap)
-            for idx, f in enumerate(flags):
-                stable = vr.is_so_flag_f_stable(data, f)
-                lines.append(
-                    "\t".join(
-                        [
-                            str(idx),
-                            json.dumps(list(lap)),
-                            json.dumps([list(r) for r in f.E]),
-                            json.dumps([list(r) for r in f.Eperp]),
-                            json.dumps(list(f.type_mid)),
-                            "-",
-                            str(stable).lower(),
-                        ]
-                    )
-                )
+        all_flags = vr.enumerate_flags_so(data)
+        for lap in _lambda_primes(args, sum(lam) - 4):
+            for idx, f in enumerate(f for f in all_flags if f.type_mid == lap):
+                lines.append(_flag_row(idx, lap, f.E, f.Eperp, f.type_mid, "-", vr.is_so_flag_f_stable(data, f)))
     _emit(lines, args.output)
     return 0
 
@@ -362,9 +351,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (tb.EmptyFiberError, tb.NotFStableError, vr.VarietyBudgetError, ValueError) as exc:
-        report = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(json.dumps(report, sort_keys=True) + "\n")
-        return 1
+        code, failure = 1, exc
+    except AssertionError as exc:
+        code, failure = 3, exc
+    report = {"error": type(failure).__name__, "message": str(failure)}
+    sys.stderr.write(json.dumps(report, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

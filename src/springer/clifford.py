@@ -426,7 +426,6 @@ class OrthonormalBlock:
     h: int
     c: int
     vectors: la.Matrix  # rows: v_1..v_h in block coordinates over F_{q^2}
-    vectors_primed: la.Matrix
     frob_signs: tuple[int, ...]  # +1 or -1 per vector, from actual F application
 
 
@@ -501,7 +500,7 @@ def orthonormalize_block(h: int, c: int, field: FieldSpec, qexp: int) -> Orthono
             signs.append(-1)
         else:
             raise AssertionError("basis vector is not an F-eigenvector")
-    return OrthonormalBlock(h=h, c=c, vectors=vecs, vectors_primed=la.mat(v[1:]), frob_signs=tuple(signs))
+    return OrthonormalBlock(h=h, c=c, vectors=vecs, frob_signs=tuple(signs))
 
 
 # ---------------------------------------------------------------------------

@@ -503,7 +503,7 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
     return reps
 
 
-def spin_irreducibles(G: SpinGamma, eps_value: int, ring: Optional[CycRing] = None, verify: bool = True) -> list[IrrChar]:
+def spin_irreducibles(G: SpinGamma, eps_value: int, ring: Optional[CycRing] = None) -> list[IrrChar]:
     """Irreducible characters with the prescribed value of xi at epsilon."""
     if eps_value not in (1, -1):
         raise ValueError("the central character is determined by xi(eps) = +-1")
@@ -520,15 +520,13 @@ def spin_irreducibles(G: SpinGamma, eps_value: int, ring: Optional[CycRing] = No
         for j in range(i + 1, G.r):
             gens.append((0, (1 << i) | (1 << j)))
     for rep in reps:
-        if verify:
-            for s in gens:
-                for h in G.elements:
-                    if not cmat_eq(cmat_mul(rep.matrix(s), rep.matrix(h)), rep.matrix(G.mul(s, h))):
-                        raise AssertionError("matrix model violates the group law")
+        for s in gens:
+            for h in G.elements:
+                if not cmat_eq(cmat_mul(rep.matrix(s), rep.matrix(h)), rep.matrix(G.mul(s, h))):
+                    raise AssertionError("matrix model violates the group law")
         chi = rep.character()
-        if verify:
-            if char_inner(G, chi, chi) != 1:
-                raise AssertionError("negative-central character is not irreducible")
+        if char_inner(G, chi, chi) != 1:
+            raise AssertionError("negative-central character is not irreducible")
         dim = chi[G.identity()].as_int()
         out.append(
             IrrChar(
@@ -698,7 +696,7 @@ def _find_intertwiner(G: SpinGamma, rep, ring: CycRing):
     raise AssertionError("no nonzero intertwiner found")
 
 
-def extend_character(chi: IrrChar, G, policy: str = "split") -> list[ExtendedChar]:
+def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     """Extensions of a tau-stable character to the coset A tau.
 
     Abelian groups and trivial tau get the trivial extension (value at

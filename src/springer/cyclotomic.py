@@ -173,18 +173,11 @@ class Cyc:
         for k in range(d, 2 * d):
             c = prod[k]
             if c:
-                red = self.ring._powers[k % self.ring.n] if k < self.ring.n else None
-                if red is None:
-                    red = self._tail_power(k)
-                for i, x in enumerate(red):
+                for i, x in enumerate(self.ring._powers[k % self.ring.n]):
                     out[i] += c * x
         return Cyc(self.ring, tuple(out))
 
     __rmul__ = __mul__
-
-    def _tail_power(self, k: int) -> tuple[Fraction, ...]:
-        # zeta^k for k >= n: fold by periodicity n
-        return self.ring._powers[k % self.ring.n]
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -193,11 +186,7 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugation, zeta -> zeta^{-1}."""
-        out = self.ring.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc(self.ring, self.ring._powers[(-k) % self.ring.n]) * c
-        return out
+        return self.galois(-1)
 
     def galois(self, t: int) -> "Cyc":
         """The map zeta -> zeta^t (t coprime to the order)."""

@@ -293,24 +293,17 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, k: int = 1, seed_modulus: Optional[tuple[int, ...]] = None) -> FieldSpec:
+def make_field(p: int, k: int = 1) -> FieldSpec:
     """Construct F_{p^k} with a deterministic modulus.
 
-    Without seed_modulus the modulus is the lexicographically least monic
-    irreducible of degree k over F_p (order on (c_0, ..., c_{k-1})), so
-    repeated runs produce identical encodings and identical table output.
+    The modulus is the lexicographically least monic irreducible of
+    degree k over F_p (order on (c_0, ..., c_{k-1})), so repeated runs
+    produce identical encodings and identical table output.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree k = {k} must be >= 1")
-    if seed_modulus is not None:
-        m = _poly_trim(seed_modulus)
-        if len(m) - 1 != k or m[-1] != 1:
-            raise ValueError("seed modulus must be monic of degree k")
-        if not _is_irreducible(m, p):
-            raise ValueError(f"seed modulus {list(m)} is reducible over F_{p}")
-        return FieldSpec(p, k, m)
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     for m in _monic_polys(p, k):

@@ -102,6 +102,7 @@ class SplitSLData:
     qexp: int  # q = p^qexp
     form: la.Matrix  # Hermitian matrix A over F_{q^2}
     unipotent: la.Matrix
+    nilpotent: la.Matrix  # u - 1
     signs: tuple[int, ...]  # the a_k exponents used per part
 
     def conj(self, c: int) -> int:
@@ -236,13 +237,14 @@ def build_sl_split(
     K2 = make_field(q_p, 2 * q_k)
 
     # unipotent: (u - 1) v_{k,j} = v_{k,j-1}
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
     pos = jordan_positions(la_parts)
     index = {kj: t for t, kj in enumerate(pos)}
     for (k, j), t in index.items():
         if j >= 2:
             rows[index[(k, j - 1)]][t] = 1
-    u = la.mat(rows)
+    x = la.mat(rows)
+    u = la.mat_add(K2, x, la.identity(K2, n))
 
     blocks = []
     for k, h in enumerate(la_parts, start=1):
@@ -257,7 +259,7 @@ def build_sl_split(
         start += h
     A = la.mat(A)
 
-    data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, signs=signs)
+    data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, nilpotent=x, signs=signs)
     _verify_sl_split(data)
     return data
 
@@ -271,7 +273,7 @@ def _verify_sl_split(data: SplitSLData) -> None:
         raise AssertionError("form is not Hermitian")
     if la.mat_mul(K, la.mat_mul(K, la.transpose(u), A), data.conj_mat(u)) != A:
         raise AssertionError("u does not preserve the sesquilinear form")
-    if la.jordan_partition(K, la.mat_add(K, u, la.mat_neg(K, la.identity(K, len(u))))) != data.la:
+    if la.jordan_partition(K, data.nilpotent) != data.la:
         raise AssertionError("Jordan type mismatch")
     # twisted Frobenius built from A: F(g) = conj(A)^{-1} (conj(g)^T)^{-1} conj(A),
     # whose fixed points are exactly the unitary group of A
@@ -328,9 +330,7 @@ class SLFrobeniusReport:
         return self.tau_order <= 2
 
 
-def frobenius_action_report(
-    data: Union[SplitSOData, SplitSLData], p_for_sl: Optional[int] = None
-) -> Union[SpinFrobeniusReport, SLFrobeniusReport]:
+def frobenius_action_report(data: Union[SplitSOData, SplitSLData]) -> Union[SpinFrobeniusReport, SLFrobeniusReport]:
     """How F acts on the component group of the split element.
 
     Orthogonal/spin data: the sign of F on each odd-block generator is

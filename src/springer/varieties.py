@@ -24,9 +24,9 @@ brute force in the test suite).
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from . import flinalg as la
 from .ffield import FieldSpec
@@ -34,13 +34,6 @@ from .partitions import Partition, normalize
 from .split import SplitSLData, SplitSOData, jordan_positions
 
 DEFAULT_BUDGET = 10**6
-
-
-def budget_cap() -> int:
-    env = os.environ.get("SPRINGER_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 class VarietyBudgetError(RuntimeError):
@@ -55,15 +48,29 @@ def _kernel_of_power(K: FieldSpec, x: la.Matrix, k: int) -> la.Matrix:
     return la.nullspace(K, la.mat_pow(K, x, k))
 
 
-def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = None) -> list[la.Matrix]:
+def _cyclic_span(K: FieldSpec, x: la.Matrix, v: la.Vector, d: int) -> Optional[la.Matrix]:
+    """Echelon basis of <x^{d-1} v, ..., v>, or None unless it is
+    d-dimensional and killed by x^d."""
+    vecs = []
+    cur = v
+    for _ in range(d):
+        vecs.append(cur)
+        cur = la.mat_vec(K, x, cur)
+    if any(cur):
+        return None
+    basis = la.echelon_basis(K, vecs)
+    if len(basis) != d:
+        return None
+    return basis
+
+
+def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BUDGET) -> list[la.Matrix]:
     """All d-dimensional x-stable W with x|_W regular nilpotent.
 
     These are the spans <x^{d-1} v, ..., v> over v in ker x^d outside
     ker x^{d-1}; generators are enumerated modulo the exact redundancy
     for d <= 2 and deduplicated by canonical form for larger d.
     """
-    if bound is None:
-        bound = budget_cap()
     n = len(x)
     if d < 1 or d > n:
         return []
@@ -72,28 +79,13 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
     comp = la.extend_basis(K, la.mat(kdm1), kd)
     if not comp:
         return []
-
-    def span_of(v: la.Vector) -> Optional[la.Matrix]:
-        vecs = []
-        cur = v
-        for _ in range(d):
-            vecs.append(cur)
-            cur = la.mat_vec(K, x, cur)
-        if any(cur):
-            return None
-        basis = la.echelon_basis(K, vecs)
-        if len(basis) != d:
-            return None
-        return basis
-
     out = []
-    seen = set()
     if d == 1:
         count = (K.q ** len(comp) - 1) // (K.q - 1)
         if count > bound:
             raise VarietyBudgetError(f"{count} candidate lines exceed budget {bound}")
         for v in la.line_representatives(K, comp):
-            w = span_of(v)
+            w = _cyclic_span(K, x, v, 1)
             if w is not None:
                 out.append(w)
         return sorted(out)
@@ -108,21 +100,21 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: Optional[int] = 
             kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
             for w in la.span_vectors(K, kermod):
                 v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-                sp = span_of(v)
-                if sp is not None and sp not in seen:
-                    seen.add(sp)
+                sp = _cyclic_span(K, x, v, 2)
+                if sp is not None:
                     out.append(sp)
         return sorted(out)
     # generic fallback: full generator sweep with dedup
     count = K.q ** len(comp) * K.q ** len(kdm1)
     if count > bound:
         raise VarietyBudgetError(f"{count} candidates exceed budget {bound}")
+    seen = set()
     for c in la.span_vectors(K, comp):
         if not any(c):
             continue
         for w in la.span_vectors(K, la.mat(kdm1)):
             v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-            sp = span_of(v)
+            sp = _cyclic_span(K, x, v, d)
             if sp is not None and sp not in seen:
                 seen.add(sp)
                 out.append(sp)
@@ -222,32 +214,32 @@ class Flag:
 
 
 def enumerate_flags_sl(
-    data: SplitSLData, d: int, lap: Partition, bound: Optional[int] = None
+    data: SplitSLData, d: int, laps: Collection[Partition], bound: int = DEFAULT_BUDGET
 ) -> list[Flag]:
-    """All flags (W in W') for the split unipotent, marked with types.
+    """All flags (W in W') for the split unipotent whose W'/W type is one
+    of laps, marked with types.
 
-    Incompatible target types give an empty list; instances above the
-    candidate budget raise VarietyBudgetError.
+    Target types of the wrong size are dropped, and none left gives an
+    empty list; instances above the candidate budget, or with more than
+    bound flags of one W'/W type, raise VarietyBudgetError.
     """
-    if bound is None:
-        bound = budget_cap()
     K = data.field
-    n = len(data.unipotent)
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
-    lap = tuple(lap)
-    if sum(lap) != n - 2 * d:
+    x = data.nilpotent
+    n = len(x)
+    laps = {tuple(lap) for lap in laps if sum(lap) == n - 2 * d}
+    if not laps:
         return []
     pows = power_images(K, x)
     flags = []
-    ws = cyclic_subspaces(K, x, d, bound)
-    produced = 0
-    for w in ws:
+    produced = Counter()
+    for w in cyclic_subspaces(K, x, d, bound):
         nu = quotient_type(K, x, w, pows)
-        if lap not in horizontal_strip_drops(nu, d):
+        wanted = laps & horizontal_strip_drops(nu, d)
+        if not wanted:
             continue
-        for wp in _completions(K, x, pows, w, d, lap, bound):
-            produced += 1
-            if produced > bound:
+        for wp, lap in _completions(K, x, pows, w, d, wanted, bound):
+            produced[lap] += 1
+            if produced[lap] > bound:
                 raise VarietyBudgetError(f"flag count exceeds budget {bound}")
             flags.append(
                 Flag(
@@ -264,20 +256,22 @@ def enumerate_flags_sl(
 
 
 def _completions(
-    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, lap: Partition, bound: Optional[int] = None
-) -> Iterator[la.Matrix]:
-    """Every W' over W with x of type lap on W'/W and regular on V/W'.
+    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, laps: Collection[Partition], bound: int = DEFAULT_BUDGET
+) -> Iterator[tuple[la.Matrix, Partition]]:
+    """Every W' over W with x of a type in laps on W'/W and regular on
+    V/W', paired with that type.
 
-    Enumerated through the quotient V/W: W'/W must be x-stable of type
-    lap with regular quotient, so it is the annihilator of a d-dimensional
-    cyclic subspace for the transpose action; work in quotient coordinates.
+    Enumerated through the quotient V/W: W'/W must be x-stable of the
+    target type with regular quotient, so it is the annihilator of a
+    d-dimensional cyclic subspace for the transpose action; work in
+    quotient coordinates.
     """
     n = len(x)
     qact, compl = la.quotient_action(K, x, w)
     for u_dual in cyclic_subspaces(K, la.transpose(qact), d, bound):
         wp_bar = la.nullspace(K, u_dual)
         mid = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
-        if mid != lap:
+        if mid not in laps:
             continue
         # lift: quotient coordinate t is the standard coordinate compl[t]
         lifted = []
@@ -288,14 +282,14 @@ def _completions(
             lifted.append(tuple(v))
         wp = la.echelon_basis(K, tuple(lifted) + w)
         if quotient_type(K, x, wp, pows) == (d,):
-            yield wp
+            yield wp, mid
 
 
 def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: Flag) -> bool:
     """Independent re-check of every defining condition of a flag."""
     K = data.field
-    n = len(data.unipotent)
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+    x = data.nilpotent
+    n = len(x)
     W, Wp = flag.W, flag.Wp
     if len(W) != d or len(Wp) != n - d:
         return False
@@ -337,20 +331,16 @@ class StratumReport:
         return tuple(nu for nu in self.types if nu in allowed)
 
 
-def sl_stratum_analysis(
-    data: SplitSLData, d: int, lap: Partition, bound: Optional[int] = None
-) -> StratumReport:
+def sl_stratum_analysis(data: SplitSLData, d: int, lap: Partition, bound: int = DEFAULT_BUDGET) -> StratumReport:
     """Level sets of the V/W Jordan type over the W side of the variety.
 
     Counts, per type nu, the cyclic subspaces W whose fibre is nonempty
     (the horizontal-strip rule); the distinct nu values are the strata
     of the full flag variety.
     """
-    if bound is None:
-        bound = budget_cap()
     K = data.field
-    n = len(data.unipotent)
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+    x = data.nilpotent
+    n = len(x)
     lap = tuple(lap)
     if sum(lap) != n - 2 * d:
         return StratumReport(la=data.la, d=d, strata=(), total_generators=0)
@@ -375,46 +365,22 @@ class SOFlag:
     type_mid: Partition  # x on Eperp/E
 
 
-def enumerate_flags_so(data: SplitSOData, lap: Partition, bound: Optional[int] = None) -> list[SOFlag]:
-    """x-stable totally isotropic planes E with x|_E != 0 and prescribed
-    type on Eperp/E."""
-    if bound is None:
-        bound = budget_cap()
+def _so_flag(data: SplitSOData, E: la.Matrix) -> SOFlag:
     K = data.field
-    x = data.nilpotent
-    form = data.form
-    n = len(x)
-    lap = tuple(lap)
-    k2 = _kernel_of_power(K, x, 2)
-    k1 = _kernel_of_power(K, x, 1)
-    comp = la.extend_basis(K, la.mat(k1), k2)
-    if not comp:
-        return []
-    nlines = (K.q ** len(comp) - 1) // (K.q - 1)
-    per_line = K.q ** max(len(k1) - 1, 0)
-    if nlines * per_line > bound:
-        raise VarietyBudgetError(f"{nlines * per_line} candidates exceed budget {bound}")
+    eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
+    return SOFlag(E=E, Eperp=eperp, type_mid=la.jordan_partition(K, la.action_between(K, data.nilpotent, E, eperp)))
+
+
+def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[SOFlag]:
+    """x-stable totally isotropic planes E with x|_E != 0, in echelon
+    order, each with the type of x on Eperp/E."""
+    K, form = data.field, data.form
     out = []
-    seen = set()
-    for c in la.line_representatives(K, comp):
-        xc = la.mat_vec(K, x, c)
-        kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(k1))
-        for shift in la.span_vectors(K, kermod):
-            v = tuple(K.add(a, b) for a, b in zip(c, shift)) if shift else c
-            xv = la.mat_vec(K, x, v)
-            # isotropy of <v, xv>
-            if la.gram(K, form, v, v) or la.gram(K, form, v, xv) or la.gram(K, form, xv, xv):
-                continue
-            E = la.echelon_basis(K, (v, xv))
-            if len(E) != 2 or E in seen:
-                continue
-            seen.add(E)
-            eperp = la.nullspace(K, la.mat_mul(K, E, form))
-            mid = la.action_between(K, x, E, eperp)
-            mid_type = la.jordan_partition(K, mid)
-            if mid_type == lap:
-                out.append(SOFlag(E=E, Eperp=eperp, type_mid=mid_type))
-    out.sort(key=lambda f: f.E)
+    for E in cyclic_subspaces(K, data.nilpotent, 2, bound):
+        a, b = E
+        if la.gram(K, form, a, a) or la.gram(K, form, a, b) or la.gram(K, form, b, b):
+            continue
+        out.append(_so_flag(data, E))
     return out
 
 
@@ -457,15 +423,11 @@ def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
 class CentralizerUnits:
     dimension: int
     algebra_basis: tuple
-    units: tuple  # invertible members, optionally det-1 filtered
+    units: tuple  # invertible members
 
 
-def centralizer_units(
-    x: la.Matrix, K: FieldSpec, bound: Optional[int] = None, det_one: bool = False
-) -> CentralizerUnits:
+def centralizer_units(x: la.Matrix, K: FieldSpec, bound: int = DEFAULT_BUDGET) -> CentralizerUnits:
     """The unit group of {m : m x = x m}, by coefficient scan."""
-    if bound is None:
-        bound = budget_cap()
     n = len(x)
     rows = []
     for i in range(n):
@@ -484,12 +446,8 @@ def centralizer_units(
     units = []
     for flat in la.span_vectors(K, basis_flat):
         mm = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        dv = la.det(K, mm)
-        if dv == 0:
-            continue
-        if det_one and dv != 1:
-            continue
-        units.append(mm)
+        if la.det(K, mm):
+            units.append(mm)
     return CentralizerUnits(dimension=dim, algebra_basis=basis, units=tuple(units))
 
 
@@ -603,7 +561,7 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
         if la.jordan_partition(K, la.action_between(K, x, w, wp)) == tuple(lap):
             if quotient_type(K, x, wp, pows) == (d,):
                 return wp
-    candidates = list(_completions(K, x, pows, w, d, tuple(lap)))
+    candidates = [wp for wp, _ in _completions(K, x, pows, w, d, {tuple(lap)})]
     if not candidates:
         raise AssertionError("no completion W' exists for the explicit flag")
     rational = [c for c in candidates if _frob0(data, c) == c]
@@ -614,8 +572,7 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
 def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, target_nu: Partition) -> Optional[Flag]:
     """Least flag with q-rational subspaces in the given stratum, if any."""
     K = data.field
-    n = len(data.unipotent)
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+    x = data.nilpotent
     pows = power_images(K, x)
     sub = K.subfield_elements(data.qexp)
     kd = _kernel_of_power(K, x, d)
@@ -624,16 +581,8 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     for v in la.span_vectors(K, la.mat(kd), sub):
         if not any(v):
             continue
-        vecs = []
-        cur = v
-        ok = True
-        for _ in range(d):
-            vecs.append(cur)
-            cur = la.mat_vec(K, x, cur)
-        if any(cur):
-            continue
-        w = la.echelon_basis(K, vecs)
-        if len(w) != d or w in seen:
+        w = _cyclic_span(K, x, v, d)
+        if w is None or w in seen:
             continue
         seen.add(w)
         if quotient_type(K, x, w, pows) != tuple(target_nu):
@@ -668,8 +617,8 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[Flag]
     Each output flag is re-checked against the defining conditions.
     """
     K = data.field
-    n = len(data.unipotent)
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+    x = data.nilpotent
+    n = len(x)
     pos = {kj: t for t, kj in enumerate(jordan_positions(data.la))}
     pows = power_images(K, x)
 
@@ -775,9 +724,7 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[SOFlag]:
         return tuple(1 if i == start + a - 1 else 0 for i in range(n))
 
     def make(vecs) -> SOFlag:
-        E = la.echelon_basis(K, vecs)
-        eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
-        return SOFlag(E=E, Eperp=eperp, type_mid=la.jordan_partition(K, la.action_between(K, x, E, eperp)))
+        return _so_flag(data, la.echelon_basis(K, vecs))
 
     out = []
     if case.tag == "I":

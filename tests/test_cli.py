@@ -91,6 +91,21 @@ def test_tables_refusal_exit_code(capsys):
     assert report["error"] == "NotFStableError"
 
 
+def test_invariant_failure_exit_3():
+    # (1,3,7) at q = 3 fails the identity-class row check
+    proc = subprocess.run(
+        [sys.executable, "-m", "springer.cli", "tables", "--group", "spin", "--N", "11", "--q", "3", "--extension", "plus"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    report = json.loads(proc.stderr)
+    assert report == {"error": "AssertionError", "message": "identity-class value differs from the dimension"}
+
+
 def test_verify_spin_series(capsys):
     code, out, _ = run_cli(["verify", "--suite", "spin-series", "--N-max", "20"], capsys)
     assert code == 0

@@ -158,7 +158,7 @@ def test_orthonormalize_block_primed_norm_h3():
         K = make_field(5, 2)
         blk = cl.orthonormalize_block(3, c, K, 1)
         form = cl.block_form(3, c, K)
-        vp1 = blk.vectors_primed[0]
+        vp1 = blk.vectors[0]  # v_1 = v'_1 by construction
         assert la.gram(K, form, vp1, vp1) == 1
 
 

@@ -84,6 +84,7 @@ def test_sl_jordan_roundtrip_and_form_invariance():
                 K = data.field
                 x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
                 assert la.jordan_partition(K, x) == lam
+                assert data.nilpotent == x
 
 
 def test_jordan_type_edge_cases():

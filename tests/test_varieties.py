@@ -20,6 +20,10 @@ def _nilpotent_of_type(K, lam):
     return la.mat(rows)
 
 
+def _so_flags(data, lap):
+    return [f for f in vr.enumerate_flags_so(data) if f.type_mid == lap]
+
+
 def _all_subspaces(K, n, d):
     """Brute-force d-dimensional subspaces as canonical echelon bases."""
     vecs = [v for v in la.span_vectors(K, la.identity(K, n)) if any(v)]
@@ -37,7 +41,9 @@ def test_cyclic_subspaces_match_brute_force():
         x = _nilpotent_of_type(K, lam)
         n = sum(lam)
         for d in (1, 2):
-            got = set(vr.cyclic_subspaces(K, x, d))
+            got = vr.cyclic_subspaces(K, x, d)
+            assert len(got) == len(set(got)), (lam, d)
+            got = set(got)
             want = set()
             for w in _all_subspaces(K, n, d):
                 stable = all(la.in_span(K, w, la.mat_vec(K, x, v)) for v in w)
@@ -73,7 +79,7 @@ def test_one_row_rule_subspace_and_quotient():
 
 def test_enumerate_flags_sl_unique_flag():
     data = sp.build_sl_split((3,), 3)
-    flags = vr.enumerate_flags_sl(data, 1, (1,))
+    flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     assert len(flags) == 1
     w = flags[0].W
     assert w == ((1, 0, 0),)  # the line through v_{1,1}
@@ -82,13 +88,13 @@ def test_enumerate_flags_sl_unique_flag():
 
 def test_enumerate_flags_sl_size_mismatch_is_empty():
     data = sp.build_sl_split((2, 2), 3)
-    assert vr.enumerate_flags_sl(data, 1, (1,)) == []  # (1) is not a partition of n - 2d
+    assert vr.enumerate_flags_sl(data, 1, [(1,)]) == []  # (1) is not a partition of n - 2d
 
 
 def test_enumerate_flags_sl_full_flag_variety_edge():
     # n = 2d forces W = W'; u = 1 gives the whole projective line, one stratum
     data = sp.build_sl_split((1, 1), 3)
-    flags = vr.enumerate_flags_sl(data, 1, ())
+    flags = vr.enumerate_flags_sl(data, 1, [()])
     assert len(flags) == 9 + 1  # lines in P^1(F_9)
     assert {f.type_mod_W for f in flags} == {(1,)}
     for f in flags:
@@ -99,7 +105,7 @@ def test_enumerate_flags_sl_12_golden():
     """lambda = (1,2), d = 1, lambda' = (1) over F_9: 19 flags, strata
     nu = (2) with 9 flags and nu' = (1,1) with 10 flags."""
     data = sp.build_sl_split((1, 2), 3)
-    flags = vr.enumerate_flags_sl(data, 1, (1,))
+    flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     assert len(flags) == 19
     by_type = {}
     for f in flags:
@@ -111,10 +117,30 @@ def test_enumerate_flags_sl_12_golden():
         assert vr.verify_flag_sl(data, 1, (1,), f)
 
 
+def test_all_lambda_prime_enumeration_matches_single_calls():
+    for lam, d in (((1, 2, 3), 1), ((2, 4), 2), ((1, 1, 2), 1)):
+        data = sp.build_sl_split(lam, 3)
+        laps = list(pt.partitions_of(sum(lam) - 2 * d))
+        flags = vr.enumerate_flags_sl(data, d, laps)
+        for lap in laps:
+            group = [f for f in flags if f.type_quotient == lap]
+            assert group == vr.enumerate_flags_sl(data, d, [lap]), (lam, d, lap)
+        assert {f.type_quotient for f in flags} <= set(laps)
+
+
+def test_flag_budget_is_per_lambda_prime():
+    # (1,1,2), d = 1 over F_9: 810 flags of type (2) and 181 of type (1,1)
+    data = sp.build_sl_split((1, 1, 2), 3)
+    laps = [(1, 1), (2,)]
+    assert len(vr.enumerate_flags_sl(data, 1, laps, bound=810)) == 810 + 181
+    with pytest.raises(vr.VarietyBudgetError):
+        vr.enumerate_flags_sl(data, 1, laps, bound=809)
+
+
 def test_stratum_analysis_matches_enumeration():
     for lam, d, lap in (((1, 2), 1, (1,)), ((3,), 1, (1,)), ((1, 3), 1, (1, 1)), ((2, 4), 2, (2,))):
         data = sp.build_sl_split(lam, 3)
-        flags = vr.enumerate_flags_sl(data, d, lap)
+        flags = vr.enumerate_flags_sl(data, d, [lap])
         types_enum = {f.type_mod_W for f in flags}
         report = vr.sl_stratum_analysis(data, d, lap)
         assert set(report.types) == types_enum, (lam, d, lap)
@@ -128,7 +154,7 @@ def test_mixed_stratum_golden_counts():
         Q = q * q
         expected = {(4,): Q**2, (2, 2): Q**2 + Q, (1, 3): (Q - 1) ** 2}
         data = sp.build_sl_split((2, 4), q)
-        flags = vr.enumerate_flags_sl(data, 2, (2,))
+        flags = vr.enumerate_flags_sl(data, 2, [(2,)])
         counts = {}
         for f in flags:
             counts[f.type_mod_W] = counts.get(f.type_mod_W, 0) + 1
@@ -141,7 +167,7 @@ def test_mixed_stratum_golden_counts():
 def test_enumerate_flags_so_case_I_singleton():
     for q in (3, 5):
         data = sp.build_so_split((5,), q)
-        flags = vr.enumerate_flags_so(data, (1,))
+        flags = _so_flags(data, (1,))
         assert len(flags) == 1
         # E = <e_1, e_2> of the single block
         assert flags[0].E == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
@@ -152,7 +178,7 @@ def test_enumerate_flags_so_case_IV_two_flags():
     # lambda = (1,3) -> lambda' = (): exactly the two planes <e1, e2 +- e'_1>
     for q in (3, 5):
         data = sp.build_so_split((1, 3), q)
-        flags = vr.enumerate_flags_so(data, ())
+        flags = _so_flags(data, ())
         assert len(flags) == 2
         for f in flags:
             assert vr.verify_flag_so(data, (), f)
@@ -163,7 +189,7 @@ def test_enumerate_flags_so_case_V_family():
     # lambda = (1,2,2) -> lambda' = (1): contains the beta family
     for q in (3, 5):
         data = sp.build_so_split((1, 2, 2), q)
-        flags = vr.enumerate_flags_so(data, (1,))
+        flags = _so_flags(data, (1,))
         case = pt.classify_pair_spin((1, 2, 2), (1,))
         fam = vr.split_flag_so(data, (1,), case)
         assert len(fam) == q  # one flag per beta in F_q
@@ -180,7 +206,7 @@ def test_split_flag_sl_case_I():
     assert len(flags) == 1
     # W = <v_{2,1}>: coordinate 1 in the (1,3) layout
     assert flags[0].W == ((0, 1, 0, 0),)
-    enum = vr.enumerate_flags_sl(data, 1, (1, 1))
+    enum = vr.enumerate_flags_sl(data, 1, [(1, 1)])
     assert (flags[0].W, flags[0].Wp) in {(f.W, f.Wp) for f in enum}
     assert vr.is_sl_flag_f_stable(data, flags[0])
 
@@ -204,13 +230,13 @@ def test_split_flag_sl_case_II():
     fl = vr.split_flag_sl(data, 1, (1, 1), case)
     assert len(fl) == 1
     assert vr.is_sl_flag_f_stable(data, fl[0])
-    enum = vr.enumerate_flags_sl(data, 1, (1, 1))
+    enum = vr.enumerate_flags_sl(data, 1, [(1, 1)])
     assert (fl[0].W, fl[0].Wp) in {(f.W, f.Wp) for f in enum}
 
 
 def test_flag_frobenius_squares_to_plain_frobenius():
     data = sp.build_sl_split((1, 2), 3)
-    flags = vr.enumerate_flags_sl(data, 1, (1,))
+    flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     for f in flags[:6]:
         w1, wp1 = vr.flag_frobenius_sl(data, f)
         f2 = vr.Flag(W=w1, Wp=wp1, type_W=f.type_W, type_quotient=f.type_quotient, type_top=f.type_top, type_mod_W=f.type_mod_W)
@@ -221,7 +247,7 @@ def test_flag_frobenius_squares_to_plain_frobenius():
 
 def test_frobenius_is_a_bijection_of_the_flag_set():
     data = sp.build_sl_split((1, 2), 3)
-    flags = vr.enumerate_flags_sl(data, 1, (1,))
+    flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     index = {(f.W, f.Wp): f for f in flags}
     images = set()
     for f in flags:
@@ -256,9 +282,8 @@ def test_centralizer_units_budget():
 def test_orbit_decomposition_case_III():
     data = sp.build_sl_split((1, 2), 3)
     K = data.field
-    x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, 3)))
-    flags = vr.enumerate_flags_sl(data, 1, (1,))
-    units = vr.centralizer_units(x, K)
+    flags = vr.enumerate_flags_sl(data, 1, [(1,)])
+    units = vr.centralizer_units(data.nilpotent, K)
     dec = vr.orbit_decomposition(flags, units, K)
     # orbits refine the two strata: the flag whose W' is ker x is pinned by
     # the units (they preserve ker x), so the nu' stratum splits in two
@@ -280,4 +305,4 @@ def test_orbit_decomposition_empty():
 def test_budget_error_on_huge_instance():
     data = sp.build_sl_split((1, 2), 3)
     with pytest.raises(vr.VarietyBudgetError):
-        vr.enumerate_flags_sl(data, 1, (1,), bound=3)
+        vr.enumerate_flags_sl(data, 1, [(1,)], bound=3)
