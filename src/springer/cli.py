@@ -262,12 +262,11 @@ def cmd_verify(args) -> int:
                 if n - 2 * d < 0:
                     continue
                 for la in pt.partitions_of(n):
-                    for lap in pt.partitions_of(n - 2 * d):
-                        r = rs.restriction_crosscheck_sl(la, lap, d, 3)
+                    for r in rs.restriction_crosscheck_sl(la, pt.partitions_of(n - 2 * d), d, 3):
                         if not r.ok:
                             report["ok"] = False
                             report["results"].append(
-                                {"lambda": list(la), "lambda_prime": list(lap), "d": d, "lhs": r.lhs_strata, "rhs": r.rhs_multiplicity}
+                                {"lambda": list(la), "lambda_prime": list(r.lap), "d": d, "lhs": r.lhs_strata, "rhs": r.rhs_multiplicity}
                             )
         if report["ok"]:
             report["results"].append({"checked": "all", "n_max": args.n_max})

@@ -2,8 +2,9 @@
 
 Field elements are encoded as integers in [0, p^k): the base-p digits
 of the code are the coefficients of the residue polynomial, lowest
-degree first.  A FieldSpec owns the modulus and caches add/mul tables
-for small fields, so the hot loops in the Clifford and enumeration
+degree first.  A FieldSpec owns the modulus and, for small fields,
+lookup tables for multiplication and inversion and, when k > 1, for
+addition and negation, so the hot loops in the Clifford and enumeration
 modules reduce to list indexing.
 
 Values are immutable ints and FieldSpec is never mutated after its
@@ -15,7 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-# Fields at or below this size get full add/mul lookup tables.
+# Fields at or below this size get full lookup tables (add and neg only
+# when k > 1, where they replace a base-p digit loop).
 _TABLE_LIMIT = 1024
 
 # Enumeration-facing modules cap q^2 at this size; make_field refuses
@@ -123,6 +125,8 @@ class FieldSpec:
             raise ValueError(f"field size {self.q} above supported cap {_SIZE_LIMIT}")
         self._mul_table: Optional[list[int]] = None
         self._inv_table: Optional[list[int]] = None
+        self._add_table: Optional[list[int]] = None
+        self._neg_table: Optional[list[int]] = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -145,6 +149,26 @@ class FieldSpec:
                     break
         self._mul_table = mul
         self._inv_table = inv
+        if self.k > 1:
+            self._build_add_tables()
+
+    def _build_add_tables(self) -> None:
+        """Digitwise sums and negatives: the entry for a (and b) is p times
+        the entry for the higher digits a // p (and b // p), plus the
+        lowest digit, so each entry costs O(1)."""
+        p, q = self.p, self.q
+        high = [b // p for b in range(q)]
+        low = [b % p for b in range(q)]
+        add = list(range(q))  # row 0
+        for a in range(1, q):
+            base = (a // p) * q
+            r = a % p
+            add.extend([p * add[base + h] + (r + l) % p for h, l in zip(high, low)])
+        neg = [0] * q
+        for a in range(1, q):
+            neg[a] = p * neg[a // p] + (-a) % p
+        self._add_table = add
+        self._neg_table = neg
 
     # -- encoding
 
@@ -168,6 +192,8 @@ class FieldSpec:
     # -- arithmetic
 
     def add(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a * self.q + b]
         p = self.p
         if self.k == 1:
             return (a + b) % p
@@ -181,6 +207,8 @@ class FieldSpec:
         return out
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
         if self.k == 1:
             return (-a) % p

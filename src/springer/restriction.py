@@ -5,13 +5,14 @@ irreducible of S_m is the number of two-box removal paths between the
 shapes; it is 1 when the removed boxes share a row or a column and 2
 otherwise, which is the case table of the removal classification.  The
 crosscheck compares that number against the count of Jordan-type strata
-in the corresponding flag enumeration over a small field.
+in the corresponding flag enumeration over a small field; one stratum
+tally per (lambda, d) answers every lambda' of the right size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .partitions import Partition, check_partition, classify_pair_sl, divide, normalize
 from .split import build_sl_split
@@ -77,38 +78,37 @@ class CrosscheckReport:
         return self.lhs_strata == self.rhs_multiplicity
 
 
-def restriction_crosscheck_sl(la: Partition, lap: Partition, d: int, q_p: int, q_k: int = 1) -> CrosscheckReport:
+def restriction_crosscheck_sl(
+    la: Partition, laps: Iterable[Partition], d: int, q_p: int, q_k: int = 1
+) -> list[CrosscheckReport]:
     """Principal stratum count of the flag variety versus the branching
-    number.
+    number, one report per lambda' in laps, in the order given.
 
     The isotypic piece lives on the top-dimensional components, which are
     the strata labeled by single-row drops of the ambient type; strata
     with mixed-strip labels occur for d > 1 but in smaller dimension and
     are reported without being counted.  Incompatible inputs (a part not
-    divisible by d on either side) give 0 = 0.
+    divisible by d on either side) give 0 = 0.  The split datum and its
+    stratum tally are built once, at the first compatible lambda', and
+    serve every lambda'.
     """
     la = check_partition(la)
-    lap = check_partition(lap)
     q = q_p**q_k
-    compatible = all(x % d == 0 for x in la) and all(x % d == 0 for x in lap)
-    if sum(la) - sum(lap) != 2 * d:
-        compatible = False
-    if not compatible:
-        # no central character of order d lives on either side, so no
-        # isotypic piece exists: both sides of the identity are zero
-        return CrosscheckReport(
-            la=la, lap=lap, d=d, q=q, lhs_strata=0, rhs_multiplicity=0, strata_types=(), principal_types=()
+    report = None
+    out = []
+    for lap in map(check_partition, laps):
+        if sum(la) - sum(lap) != 2 * d or any(x % d for x in la + lap):
+            # no central character of order d lives on either side, so no
+            # isotypic piece exists: both sides of the identity are zero
+            out.append(CrosscheckReport(la, lap, d, q, lhs_strata=0, rhs_multiplicity=0, strata_types=(), principal_types=()))
+            continue
+        rhs = branch_two_step(divide(la, d), divide(lap, d) if lap else ()).multiplicity
+        if report is None:
+            report = sl_stratum_analysis(build_sl_split(la, q_p, q_k), d)
+        principal = report.principal_types(lap)
+        out.append(
+            CrosscheckReport(
+                la, lap, d, q, lhs_strata=len(principal), rhs_multiplicity=rhs, strata_types=report.types(lap), principal_types=principal
+            )
         )
-    rhs = branch_two_step(divide(la, d), divide(lap, d) if lap else ()).multiplicity
-    data = build_sl_split(la, q_p, q_k)
-    report = sl_stratum_analysis(data, d, lap)
-    return CrosscheckReport(
-        la=la,
-        lap=lap,
-        d=d,
-        q=q,
-        lhs_strata=len(report.principal_types),
-        rhs_multiplicity=rhs,
-        strata_types=report.types,
-        principal_types=report.principal_types,
-    )
+    return out

@@ -39,7 +39,7 @@ from .partitions import (
     is_in_XN,
     odd_part_positions,
 )
-from .series import enumerate_spin_series, spin_weyl_rank, xi_is_f_stable
+from .series import spin_weyl_rank, xi_is_f_stable
 
 
 class EmptyFiberError(ValueError):
@@ -327,14 +327,20 @@ def y0_table_sl(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasi
 def y0_table_spin(
     N: int, q_p: int, q_k: int = 1, omega_value: Optional[str] = None, extension: Optional[str] = None
 ) -> list[GreenBasisRow]:
-    """Rows for every class of X_N (split twist, central sign -1)."""
+    """Rows for every class of X_N (split twist, central sign -1).
+
+    omega_value defaults to "i" when N = 2 (mod 4), where the center is
+    Z/4 and omega squares to eps, so it acts by i or -i; otherwise to "1".
+    """
     from .partitions import enumerate_XN
 
+    if omega_value is None:
+        omega_value = "i" if N % 4 == 2 else "1"
     rows = []
     for la in enumerate_XN(N):
         kwargs = {}
         if len(odd_part_positions(la)) % 2 == 0 and len(odd_part_positions(la)) > 0:
-            kwargs["omega_value"] = omega_value or "1"
+            kwargs["omega_value"] = omega_value
         try:
             rows.append(y0_row_spin(la, q_p, q_k, extension=extension, **kwargs))
         except NotFStableError:

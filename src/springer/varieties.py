@@ -17,15 +17,16 @@ budget raises rather than crawling.
 The Jordan type of x on V/W is attached to every flag; its level sets
 are the strata that mirror the centralizer orbits.  Stratum counting is
 also available without materializing the W' side: the fibre over W is
-nonempty exactly when the target type is the type of V/W with a single
-row shortened by d (the horizontal-strip rule, itself verified against
-brute force in the test suite).
+nonempty exactly when the target type is a horizontal d-strip drop of
+the type of V/W (the horizontal-strip rule, itself verified against
+brute force in the test suite).  That tally is taken once per (lambda, d)
+and serves every target type lambda'.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterator, Optional, Sequence
 
 from . import flinalg as la
@@ -315,43 +316,42 @@ def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: Flag) -> boo
 class StratumReport:
     la: Partition
     d: int
-    strata: tuple  # tuple of (nu, generator_count) sorted
+    strata: tuple  # tuple of (nu, number of W) over every x-cyclic W, sorted
     total_generators: int
+    drops: dict = field(compare=False, repr=False)  # nu -> horizontal_strip_drops(nu, d)
 
-    @property
-    def types(self) -> tuple[Partition, ...]:
-        return tuple(nu for nu, _ in self.strata)
+    def types(self, lap: Partition) -> tuple[Partition, ...]:
+        """Strata whose fibre over W is nonempty for the W'/W type lap,
+        i.e. lap is a horizontal-strip drop of nu."""
+        lap = tuple(lap)
+        return tuple(nu for nu, _ in self.strata if lap in self.drops[nu])
 
-    @property
-    def principal_types(self) -> tuple[Partition, ...]:
+    def principal_types(self, lap: Partition) -> tuple[Partition, ...]:
         """Strata whose invariant is a single-row drop of the ambient
         type: the carriers of the isotypic pieces in the one- or
         two-orbit description of the flag variety."""
         allowed = single_row_drops(self.la, self.d)
-        return tuple(nu for nu in self.types if nu in allowed)
+        return tuple(nu for nu in self.types(lap) if nu in allowed)
 
 
-def sl_stratum_analysis(data: SplitSLData, d: int, lap: Partition, bound: int = DEFAULT_BUDGET) -> StratumReport:
+def sl_stratum_analysis(data: SplitSLData, d: int, bound: int = DEFAULT_BUDGET) -> StratumReport:
     """Level sets of the V/W Jordan type over the W side of the variety.
 
-    Counts, per type nu, the cyclic subspaces W whose fibre is nonempty
-    (the horizontal-strip rule); the distinct nu values are the strata
-    of the full flag variety.
+    Counts, per type nu, the cyclic subspaces W with V/W of type nu;
+    the report answers every W'/W type through the horizontal-strip
+    rule, computed once per distinct nu.
     """
     K = data.field
     x = data.nilpotent
-    n = len(x)
-    lap = tuple(lap)
-    if sum(lap) != n - 2 * d:
-        return StratumReport(la=data.la, d=d, strata=(), total_generators=0)
     pows = power_images(K, x)
-    counts: dict[Partition, int] = {}
-    for w in cyclic_subspaces(K, x, d, bound):
-        nu = quotient_type(K, x, w, pows)
-        if lap in horizontal_strip_drops(nu, d):
-            counts[nu] = counts.get(nu, 0) + 1
-    strata = tuple(sorted(counts.items()))
-    return StratumReport(la=data.la, d=d, strata=strata, total_generators=sum(counts.values()))
+    counts = Counter(quotient_type(K, x, w, pows) for w in cyclic_subspaces(K, x, d, bound))
+    return StratumReport(
+        la=data.la,
+        d=d,
+        strata=tuple(sorted(counts.items())),
+        total_generators=sum(counts.values()),
+        drops={nu: horizontal_strip_drops(nu, d) for nu in counts},
+    )
 
 
 # ---------------------------------------------------------------------------

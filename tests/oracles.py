@@ -11,11 +11,17 @@ orbit crawl under reflections or transvections; and, for GL, unit
 counting through the commutant's semisimple quotient.  Even-dimensional
 orthogonal counts are taken in the split group at every q, so counts at
 different q describe one family of groups.  Only prime fields appear.
+
+The Hall numbers at the end are the closed form (Macdonald, ch. II §4)
+that the enumerated stratum tallies of the flag varieties are checked
+against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -939,3 +945,42 @@ def slope_estimate(c3: int, c5: int) -> float:
 
 def single_point_estimate(count: int, q: int) -> float:
     return math.log(count) / math.log(q)
+
+
+# ---------------------------------------------------------------------------
+# Hall numbers
+
+
+def hall_number_row(lam: tuple[int, ...], nu: tuple[int, ...], d: int, Q: int) -> Fraction:
+    """g^lam_{nu,(d)}(Q): submodules W of type (d) with quotient of type nu
+    in the F_Q[t]-module of type lam.  Partitions are increasing tuples.
+
+    Zero unless theta = lam - nu is a horizontal d-strip; otherwise
+    Q^{n(lam)-n(nu)} (1 - 1/Q)^{-1} prod_{i in I} (1 - Q^{-m_i(lam)}), with
+    n(mu) = sum (i-1) mu_i over the parts in decreasing order, m_i the
+    multiplicity of the part i, and I the columns i with theta'_i = 1 and
+    theta'_{i+1} = 0 (theta'_i the number of boxes of theta in column i).
+    """
+    lam_desc = sorted(lam, reverse=True)
+    nu_desc = sorted(nu, reverse=True)
+    if sum(lam_desc) - sum(nu_desc) != d or len(nu_desc) > len(lam_desc):
+        return Fraction(0)
+    nu_desc += [0] * (len(lam_desc) - len(nu_desc))
+    if any(b > a for a, b in zip(lam_desc, nu_desc)):
+        return Fraction(0)
+    top = lam_desc[0] if lam_desc else 0
+    theta_cols = [
+        sum(1 for a in lam_desc if a >= i) - sum(1 for b in nu_desc if b >= i) for i in range(1, top + 2)
+    ]
+    if any(t > 1 for t in theta_cols):
+        return Fraction(0)
+    mult = Counter(lam_desc)
+    columns = [i for i in range(1, top + 1) if theta_cols[i - 1] == 1 and theta_cols[i] == 0]
+
+    def n_of(desc: list[int]) -> int:
+        return sum(i * part for i, part in enumerate(desc))
+
+    g = Fraction(Q) ** (n_of(lam_desc) - n_of(nu_desc)) / (1 - Fraction(1, Q))
+    for i in columns:
+        g *= 1 - Fraction(1, Q ** mult[i])
+    return g

@@ -91,6 +91,17 @@ def test_tables_refusal_exit_code(capsys):
     assert report["error"] == "NotFStableError"
 
 
+def test_spin_default_omega_is_i_for_N_2_mod_4(capsys):
+    # the center is Z/4 there, so omega acts by i or -i and "1" would
+    # leave every fiber empty
+    for N, q in (("6", "5"), ("10", "3")):
+        code, default_out, err = run_cli(["tables", "--group", "spin", "--N", N, "--q", q], capsys)
+        assert code == 0, (N, q, err)
+        code, omega_i_out, _ = run_cli(["tables", "--group", "spin", "--N", N, "--q", q, "--omega", "i"], capsys)
+        assert code == 0
+        assert default_out == omega_i_out, (N, q)
+
+
 def test_invariant_failure_exit_3():
     # (1,3,7) at q = 3 fails the identity-class row check
     proc = subprocess.run(

@@ -137,3 +137,23 @@ def test_element_serialization_roundtrip():
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
+
+
+def _undigits(ds, p):
+    return sum(c * p**i for i, c in enumerate(ds))
+
+
+def test_add_neg_sub_match_digit_arithmetic():
+    for p, k in [(3, 2), (5, 2), (2, 3)]:
+        K = make_field(p, k)
+        for a in K.elements():
+            da = _digits(a, p, k)
+            assert K.neg(a) == _undigits([-x % p for x in da], p), (p, k, a)
+            for b in K.elements():
+                db = _digits(b, p, k)
+                assert K.add(a, b) == _undigits([(x + y) % p for x, y in zip(da, db)], p), (p, k, a, b)
+                assert K.sub(a, b) == _undigits([(x - y) % p for x, y in zip(da, db)], p), (p, k, a, b)

@@ -51,13 +51,18 @@ def test_branch_symmetric_in_box_order():
                 assert res.multiplicity == len(set(res.witnesses))
 
 
+def _crosscheck_one(la, lap, d, q):
+    (report,) = rs.restriction_crosscheck_sl(la, [lap], d, q)
+    return report
+
+
 def test_crosscheck_examples():
-    r = rs.restriction_crosscheck_sl((1, 3), (1, 1), 1, 3)
+    r = _crosscheck_one((1, 3), (1, 1), 1, 3)
     assert r.lhs_strata == 1 and r.rhs_multiplicity == 1 and r.ok
-    r = rs.restriction_crosscheck_sl((1, 2), (1,), 1, 3)
+    r = _crosscheck_one((1, 2), (1,), 1, 3)
     assert r.lhs_strata == 2 and r.rhs_multiplicity == 2 and r.ok
     # incompatible: d does not divide the parts
-    r = rs.restriction_crosscheck_sl((1, 5), (2, 2), 2, 3)
+    r = _crosscheck_one((1, 5), (2, 2), 2, 3)
     assert r.lhs_strata == 0 and r.rhs_multiplicity == 0 and r.ok
 
 
@@ -67,6 +72,16 @@ def test_crosscheck_small_sweep_q3():
             if n - 2 * d < 0:
                 continue
             for la in pt.partitions_of(n):
-                for lap in pt.partitions_of(n - 2 * d):
-                    r = rs.restriction_crosscheck_sl(la, lap, d, 3)
-                    assert r.ok, (la, lap, d, r)
+                laps = list(pt.partitions_of(n - 2 * d))
+                reports = rs.restriction_crosscheck_sl(la, laps, d, 3)
+                assert [r.lap for r in reports] == laps
+                for r in reports:
+                    assert r.ok, (la, r.lap, d, r)
+
+
+def test_all_lambda_prime_crosscheck_matches_single_calls():
+    for la, d in (((1, 2, 3), 1), ((2, 4), 2)):
+        laps = list(pt.partitions_of(sum(la) - 2 * d))
+        reports = rs.restriction_crosscheck_sl(la, laps, d, 3)
+        assert reports == [_crosscheck_one(la, lap, d, 3) for lap in laps], (la, d)
+        assert any(r.lhs_strata for r in reports), (la, d)

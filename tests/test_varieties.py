@@ -1,5 +1,6 @@
 import itertools
 
+import oracles as orc
 import pytest
 
 from springer import flinalg as la
@@ -142,8 +143,8 @@ def test_stratum_analysis_matches_enumeration():
         data = sp.build_sl_split(lam, 3)
         flags = vr.enumerate_flags_sl(data, d, [lap])
         types_enum = {f.type_mod_W for f in flags}
-        report = vr.sl_stratum_analysis(data, d, lap)
-        assert set(report.types) == types_enum, (lam, d, lap)
+        report = vr.sl_stratum_analysis(data, d)
+        assert set(report.types(lap)) == types_enum, (lam, d, lap)
 
 
 def test_mixed_stratum_golden_counts():
@@ -159,9 +160,29 @@ def test_mixed_stratum_golden_counts():
         for f in flags:
             counts[f.type_mod_W] = counts.get(f.type_mod_W, 0) + 1
         assert counts == expected
-        report = vr.sl_stratum_analysis(data, 2, (2,))
-        assert set(report.types) == set(expected)
-        assert set(report.principal_types) == {(2, 2), (4,)}
+        report = vr.sl_stratum_analysis(data, 2)
+        assert set(report.types((2,))) == set(expected)
+        assert set(report.principal_types((2,))) == {(2, 2), (4,)}
+
+
+def test_stratum_tally_matches_hall_numbers():
+    """Every x-cyclic W of dimension d, tallied by the type nu of V/W, is
+    counted by the Hall number g^lam_{nu,(d)}(q^2), and the nonempty
+    strata are the horizontal-strip drops of lam."""
+    for q, n_max in ((3, 6), (5, 4)):
+        Q = q * q
+        for n in range(1, n_max + 1):
+            for lam in pt.partitions_of(n):
+                data = sp.build_sl_split(lam, q)
+                for d in (1, 2):
+                    if d > n:
+                        continue
+                    report = vr.sl_stratum_analysis(data, d)
+                    hall = {nu: orc.hall_number_row(lam, nu, d, Q) for nu in pt.partitions_of(n - d)}
+                    hall = {nu: g for nu, g in hall.items() if g}
+                    assert dict(report.strata) == hall, (lam, d, q)
+                    assert set(hall) == vr.horizontal_strip_drops(lam, d), (lam, d, q)
+                    assert report.total_generators == sum(hall.values()), (lam, d, q)
 
 
 def test_enumerate_flags_so_case_I_singleton():
