@@ -4,7 +4,9 @@ Subcommands: series, xn, split, flags, restrict, tables, verify.  All
 numeric output is exact (integers or cyclotomic coefficient vectors),
 TSV uses tab separators without quoting, JSON is canonical (sorted
 keys), and identical invocations produce byte-identical output.  The
-enumeration budget is fixed (varieties.DEFAULT_BUDGET).
+flag-enumeration budget is fixed (varieties.DEFAULT_BUDGET); orbit ids
+(flags --orbits) come from generators of the centralizer's unit group
+and need no budget of their own.
 
 Exit status: 0 on success, 1 on verification failure or refusal (with a
 machine-readable report), 2 on usage errors, 3 when an internal
@@ -147,12 +149,7 @@ def cmd_flags(args) -> int:
         K = data.field
         laps = _lambda_primes(args, sum(lam) - 2 * args.d)
         all_flags = vr.enumerate_flags_sl(data, args.d, laps)
-        units = None
-        if all_flags and args.orbits:
-            try:
-                units = vr.centralizer_units(data.nilpotent, K)
-            except vr.VarietyBudgetError:
-                pass
+        units = vr.centralizer_units(data.nilpotent, K) if all_flags and args.orbits else None
         for lap in laps:
             flags = [f for f in all_flags if f.type_quotient == lap]
             orbit_of = {}
@@ -276,8 +273,16 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse takes the "-i" of "--omega -i" for an option
+        if message == "argument --omega: expected one argument":
+            message += "; attach a value that starts with '-', as in --omega=-i"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="springer",
         description="Unipotent-class series, split elements, flag enumerations and exact character tables over small finite fields.",
     )
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-prime", dest="lam_prime", default=None)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--orbits", action="store_true", help="also compute centralizer-unit orbit ids (budget permitting)")
+    p.add_argument("--orbits", action="store_true", help="also compute centralizer-unit orbit ids")
     add_output(p)
     p.set_defaults(func=cmd_flags, parser=p)
 

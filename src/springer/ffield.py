@@ -2,8 +2,9 @@
 
 Field elements are encoded as integers in [0, p^k): the base-p digits
 of the code are the coefficients of the residue polynomial, lowest
-degree first.  A FieldSpec owns the modulus and, for small fields,
-lookup tables for multiplication and inversion and, when k > 1, for
+degree first.  A FieldSpec owns the modulus, its least primitive element
+and, for small fields, lookup tables for multiplication and inversion
+(built from discrete logarithms to that element) and, when k > 1, for
 addition and negation, so the hot loops in the Clifford and enumeration
 modules reduce to list indexing.
 
@@ -127,28 +128,45 @@ class FieldSpec:
         self._inv_table: Optional[list[int]] = None
         self._add_table: Optional[list[int]] = None
         self._neg_table: Optional[list[int]] = None
+        self.primitive = self._least_primitive()  # a generator of the multiplicative group
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
 
     # -- construction helpers
 
+    def _least_primitive(self) -> int:
+        """Least encoded element of multiplicative order q - 1."""
+        order = self.q - 1
+        primes, m, r = [], order, 2
+        while r * r <= m:
+            if m % r == 0:
+                primes.append(r)
+                while m % r == 0:
+                    m //= r
+            r += 1
+        if m > 1:
+            primes.append(m)
+        return next(a for a in range(1, self.q) if all(self.pow(a, order // r) != 1 for r in primes))
+
     def _build_tables(self) -> None:
-        q = self.q
-        mul = [0] * (q * q)
-        for a in range(q):
-            ca = self.coeffs(a)
-            for b in range(a, q):
-                v = self.encode(_poly_mod(_poly_mul(ca, self.coeffs(b), self.p), self.modulus, self.p))
-                mul[a * q + b] = v
-                mul[b * q + a] = v
-        inv = [0] * q
+        """Products and inverses through discrete logarithms to the base
+        self.primitive: a b = g^(log a + log b) and a^-1 = g^(-log a)."""
+        q, g = self.q, self.primitive
+        exp = [1] * (q - 1)
+        for i in range(1, q - 1):
+            exp[i] = self.mul(exp[i - 1], g)
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        mul = [0] * q  # row 0
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
+            la = log[a]
+            mul.append(0)
+            mul.extend([exp2[la + lb] for lb in logs])
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
         if self.k > 1:
             self._build_add_tables()
 

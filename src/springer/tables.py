@@ -308,7 +308,8 @@ def y0_row_spin(
         ext = exts[0]
     else:
         if extension is None:
-            raise ValueError(f"two extensions exist; pass extension= one of {[e.label for e in exts]}")
+            labels = sorted((e.label for e in exts), key=("plus", "minus").index)
+            raise ValueError(f"two extensions exist; pass extension= one of {labels}")
         ext = next(e for e in exts if e.label == extension)
     return _checked_row("spin", q, la, defect(la), rho, ext, A, exponents_spin(la))
 

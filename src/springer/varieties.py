@@ -21,6 +21,11 @@ nonempty exactly when the target type is a horizontal d-strip drop of
 the type of V/W (the horizontal-strip rule, itself verified against
 brute force in the test suite).  That tally is taken once per (lambda, d)
 and serves every target type lambda'.
+
+The centralizer of x acts on each flag list.  Its orbits are closures
+under a small generating set of the unit group, read off the Jordan
+chains of x; the unit group itself is never enumerated, so orbits need
+no budget.
 """
 
 from __future__ import annotations
@@ -421,13 +426,36 @@ def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
 
 @dataclass(frozen=True)
 class CentralizerUnits:
-    dimension: int
-    algebra_basis: tuple
-    units: tuple  # invertible members
+    dimension: int  # of the commutant {m : m x = x m}
+    units: tuple  # generators of its unit group
 
 
-def centralizer_units(x: la.Matrix, K: FieldSpec, bound: int = DEFAULT_BUDGET) -> CentralizerUnits:
-    """The unit group of {m : m x = x m}, by coefficient scan."""
+def _shift_chains(x: la.Matrix) -> list[list[int]]:
+    """Coordinates of each Jordan chain of a shift in standard basis
+    (x e_i is 0 or some e_j), bottom first."""
+    n = len(x)
+    up = {}  # j -> i with x e_i = e_j
+    for i in range(n):
+        rows = [j for j in range(n) if x[j][i]]
+        if rows:
+            if len(rows) != 1 or x[rows[0]][i] != 1 or rows[0] in up:
+                raise ValueError("x is not a Jordan shift in standard basis")
+            up[rows[0]] = i
+    chains = []
+    for i in range(n):
+        if not any(x[j][i] for j in range(n)):
+            chain = [i]
+            while chain[-1] in up:
+                chain.append(up[chain[-1]])
+            chains.append(chain)
+    if sum(map(len, chains)) != n:
+        raise ValueError("x is not a Jordan shift in standard basis")
+    return chains
+
+
+def commutant_basis(x: la.Matrix, K: FieldSpec) -> la.Matrix:
+    """A basis of {m : m x = x m}, each m flattened row by row: the
+    nullspace of the commutator equations."""
     n = len(x)
     rows = []
     for i in range(n):
@@ -438,17 +466,52 @@ def centralizer_units(x: la.Matrix, K: FieldSpec, bound: int = DEFAULT_BUDGET) -
                 row[i * n + t] = K.add(row[i * n + t], x[t][j])
                 row[t * n + j] = K.sub(row[t * n + j], x[i][t])
             rows.append(tuple(row))
-    basis_flat = la.nullspace(K, la.mat(rows))
-    dim = len(basis_flat)
-    if K.q**dim > bound:
-        raise VarietyBudgetError(f"{K.q**dim} algebra elements exceed budget {bound}")
-    basis = tuple(tuple(tuple(b[i * n + j] for j in range(n)) for i in range(n)) for b in basis_flat)
-    units = []
-    for flat in la.span_vectors(K, basis_flat):
-        mm = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if la.det(K, mm):
-            units.append(mm)
-    return CentralizerUnits(dimension=dim, algebra_basis=basis, units=tuple(units))
+    return la.nullspace(K, la.mat(rows))
+
+
+def centralizer_units(x: la.Matrix, K: FieldSpec) -> CentralizerUnits:
+    """A generating set of the unit group of the commutant C of the shift x.
+
+    For chains a, b of lengths h_a, h_b and 1 <= i <= min(h_a, h_b), the
+    map E(a, b, i) that sends the top of chain b to position i of chain a
+    (and commutes with x) runs over a basis of C.  Those with h_a = h_b
+    and i = h_a span the Levi factor, one M_{m_h}(K) per chain length h;
+    the rest span the radical J, and so do its powers, since a product of
+    basis maps is a basis map or 0.  So C^x = (prod GL_{m_h}(K)) (1 + J)
+    is generated by the scaling of each chain by the primitive element g
+    of K and by 1 + c E for every other E, with c in the F_p-basis
+    1, g, ..., g^(k-1) of K.
+    """
+    n = len(x)
+    chains = _shift_chains(x)
+    powers = [1]
+    for _ in range(1, K.k):
+        powers.append(K.mul(powers[-1], K.primitive))
+    basis_size = 0
+    gens = []
+
+    def with_entries(entries, c):
+        g = [[int(r == s) for s in range(n)] for r in range(n)]
+        for r, s in entries:
+            g[r][s] = c
+        return la.mat(g)
+
+    for ca in chains:
+        for cb in chains:
+            for i in range(1, min(len(ca), len(cb)) + 1):
+                basis_size += 1
+                if ca is cb and i == len(ca):
+                    gens.append(with_entries([(r, r) for r in ca], K.primitive))
+                else:
+                    entries = [(ca[i - 1 - m], cb[len(cb) - 1 - m]) for m in range(i)]
+                    gens.extend(with_entries(entries, c) for c in powers)
+    dim = len(commutant_basis(x, K))
+    if basis_size != dim:
+        raise AssertionError(f"{basis_size} chain maps for a commutant of dimension {dim}")
+    for g in gens:
+        if la.mat_mul(K, g, x) != la.mat_mul(K, x, g):
+            raise AssertionError("a centralizer generator does not commute with x")
+    return CentralizerUnits(dimension=dim, units=tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -457,24 +520,37 @@ class OrbitDecomposition:
 
 
 def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: FieldSpec) -> OrbitDecomposition:
-    """Orbits of the unit group on the flag list, with their V/W type.
+    """Orbits of the group generated by units on the flag list, with their
+    V/W type.
 
-    The invariant is checked to be constant along each orbit.
+    Each orbit is the closure of the least remaining flag under the
+    generators (the group is finite, so no inverses are needed).  Every
+    image is checked to be on the list, and the invariant to be constant
+    along each orbit.
     """
     index = {(f.W, f.Wp): f for f in flags}
     remaining = set(index.keys())
+    transposes = [la.transpose(g) for g in units.units]
+    images: dict = {}  # subspace -> its images under the generators; many flags share a W or a W'
+
+    def images_of(sub: la.Matrix) -> list[la.Matrix]:
+        if sub not in images:
+            images[sub] = [la.echelon_basis(K, la.mat_mul(K, sub, gt)) for gt in transposes]
+        return images[sub]
+
     orbits = []
     while remaining:
         seed = min(remaining)
-        orbit_keys = set()
-        for g in units.units:
-            wk = la.echelon_basis(K, la.mat_mul(K, index[seed].W, la.transpose(g)))
-            wpk = la.echelon_basis(K, la.mat_mul(K, index[seed].Wp, la.transpose(g)))
-            key = (wk, wpk)
-            if key in index:
-                orbit_keys.add(key)
-        if not orbit_keys:
-            orbit_keys = {seed}
+        orbit_keys = {seed}
+        frontier = [seed]
+        while frontier:
+            w, wp = frontier.pop()
+            for key in zip(images_of(w), images_of(wp)):
+                if key not in orbit_keys:
+                    if key not in index:
+                        raise AssertionError("a centralizer unit maps a flag off the list")
+                    orbit_keys.add(key)
+                    frontier.append(key)
         types = {index[k].type_mod_W for k in orbit_keys}
         if len(types) != 1:
             raise AssertionError("orbit invariant is not constant")

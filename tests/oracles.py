@@ -12,9 +12,13 @@ counting through the commutant's semisimple quotient.  Even-dimensional
 orthogonal counts are taken in the split group at every q, so counts at
 different q describe one family of groups.  Only prime fields appear.
 
-The Hall numbers at the end are the closed form (Macdonald, ch. II §4)
-that the enumerated stratum tallies of the flag varieties are checked
-against.
+The Hall numbers are the closed form (Macdonald, ch. II §4) that the
+enumerated stratum tallies of the flag varieties are checked against.
+
+The last section works over any F_q in the package's own arithmetic: a
+scan of the whole commutant for its units, and orbits taken as the
+images of a seed under every unit.  It is the reference for the
+generator closure behind `flags --orbits`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from springer import flinalg as la
+from springer import varieties as vr
 
 
 # ---------------------------------------------------------------------------
@@ -984,3 +991,48 @@ def hall_number_row(lam: tuple[int, ...], nu: tuple[int, ...], d: int, Q: int) -
     for i in columns:
         g *= 1 - Fraction(1, Q ** mult[i])
     return g
+
+
+# ---------------------------------------------------------------------------
+# centralizer units by scan
+
+
+def centralizer_unit_scan(x, K, bound: int = vr.DEFAULT_BUDGET) -> vr.CentralizerUnits:
+    """The whole unit group of {m : m x = x m}, by a scan of its q^dim
+    elements; VarietyBudgetError when q^dim exceeds the bound."""
+    n = len(x)
+    basis_flat = vr.commutant_basis(x, K)
+    dim = len(basis_flat)
+    if K.q**dim > bound:
+        raise vr.VarietyBudgetError(f"{K.q**dim} algebra elements exceed budget {bound}")
+    units = []
+    for flat in la.span_vectors(K, basis_flat):
+        mm = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if la.det(K, mm):
+            units.append(mm)
+    return vr.CentralizerUnits(dimension=dim, units=tuple(units))
+
+
+def orbit_decomposition_by_scan(flags, units: vr.CentralizerUnits, K) -> vr.OrbitDecomposition:
+    """Orbits on the flag list as the images of each seed (the least flag
+    left) under every member of units, which must be the whole group."""
+    index = {(f.W, f.Wp): f for f in flags}
+    remaining = set(index.keys())
+    orbits = []
+    while remaining:
+        seed = min(remaining)
+        orbit_keys = set()
+        for g in units.units:
+            wk = la.echelon_basis(K, la.mat_mul(K, index[seed].W, la.transpose(g)))
+            wpk = la.echelon_basis(K, la.mat_mul(K, index[seed].Wp, la.transpose(g)))
+            key = (wk, wpk)
+            if key in index:
+                orbit_keys.add(key)
+        if not orbit_keys:
+            orbit_keys = {seed}
+        types = {index[k].type_mod_W for k in orbit_keys}
+        if len(types) != 1:
+            raise AssertionError("orbit invariant is not constant")
+        orbits.append((tuple(sorted(orbit_keys)), types.pop()))
+        remaining -= orbit_keys
+    return vr.OrbitDecomposition(orbits=tuple(orbits))

@@ -152,3 +152,12 @@ def test_usage_error_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err, argv
+
+
+def test_negative_omega_usage_error_names_the_attached_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--group", "spin", "--N", "10", "--q", "3", "--omega", "-i"])
+    assert exc.value.code == 2
+    assert "--omega=-i" in capsys.readouterr().err
+    code, out, _ = run_cli(["tables", "--group", "spin", "--N", "10", "--q", "3", "--omega=-i"], capsys)
+    assert code == 0 and out.startswith("lambda\t")

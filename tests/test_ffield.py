@@ -1,6 +1,6 @@
 import pytest
 
-from springer.ffield import FieldSpec, is_prime, make_field
+from springer.ffield import FieldSpec, _poly_mod, _poly_mul, is_prime, make_field
 
 
 def test_make_field_prime_field():
@@ -157,3 +157,15 @@ def test_add_neg_sub_match_digit_arithmetic():
                 db = _digits(b, p, k)
                 assert K.add(a, b) == _undigits([(x + y) % p for x, y in zip(da, db)], p), (p, k, a, b)
                 assert K.sub(a, b) == _undigits([(x - y) % p for x, y in zip(da, db)], p), (p, k, a, b)
+
+
+def test_log_tables_match_polynomial_products():
+    for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]:
+        K = make_field(p, k)
+        assert {K.pow(K.primitive, e) for e in range(K.q - 1)} == set(range(1, K.q)), (p, k)
+        for a in K.elements():
+            for b in K.elements():
+                product = _poly_mod(_poly_mul(K.coeffs(a), K.coeffs(b), p), K.modulus, p)
+                assert K.mul(a, b) == K.encode(product), (p, k, a, b)
+            if a:
+                assert K.mul(a, K.inv(a)) == 1, (p, k, a)

@@ -1,10 +1,14 @@
 """Byte-level golden output for fast invocations outside the benchmark set.
 
 Each digest is the sha256 of the stdout of one CLI invocation, recorded
-before the library's duplicate code paths were folded together; a
-refactor that changes a single byte of output fails here.  The last test
-pins the two-extension (intertwiner) path of the even-generator spin
-model, which no CLI invocation reaches with a verified row.
+before a refactor or speed-up of the code behind it, so a change of a
+single byte of output fails here.  The orbit ids of `flags --orbits` for
+(1,2) over F_4 and (1,3) over F_9 equal those of the former scan of the
+whole unit group; for (2,2) and (1,1,2) that scan exceeded its budget
+and printed "-" for every orbit, and every other column is unchanged.
+The last test pins the two-extension (intertwiner) path of the
+even-generator spin model, which no CLI invocation reaches with a
+verified row.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ GOLDEN = [
     ("tables --group spin --N 9 --q 7", "0e89bc6b4a26612b25427ea162ab59938af95eb86c72454847e9a90d08dda7ea"),
     # one lambda' of several (181 flags), an SO plane filter (1 flag), a
     # lambda' of the wrong size (header only), and every lambda' with
-    # orbits whose unit group exceeds the budget (orbit ids all "-")
+    # orbits for (2,2), (1,3) and (1,1,2)
     (
         "flags --group sl --lambda 1,1,2 --lambda-prime 1,1 --d 1 --q 3",
         "e04971ad276fbf5ecc6e408f32b3fcf0614bff1965540139914b2039abb31392",
@@ -51,7 +55,15 @@ GOLDEN = [
     ),
     (
         "flags --group sl --lambda 2,2 --d 1 --q 3 --orbits",
-        "119e93474936baf7bc5e36ba3e9b50e805f981134fff4c0233343eb278032fc8",
+        "c0875938058a9bf8906f1db9cd5050560236e249edf69f5ba6e00d603ac52837",
+    ),
+    (
+        "flags --group sl --lambda 1,3 --d 1 --q 3 --orbits",
+        "ef3c4ceaea64c65e49bc9b2c3fbc96b0425164513fca78e822b9649b6daf3352",
+    ),
+    (
+        "flags --group sl --lambda 1,1,2 --d 1 --q 3 --orbits",
+        "d06216f4107ffcdc930b2b580108a95f4c2dd76b2dd7c88461939e2d27157383",
     ),
 ]
 

@@ -133,3 +133,11 @@ def test_row_json_roundtrip():
     assert d["lambda"] == [2, 4]
     assert d["dim"] == 1
     assert len(d["classes"]) == len(d["values"])
+
+
+def test_two_extension_refusal_lists_plus_then_minus():
+    # extend_character orders the extensions by value; the message does not
+    for N, q in ((11, 3), (13, 7)):
+        with pytest.raises(ValueError) as exc:
+            tb.y0_table_spin(N, q)
+        assert str(exc.value) == "two extensions exist; pass extension= one of ['plus', 'minus']", (N, q)

@@ -281,15 +281,15 @@ def test_frobenius_is_a_bijection_of_the_flag_set():
 def test_centralizer_units_counts():
     K = make_field(3, 1)
     zero = la.zeros(K, 2, 2)
-    cu = vr.centralizer_units(zero, K)
+    cu = orc.centralizer_unit_scan(zero, K)
     assert cu.dimension == 4
     assert len(cu.units) == (9 - 1) * (9 - 3)  # |GL_2(F_3)|
     xreg = _nilpotent_of_type(K, (2,))
-    cu = vr.centralizer_units(xreg, K)
+    cu = orc.centralizer_unit_scan(xreg, K)
     assert cu.dimension == 2
     assert len(cu.units) == 3 * 2  # a + b x with a != 0
     x12 = _nilpotent_of_type(K, (1, 2))
-    cu = vr.centralizer_units(x12, K)
+    cu = orc.centralizer_unit_scan(x12, K)
     assert cu.dimension == pt.centralizer_algebra_dimension((1, 2)) == 5
 
 
@@ -297,7 +297,43 @@ def test_centralizer_units_budget():
     K = make_field(3, 1)
     zero = la.zeros(K, 4, 4)
     with pytest.raises(vr.VarietyBudgetError):
-        vr.centralizer_units(zero, K, bound=100)
+        orc.centralizer_unit_scan(zero, K, bound=100)
+
+
+def _generated_group(K, gens):
+    group = {la.identity(K, len(gens[0]))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = la.mat_mul(K, g, s)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+def test_centralizer_generators_generate_the_unit_group():
+    for (p, k), lam in (((3, 1), (1, 1)), ((3, 1), (2,)), ((3, 1), (1, 2)), ((3, 1), (3,)), ((3, 2), (1, 1)), ((3, 2), (2,))):
+        K = make_field(p, k)
+        x = _nilpotent_of_type(K, lam)
+        gens = vr.centralizer_units(x, K)
+        scan = orc.centralizer_unit_scan(x, K)
+        assert gens.dimension == scan.dimension == pt.centralizer_algebra_dimension(lam), (K.q, lam)
+        assert _generated_group(K, gens.units) == set(scan.units), (K.q, lam)
+
+
+def test_orbit_ids_match_the_unit_scan():
+    for lam, q_p in (((1, 2), 3), ((3,), 3), ((4,), 3), ((1, 2), 2)):
+        data = sp.build_sl_split(lam, q_p)
+        K = data.field
+        laps = list(pt.partitions_of(sum(lam) - 2))
+        flags = vr.enumerate_flags_sl(data, 1, laps)
+        gens = vr.centralizer_units(data.nilpotent, K)
+        scan = orc.centralizer_unit_scan(data.nilpotent, K)
+        for lap in laps:
+            group = [f for f in flags if f.type_quotient == lap]
+            assert vr.orbit_decomposition(group, gens, K) == orc.orbit_decomposition_by_scan(group, scan, K), (lam, q_p, lap)
 
 
 def test_orbit_decomposition_case_III():
