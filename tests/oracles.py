@@ -10,7 +10,8 @@ the Levi factor of the commutant and counts its radical linearly; an
 orbit crawl under reflections or transvections; and, for GL, unit
 counting through the commutant's semisimple quotient.  Even-dimensional
 orthogonal counts are taken in the split group at every q, so counts at
-different q describe one family of groups.  Only prime fields appear.
+different q describe one family of groups.  Up to the last section,
+only prime fields appear.
 
 The Hall numbers are the closed form (Macdonald, ch. II §4) that the
 enumerated stratum tallies of the flag varieties are checked against.
