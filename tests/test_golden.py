@@ -6,6 +6,9 @@ single byte of output fails here.  The orbit ids of `flags --orbits` for
 (1,2) over F_4 and (1,3) over F_9 equal those of the former scan of the
 whole unit group; for (2,2) and (1,1,2) that scan exceeded its budget
 and printed "-" for every orbit, and every other column is unchanged.
+The SO split digests with F-signs of -1, the two JSON tables and the
+orbit outputs for (1,4), (2,3) and (1,1,3) were recorded before the
+test-only code moved out of the library.
 The last test pins the two-extension (intertwiner) path of the
 even-generator spin model, which no CLI invocation reaches with a
 verified row.
@@ -65,6 +68,28 @@ GOLDEN = [
         "flags --group sl --lambda 1,1,2 --d 1 --q 3 --orbits",
         "d06216f4107ffcdc930b2b580108a95f4c2dd76b2dd7c88461939e2d27157383",
     ),
+    # F-signs of -1 on the odd-block generators (q = 3 mod 4)
+    ("split --group so --lambda 3 --q 3", "e138285db6c3283d1bd1caf9baccca29a676b91220125a0b6abef5e461e5b521"),
+    ("split --group so --lambda 1,3,7,9 --q 3", "0b6ac75cbbce6d3902ee37ab1b31f23e638a8f1a7c94d466bb4d693765f2f6f0"),
+    # the JSON row serialization
+    (
+        "tables --group sl --n 12 --q 5 --xi-order 2 --format json",
+        "16443c384808c657a0952840404d6fef67a470990c570986515580094aeae051",
+    ),
+    ("tables --group spin --N 9 --q 7 --format json", "f03cdd87b6912a4d89b0dc00843a34137be3f5b26e749aa9f94aeb3e52cc0d9e"),
+    # every lambda' with orbits for three types of size 5
+    (
+        "flags --group sl --lambda 1,4 --d 1 --q 3 --orbits",
+        "c99e2dcf89fb066566db9e7caa4d2e9bd843900cd7b0a48feeedf4a15567de0f",
+    ),
+    (
+        "flags --group sl --lambda 2,3 --d 1 --q 3 --orbits",
+        "d65ee36cbd5277fc0e2f155098b001068ba218abb0f6e3a4794264c285b22897",
+    ),
+    (
+        "flags --group sl --lambda 1,1,3 --d 1 --q 3 --orbits",
+        "ed8cda29c15cc3239064164a54fb5bc4fbfd1429e7f1071a09371b086c243fe3",
+    ),
 ]
 
 
@@ -73,6 +98,16 @@ def test_cli_stdout_digest(argv, digest, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_split_so_outside_XN_is_refused(capsys):
+    # (3, 3) is an orthogonal Jordan type, but its odd part repeats, so
+    # the spin component-group model (and the F-signs) do not exist
+    assert main("split --group so --lambda 3,3 --q 3".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err.strip().splitlines()[-1])
+    assert report == {"error": "ValueError", "message": "(3, 3) is not in X_N"}
 
 
 def test_even_generator_extensions_digest():
