@@ -119,8 +119,7 @@ def cmd_split(args) -> int:
         lines.append("check form_symmetric_nondegenerate: pass")
         lines.append("check x_skew_adjoint: pass")
         lines.append(f"check jordan_type: {list(fla.jordan_partition(K, data.nilpotent))}")
-        rep = sp.frobenius_action_report(data)
-        lines.append(f"frobenius_signs_on_generators: {list(rep.signs)}")
+        lines.append(f"frobenius_signs_on_generators: {list(sp.spin_frobenius_signs(data))}")
     _emit(lines, args.output)
     return 0
 

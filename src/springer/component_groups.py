@@ -1,9 +1,8 @@
 """Finite models of component groups of unipotent centralizers.
 
-Three shapes occur: the Clifford-type 2-group generated by the odd-block
-products (spin side), cyclic groups of order n'_lambda (special linear
-side), and elementary abelian 2-groups (the orthogonal quotient).  Each
-carries a Frobenius automorphism tau.
+Two shapes occur: the Clifford-type 2-group generated by the odd-block
+products (spin side) and cyclic groups of order n'_lambda (special
+linear side).  Each carries a Frobenius automorphism tau.
 
 Irreducible characters are produced with exact cyclotomic values.  The
 higher-dimensional spin characters come from explicit tensor-product
@@ -155,8 +154,6 @@ class SpinGamma:
     the in-algebra construction.
     """
 
-    kind = "spin_gamma"
-
     def __init__(self, la_parts: Partition, tau_signs: Optional[Sequence[int]] = None):
         la_parts = check_partition(la_parts)
         if not is_in_XN(la_parts):
@@ -218,45 +215,14 @@ class SpinGamma:
         flips = sum(1 for i in range(self.r) if (s >> i & 1) and self.tau_signs[i] == -1)
         return ((a + flips) % 2, s)
 
-    def tau_order(self) -> int:
-        return 2 if any(s == -1 for s in self.tau_signs) else 1
-
-    def tau_is_identity_on_group(self) -> bool:
-        return all(self.tau(g) == g for g in self.elements)
-
-    def is_abelian(self) -> bool:
-        return all(self.mul(g, h) == self.mul(h, g) for g in self.elements for h in self.elements)
-
-    def conjugacy_classes(self) -> list[tuple[Element, ...]]:
-        seen = set()
-        classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = {self.mul(self.mul(h, g), self.inv(h)) for h in self.elements}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
-
     def full_word(self) -> Element:
         """The distinguished even word: all generators in increasing order."""
         if self.r % 2:
             raise ValueError("the full word is odd for an odd number of generators")
         return (0, (1 << self.r) - 1)
 
-    def commutator_subgroup(self) -> set[Element]:
-        out = set()
-        for g in self.elements:
-            for h in self.elements:
-                c = self.mul(self.mul(g, h), self.inv(self.mul(h, g)))
-                out.add(c)
-        return out
-
-
 class CyclicGroup:
     """Z / m with the power automorphism a -> t a (t coprime to m)."""
-
-    kind = "cyclic"
 
     def __init__(self, m: int, tau_mult: int = 1, context: Optional[dict] = None):
         if m < 1:
@@ -272,9 +238,6 @@ class CyclicGroup:
     def order(self) -> int:
         return self.m
 
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.m
 
@@ -283,65 +246,6 @@ class CyclicGroup:
 
     def tau(self, a: int) -> int:
         return (self.tau_mult * a) % self.m
-
-    def tau_order(self) -> int:
-        if self.m == 1 or self.tau_mult == 1:
-            return 1
-        t, k = self.tau_mult, 1
-        acc = t
-        while acc != 1:
-            acc = (acc * t) % self.m
-            k += 1
-        return k
-
-    def is_abelian(self) -> bool:
-        return True
-
-
-class ElemAbelian2:
-    """(Z/2)^rank with a permutation action of tau on coordinates."""
-
-    kind = "elem_abelian_2"
-
-    def __init__(self, rank: int, tau_perm: Optional[Sequence[int]] = None):
-        self.rank = rank
-        self.tau_perm = tuple(tau_perm) if tau_perm is not None else tuple(range(rank))
-        if sorted(self.tau_perm) != list(range(rank)):
-            raise ValueError("tau_perm must be a permutation of the coordinates")
-        self.elements = list(range(1 << rank))
-
-    @property
-    def order(self) -> int:
-        return 1 << self.rank
-
-    def identity(self) -> int:
-        return 0
-
-    def mul(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def inv(self, a: int) -> int:
-        return a
-
-    def tau(self, a: int) -> int:
-        out = 0
-        for i in range(self.rank):
-            if a >> i & 1:
-                out |= 1 << self.tau_perm[i]
-        return out
-
-    def tau_order(self) -> int:
-        k = 1
-        perm = self.tau_perm
-        cur = perm
-        ident = tuple(range(self.rank))
-        while cur != ident:
-            cur = tuple(perm[i] for i in cur)
-            k += 1
-        return k
-
-    def is_abelian(self) -> bool:
-        return True
 
 
 def build_spin_gamma(la_parts: Partition, tau_signs: Optional[Sequence[int]] = None) -> SpinGamma:
@@ -577,34 +481,6 @@ def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int, ring: Optional[CycR
     return [chars[j % G.m]] if G.m > 0 else []
 
 
-def elem_abelian_characters(G: ElemAbelian2, ring: Optional[CycRing] = None) -> list[IrrChar]:
-    if ring is None:
-        ring = CycRing(4)
-    out = []
-    for t in range(1 << G.rank):
-        vals = tuple((a, ring.from_int((-1) ** (bin(a & t).count("1") % 2))) for a in G.elements)
-        out.append(IrrChar(label=f"sgn[{t:0{max(G.rank, 1)}b}]", dim=1, ring=ring, values=vals, central_eps=None))
-    return out
-
-
-def irreducibles_with_central_character(G, xi) -> list[IrrChar]:
-    """Dispatch on the group kind.
-
-    SpinGamma: xi is +-1, the value at epsilon.  Cyclic: xi is the order
-    of the central character.  ElemAbelian2: xi must be None (trivial
-    center); every character is returned.
-    """
-    if isinstance(G, SpinGamma):
-        return spin_irreducibles(G, xi)
-    if isinstance(G, CyclicGroup):
-        return cyclic_characters_with_xi(G, xi)
-    if isinstance(G, ElemAbelian2):
-        if xi is not None:
-            raise ValueError("elementary abelian model has no nontrivial central character here")
-        return elem_abelian_characters(G)
-    raise TypeError(f"unknown component group {G!r}")
-
-
 # ---------------------------------------------------------------------------
 # twisted classes and extensions
 
@@ -612,10 +488,6 @@ def irreducibles_with_central_character(G, xi) -> list[IrrChar]:
 @dataclass(frozen=True)
 class TwistedClassTable:
     classes: tuple  # tuple of (representative, members tuple)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(members) for _, members in self.classes)
 
 
 def twisted_classes(G) -> TwistedClassTable:
@@ -655,12 +527,6 @@ class ExtendedChar:
     label: str
     ring: CycRing
     coset_values: tuple  # tuple of (element g, value at g*tau)
-
-    def coset_value(self, g) -> Cyc:
-        for el, v in self.coset_values:
-            if el == g:
-                return v
-        raise KeyError(g)
 
     def coset_value_map(self) -> dict:
         return {el: v for el, v in self.coset_values}
@@ -732,43 +598,3 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     # deterministic order: by serialized value vector
     out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for _, v in e.coset_values))
     return out
-
-
-# ---------------------------------------------------------------------------
-# whole-table verification (used as the brute-force oracle by the tests)
-
-
-@dataclass(frozen=True)
-class TableReport:
-    order: int
-    num_classes: int
-    dims: tuple[int, ...]
-    sum_dim_sq: int
-    orthonormal: bool
-
-
-def spin_character_table_report(G: SpinGamma) -> TableReport:
-    """Assemble the full character table and verify it is one.
-
-    The positive-central characters are the linear functionals of the
-    quotient 2-group, the negative-central ones come from the matrix
-    models; the report confirms class count, completeness and exact
-    orthonormality, which pins the table uniquely.
-    """
-    ring = CycRing(4)
-    chars = spin_irreducibles(G, 1, ring) + spin_irreducibles(G, -1, ring)
-    charmaps = [c.value_map() for c in chars]
-    ortho = True
-    for i in range(len(chars)):
-        for j in range(len(chars)):
-            expect = Fraction(1 if i == j else 0)
-            if char_inner(G, charmaps[i], charmaps[j]) != expect:
-                ortho = False
-    dims = tuple(c.dim for c in chars)
-    return TableReport(
-        order=G.order,
-        num_classes=len(G.conjugacy_classes()),
-        dims=dims,
-        sum_dim_sq=sum(d * d for d in dims),
-        orthonormal=ortho,
-    )

@@ -307,16 +307,6 @@ class FieldSpec:
         pe = pow(self.p, d)
         return [a for a in range(self.q) if self.pow(a, pe) == a]
 
-    def least_nonsquare_in_subfield(self, d: int) -> int:
-        """Least encoded element of F_{p^d} that is not a square there."""
-        sub = self.subfield_elements(d)
-        qs = pow(self.p, d)
-        e = (qs - 1) // 2
-        for a in sub:
-            if a and self.pow(a, e) != 1:
-                return a
-        raise ValueError("no non-square in subfield (p = 2?)")
-
     # -- plumbing
 
     def __eq__(self, other: object) -> bool:

@@ -21,10 +21,6 @@ def mat(rows: Iterable[Iterable[int]]) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def zeros(K: FieldSpec, n: int, m: int) -> Matrix:
-    return tuple((0,) * m for _ in range(n))
-
-
 def identity(K: FieldSpec, n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -35,10 +31,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_add(K: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(K.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(K: FieldSpec, a: Matrix) -> Matrix:
-    return tuple(tuple(K.neg(x) for x in r) for r in a)
 
 
 def mat_mul(K: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
@@ -121,10 +113,6 @@ def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
     if not basis:
         return False
     return rank(K, basis + (v,)) == len(basis)
-
-
-def span_contains(K: FieldSpec, big: Matrix, small: Matrix) -> bool:
-    return all(in_span(K, big, v) for v in small)
 
 
 def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = None) -> Iterator[Vector]:

@@ -3,9 +3,9 @@
 Partitions are ascending tuples of positive integers; the sum is the
 rank N (or n) of the ambient classical group.  This module knows which
 partitions support the interesting local systems (the set X_N), the
-defect statistic that selects a cuspidal series, the classification of
-partition pairs that appear in two-step restriction, and the closed
-class-dimension formulas.
+defect statistic that selects a cuspidal series, the two-box removal
+cases of the partition pairs (mu, mu') that appear in two-step
+restriction for SL, and the closed class-dimension formulas.
 """
 
 from __future__ import annotations
@@ -152,20 +152,6 @@ def divide(la: Partition, d: int) -> Partition:
 
 
 @dataclass(frozen=True)
-class PairCaseSpin:
-    """Matching case for a pair (la, la') with |la| - |la'| = 4.
-
-    tag is one of "I", "II", "III", "IV", "V"; pivot is the 1-based
-    index i in la.  Tag III is recognized (it has a distinct removal
-    pattern) but marked unsupported: no downstream construction uses it.
-    """
-
-    tag: str
-    pivot: int
-    supported: bool = True
-
-
-@dataclass(frozen=True)
 class PairCaseSL:
     """Matching case for (mu, mu') with |mu| - |mu'| = 2.
 
@@ -176,88 +162,6 @@ class PairCaseSL:
 
     tag: str
     pivots: tuple[int, ...]
-
-
-_SPIN_CASE_ORDER = ("I", "II", "III", "IV", "V")
-
-
-def _spin_case_matches(la: Partition, lap: Partition, tag: str, i: int) -> bool:
-    """Whether the tag's inequalities hold at pivot i and the part drops
-    produce la' (as a multiset).  i is 1-based; la_0 is treated as 0."""
-    k = len(la)
-
-    def part(j: int) -> int:
-        return la[j - 1] if 1 <= j <= k else 0
-
-    drops: dict[int, int]
-    if tag == "I":
-        if i < 1 or i > k:
-            return False
-        if part(i) % 2 == 0 or not part(i) > part(i - 1) + 4:
-            return False
-        drops = {i: 4}
-    elif tag == "II":
-        if i < 1 or i + 1 > k:
-            return False
-        if part(i) != part(i + 1) or not part(i) >= part(i - 1) + 2:
-            return False
-        drops = {i: 2, i + 1: 2}
-    elif tag == "III":
-        if i < 1 or i + 1 > k:
-            return False
-        if part(i) != part(i + 1) or not part(i) >= part(i - 1) + 4:
-            return False
-        drops = {i: 3, i + 1: 1}
-    elif tag == "IV":
-        if i < 1 or i + 1 > k:
-            return False
-        if part(i + 1) - 2 != part(i) or not part(i) >= part(i - 1) + 1:
-            return False
-        drops = {i: 1, i + 1: 3}
-    elif tag == "V":
-        if i < 1 or i + 2 > k:
-            return False
-        if not (part(i + 2) == part(i + 1) == part(i) + 1):
-            return False
-        drops = {i: 1, i + 1: 2, i + 2: 1}
-    else:
-        raise ValueError(f"unknown spin case tag {tag}")
-    new_parts = [part(j) - drops.get(j, 0) for j in range(1, k + 1)]
-    if any(x < 0 for x in new_parts):
-        return False
-    return normalize(new_parts) == tuple(lap)
-
-
-def match_pair_spin_all(la: Partition, lap: Partition) -> list[tuple[str, int]]:
-    """Every (tag, pivot) whose inequalities and removal pattern match."""
-    la = check_partition(la)
-    lap = check_partition(lap)
-    out = []
-    if sum(la) - sum(lap) != 4:
-        return out
-    for tag in _SPIN_CASE_ORDER:
-        for i in range(1, len(la) + 1):
-            if _spin_case_matches(la, lap, tag, i):
-                out.append((tag, i))
-    return out
-
-
-def classify_pair_spin(la: Partition, lap: Partition) -> Optional[PairCaseSpin]:
-    """The unique case tag for the pair, with the smallest matching pivot.
-
-    Returns None when no case applies.  A pair matching two different
-    tags would be an error; none occur for N <= 20 and the constraint is
-    enforced.  Case III pairs are returned with supported=False.
-    """
-    matches = match_pair_spin_all(la, lap)
-    if not matches:
-        return None
-    tags = sorted({t for t, _ in matches})
-    if len(tags) > 1:
-        raise ValueError(f"ambiguous spin case for {la} -> {lap}: tags {tags}")
-    tag = tags[0]
-    pivot = min(i for t, i in matches if t == tag)
-    return PairCaseSpin(tag=tag, pivot=pivot, supported=tag != "III")
 
 
 def classify_pair_sl(mu: Partition, mup: Partition) -> Optional[PairCaseSL]:
@@ -340,12 +244,3 @@ def class_dimension(la: Partition, group_kind: str) -> int:
         return n * (n + 1) // 2 - (sq + odd) // 2
     raise ValueError(f"unknown group kind {group_kind}")
 
-
-def centralizer_algebra_dimension(la: Partition) -> int:
-    """dim of {m : m x = x m} for x nilpotent of type la (any field)."""
-    la = check_partition(la)
-    return sum(min(a, b) for a in la for b in la)
-
-
-def serialize(la: Partition) -> list[int]:
-    return list(la)

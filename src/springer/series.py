@@ -6,10 +6,13 @@ Weyl group is hyperoctahedral of rank (N - d(2d - 1))/4.  For SL_n the
 series are labeled by divisors d of n (the order of a central
 character), with symmetric-group Weyl groups of degree n/d.
 
-Only the series-level data is produced here.  The partition-to-label
-map is implemented for SL (divide by d); on the spin side the testable
-surrogate is the cardinality identity checked by
-verify_series_cardinality.
+Only the series-level data is produced here.  A class of SL_n lies in
+the order-d series when d divides every part, with symmetric-group
+label partitions.divide(la, d); a class in X_N lies in the series of
+its defect, of Weyl rank spin_weyl_rank(N, defect).  On the spin side
+the checked statement is the cardinality identity of
+verify_series_cardinality: per series, as many classes as bipartitions
+of the rank.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .component_groups import p_prime_part
-from .partitions import (
-    Partition,
-    check_partition,
-    defect,
-    divide,
-    enumerate_XN,
-    is_in_XN,
-    num_partitions,
-)
+from .partitions import defect, enumerate_XN, num_partitions
 
 
 @dataclass(frozen=True)
@@ -81,41 +76,6 @@ def enumerate_spin_series(N: int) -> list[CuspidalDatumSpin]:
             out.append(CuspidalDatumSpin(d=d, levi_type=_spin_levi_label(N, d), weyl_rank=spin_weyl_rank(N, d)))
     out.sort(key=lambda c: (abs(c.d), -c.d))
     return out
-
-
-def spin_series_of(la: Partition) -> tuple[int, int]:
-    """(d, weyl_rank) for a partition in X_N: d is the defect."""
-    la = check_partition(la)
-    if not is_in_XN(la):
-        raise ValueError(f"{la} is not in X_N")
-    N = sum(la)
-    d = defect(la)
-    return d, spin_weyl_rank(N, d)
-
-
-@dataclass(frozen=True)
-class RepLabel:
-    kind: str  # "partition" (symmetric group) or "bipartition" (hyperoctahedral)
-    content: tuple
-
-    @property
-    def size(self) -> int:
-        if self.kind == "partition":
-            return sum(self.content)
-        return sum(sum(p) for p in self.content)
-
-
-def sl_springer_label(la: Partition, d: int) -> RepLabel:
-    """The symmetric-group label of a class in the order-d series: la/d.
-
-    Raises when d fails to divide some part (the series fiber over la is
-    then empty)."""
-    la = check_partition(la)
-    try:
-        mu = divide(la, d)
-    except ValueError as exc:
-        raise ValueError(f"empty fiber: {exc}") from exc
-    return RepLabel(kind="partition", content=mu)
 
 
 def enumerate_sl_series(n: int, p: int, q: int | None = None) -> list[CuspidalDatumSL]:

@@ -2,7 +2,9 @@
 
 Orthogonal side: the block forms and shift nilpotents assembled per
 partition, at the Lie-algebra level (no exponential is taken, so small
-characteristic needs no special cases).
+characteristic needs no special cases), and the Frobenius signs on the
+odd-block generators of the component group, read off an orthonormal
+basis of each odd block over F_{q^2}.
 
 Special linear side: a Jordan-basis unipotent made rational for the
 twisted (unitary-type) Frobenius by a Hermitian sesquilinear form.  The
@@ -19,23 +21,163 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from math import prod
+from typing import Optional, Sequence
 
 from . import flinalg as la
-from .clifford import orthonormalize_block, split_so_form
-from .component_groups import CyclicGroup, SpinGamma, build_sl_component, build_spin_gamma
 from .ffield import FieldSpec, make_field
-from .partitions import (
-    Partition,
-    check_partition,
-    delta_index,
-    is_in_XN_tilde,
-    odd_part_positions,
-)
+from .partitions import Partition, check_partition, delta_index, is_in_XN, is_in_XN_tilde
 
 
 # ---------------------------------------------------------------------------
-# orthogonal side
+# orthogonal side: block layout and forms
+
+
+@dataclass(frozen=True)
+class SOBlock:
+    """One constituent of the split orthogonal space for a partition."""
+
+    kind: str  # "odd" or "even_pair"
+    positions: tuple[int, ...]  # 1-based part indices in the partition
+    size: int  # dimension of the block (h or 2h)
+    start: int  # first global 0-based coordinate
+    delta: Optional[int]  # the exponent index for odd blocks
+
+    def chain_starts(self) -> list[int]:
+        """First coordinate of the Jordan chain of each part of the block."""
+        h = self.size // len(self.positions)
+        return [self.start + c * h for c in range(len(self.positions))]
+
+
+def so_blocks(la_parts: Partition) -> list[SOBlock]:
+    """The coordinate layout: each odd part is a block of its own, each
+    pair of equal even parts one block holding both chains."""
+    la_parts = check_partition(la_parts)
+    blocks = []
+    start = 0
+    j = 1
+    k = len(la_parts)
+    while j <= k:
+        h = la_parts[j - 1]
+        if h % 2 == 1:
+            blocks.append(SOBlock("odd", (j,), h, start, delta_index(la_parts, j)))
+            start += h
+            j += 1
+        else:
+            if j + 1 > k or la_parts[j] != h:
+                raise ValueError(f"even part {h} at index {j} has no partner")
+            blocks.append(SOBlock("even_pair", (j, j + 1), 2 * h, start, None))
+            start += 2 * h
+            j += 2
+    return blocks
+
+
+def split_so_form(la_parts: Partition, K: FieldSpec) -> tuple[la.Matrix, list[SOBlock]]:
+    """The assembled symmetric form of the split orthogonal data."""
+    blocks = so_blocks(la_parts)
+    N = sum(la_parts)
+    rows = [[0] * N for _ in range(N)]
+    for b in blocks:
+        if b.kind == "odd":
+            h = b.size
+            for a in range(1, h + 1):
+                val = K.scalar((-1) ** ((b.delta - a) % 2))
+                rows[b.start + (h - a)][b.start + (a - 1)] = val
+        else:
+            h = b.size // 2
+            for a in range(1, h + 1):
+                val = K.scalar((-1) ** ((a - 1) % 2))
+                r = b.start + (h - a)  # e^j_{h-a+1}
+                cidx = b.start + h + (a - 1)  # e^{j+1}_a
+                rows[r][cidx] = val
+                rows[cidx][r] = val
+    return la.mat(rows), blocks
+
+
+@dataclass(frozen=True)
+class OrthonormalBlock:
+    h: int
+    c: int
+    vectors: la.Matrix  # rows: v_1..v_h in block coordinates over F_{q^2}
+    frob_signs: tuple[int, ...]  # +1 or -1 per vector, from actual F application
+
+
+def block_form(h: int, c: int, K: FieldSpec) -> la.Matrix:
+    """The form (e_a, e_{h-a+1}) = (-1)^{c+a} on an h-dim block (1-based)."""
+    rows = [[0] * h for _ in range(h)]
+    for a in range(1, h + 1):
+        val = K.scalar((-1) ** ((c + a) % 2))
+        rows[a - 1][h - a] = val
+    return la.mat(rows)
+
+
+def orthonormalize_block(h: int, c: int, field: FieldSpec, qexp: int) -> OrthonormalBlock:
+    """Orthonormal basis of the block with form (e_a, e_{h-a+1}) = (-1)^{c+a}.
+
+    h must be odd and q odd; the field must contain a square root of -1.
+    Orthonormality of the output and the F-eigenvector property of each
+    vector are machine-checked, not assumed.
+    """
+    if h % 2 == 0:
+        raise ValueError("block size must be odd")
+    K = field
+    if K.p == 2:
+        raise ValueError("q must be odd")
+    zeta = K.zeta4()
+    if zeta is None:
+        raise ValueError("field has no square root of -1")
+    m = (h - 1) // 2
+    gamma = K.scalar((-1) ** ((c + 1) % 2))
+    half = K.half()
+    gh = K.mul(gamma, half)
+
+    def e(a: int) -> list[int]:
+        v = [0] * h
+        v[a - 1] = 1
+        return v
+
+    vp: list[Optional[tuple[int, ...]]] = [None] * (h + 1)  # 1-based
+    for a in range(1, m + 1):
+        sign = K.scalar((-1) ** ((a + 1) % 2))
+        coef = K.mul(sign, gh)
+        top = e(a)
+        top[h - a] = coef
+        vp[a] = tuple(top)
+        bot = e(a)
+        bot[h - a] = K.neg(coef)
+        vp[h + 1 - a] = tuple(bot)
+    vp[m + 1] = tuple(e(m + 1))
+
+    v: list[Optional[tuple[int, ...]]] = [None] * (h + 1)
+    for a in range(1, m + 1):
+        v[a] = vp[a]
+        v[h + 1 - a] = tuple(K.mul(zeta, x) for x in vp[h + 1 - a])
+    if (m + 1 + c) % 2 == 0:
+        v[m + 1] = vp[m + 1]
+    else:
+        v[m + 1] = tuple(K.mul(zeta, x) for x in vp[m + 1])
+
+    vecs = la.mat(v[1:])
+    form = block_form(h, c, K)
+    for i in range(h):
+        for j in range(h):
+            got = la.gram(K, form, vecs[i], vecs[j])
+            if got != (1 if i == j else 0):
+                raise AssertionError(f"orthonormality failed at ({i + 1}, {j + 1})")
+    signs = []
+    for row in vecs:
+        frow = tuple(K.frobenius(x, qexp) for x in row)
+        if frow == row:
+            signs.append(1)
+        elif frow == tuple(K.neg(x) for x in row):
+            signs.append(-1)
+        else:
+            raise AssertionError("basis vector is not an F-eigenvector")
+    return OrthonormalBlock(h=h, c=c, vectors=vecs, frob_signs=tuple(signs))
+
+
+# ---------------------------------------------------------------------------
+# orthogonal side: split data
 
 
 @dataclass(frozen=True)
@@ -47,23 +189,14 @@ class SplitSOData:
     qexp: int  # q = p^qexp
 
 
-def _so_shift(la_parts: Partition, K: FieldSpec) -> la.Matrix:
-    """The block shift x e^j_a = e^j_{a-1} in the same coordinate order
-    as split_so_form."""
-    N = sum(la_parts)
+def _so_shift(blocks: list[SOBlock], N: int) -> la.Matrix:
+    """The block shift x e^j_a = e^j_{a-1} along every Jordan chain of the layout."""
     rows = [[0] * N for _ in range(N)]
-    start = 0
-    j = 0
-    k = len(la_parts)
-    while j < k:
-        h = la_parts[j]
-        chains = 1 if h % 2 == 1 else 2
-        for c in range(chains):
-            base = start + c * h
+    for b in blocks:
+        h = b.size // len(b.positions)
+        for base in b.chain_starts():
             for a in range(1, h):
                 rows[base + a - 1][base + a] = 1
-        start += chains * h
-        j += chains
     return la.mat(rows)
 
 
@@ -79,8 +212,8 @@ def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
     if q_p == 2:
         raise ValueError("orthogonal split data needs odd q")
     K = make_field(q_p, q_k)
-    form, _ = split_so_form(la_parts, K)
-    x = _so_shift(la_parts, K)
+    form, blocks = split_so_form(la_parts, K)
+    x = _so_shift(blocks, len(form))
     if la.transpose(form) != form or la.det(K, form) == 0:
         raise AssertionError("assembled form is not symmetric non-degenerate")
     skew = la.mat_add(K, la.mat_mul(K, la.transpose(x), form), la.mat_mul(K, form, x))
@@ -288,79 +421,22 @@ def _verify_sl_split(data: SplitSLData) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius action on component groups
+# Frobenius action on the spin component group
 
 
-@dataclass(frozen=True)
-class SpinFrobeniusReport:
-    la: Partition
-    q: int
-    signs: tuple[int, ...]  # F(x_j) = sign * x_j per odd part, in position order
-    tau_group: SpinGamma
+def spin_frobenius_signs(data: SplitSOData) -> tuple[int, ...]:
+    """F(x_j) = sign * x_j for the generator x_j = v^j_1 ... v^j_h of each
+    odd block, in position order.
 
-    @property
-    def tau_is_trivial(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
-    @property
-    def tau_order(self) -> int:
-        return self.tau_group.tau_order()
-
-    @property
-    def tau_squared_trivial(self) -> bool:
-        return self.tau_order <= 2
-
-
-@dataclass(frozen=True)
-class SLFrobeniusReport:
-    la: Partition
-    q: int
-    group: CyclicGroup
-
-    @property
-    def tau_mult(self) -> int:
-        return self.group.tau_mult
-
-    @property
-    def tau_order(self) -> int:
-        return self.group.tau_order()
-
-    @property
-    def tau_squared_trivial(self) -> bool:
-        return self.tau_order <= 2
-
-
-def frobenius_action_report(data: Union[SplitSOData, SplitSLData]) -> Union[SpinFrobeniusReport, SLFrobeniusReport]:
-    """How F acts on the component group of the split element.
-
-    Orthogonal/spin data: the sign of F on each odd-block generator is
-    computed by actually orthonormalizing the block over F_{q^2} and
-    applying the coefficient Frobenius; the induced automorphism of the
-    component-group model is returned (always an involution).
-
-    SL data: the automorphism a -> a^{-q} of the cyclic group.  Its
-    square is q^2-multiplication, which is trivial exactly when the
-    group order divides q^2 - 1; the report records the order rather
-    than asserting 2.
+    Each sign is the product of the F-eigenvalues of the orthonormal
+    basis of the block over F_{q^2}, computed by orthonormalize_block;
+    only partitions in X_N carry the generators.
     """
-    if isinstance(data, SplitSOData):
-        q = data.field.p**data.qexp
-        K2 = make_field(data.field.p, 2 * data.qexp)
-        signs = []
-        for j in odd_part_positions(data.la):
-            h = data.la[j - 1]
-            blk = orthonormalize_block(h, delta_index(data.la, j), K2, data.qexp)
-            s = 1
-            for v in blk.frob_signs:
-                s *= v
-            signs.append(s)
-        tau_group = build_spin_gamma(data.la, tau_signs=tuple(signs))
-        report = SpinFrobeniusReport(la=data.la, q=q, signs=tuple(signs), tau_group=tau_group)
-        if not report.tau_squared_trivial:
-            raise AssertionError("spin tau must square to the identity")
-        return report
-    if isinstance(data, SplitSLData):
-        q = data.field.p**data.qexp
-        group = build_sl_component(data.la, data.field.p, q=q)
-        return SLFrobeniusReport(la=data.la, q=q, group=group)
-    raise TypeError(f"unknown split data {data!r}")
+    if not is_in_XN(data.la):
+        raise ValueError(f"{data.la} is not in X_N")
+    K2 = make_field(data.field.p, 2 * data.qexp)
+    return tuple(
+        prod(orthonormalize_block(b.size, b.delta, K2, data.qexp).frob_signs)
+        for b in so_blocks(data.la)
+        if b.kind == "odd"
+    )

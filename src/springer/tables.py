@@ -14,7 +14,6 @@ that the normalizing scalar is 1 at split elements.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +28,6 @@ from .component_groups import (
     spin_irreducibles,
     twisted_classes,
 )
-from .cyclotomic import Cyc
 from .partitions import (
     Partition,
     check_partition,
@@ -161,9 +159,6 @@ class GreenBasisRow:
             "a0": self.exponents.a0,
             "r": self.exponents.r,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _rep_str(group: str, rep) -> str:
@@ -348,18 +343,3 @@ def y0_table_spin(
             continue
     return rows
 
-
-def row_orthogonality(rows: list[GreenBasisRow]) -> bool:
-    """Exact orthogonality of distinct rows over the same class set
-    (meaningful when tau acts trivially, where the twisted classes are
-    plain conjugacy classes)."""
-    for i in range(len(rows)):
-        for j in range(len(rows)):
-            if i == j or rows[i].classes != rows[j].classes:
-                continue
-            s = rows[i].values[0].ring.zero()
-            for (rep, size), vi, vj in zip(rows[i].classes, rows[i].values, rows[j].values):
-                s = s + vi * vj.conj() * size
-            if not s.is_zero():
-                return False
-    return True

@@ -37,7 +37,7 @@ from typing import Collection, Iterator, Optional, Sequence
 from . import flinalg as la
 from .ffield import FieldSpec
 from .partitions import Partition, normalize
-from .split import SplitSLData, SplitSOData, jordan_positions
+from .split import SplitSLData, SplitSOData
 
 DEFAULT_BUDGET = 10**6
 
@@ -291,29 +291,6 @@ def _completions(
             yield wp, mid
 
 
-def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: Flag) -> bool:
-    """Independent re-check of every defining condition of a flag."""
-    K = data.field
-    x = data.nilpotent
-    n = len(x)
-    W, Wp = flag.W, flag.Wp
-    if len(W) != d or len(Wp) != n - d:
-        return False
-    if not la.span_contains(K, Wp, W):
-        return False
-    for basis in (W, Wp):
-        for v in basis:
-            if not la.in_span(K, basis, la.mat_vec(K, x, v)):
-                return False
-    if la.jordan_partition(K, la.restrict_to_subspace(K, x, W)) != (d,):
-        return False
-    if la.jordan_partition(K, la.action_between(K, x, W, Wp)) != tuple(lap):
-        return False
-    if la.jordan_partition(K, la.quotient_action(K, x, Wp)[0]) != (d,):
-        return False
-    return True
-
-
 # -- strata without materializing the fibres
 
 
@@ -387,28 +364,6 @@ def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[S
             continue
         out.append(_so_flag(data, E))
     return out
-
-
-def verify_flag_so(data: SplitSOData, lap: Partition, flag: SOFlag) -> bool:
-    K = data.field
-    x = data.nilpotent
-    E = flag.E
-    if len(E) != 2:
-        return False
-    for v in E:
-        if not la.in_span(K, E, la.mat_vec(K, x, v)):
-            return False
-    restr = la.restrict_to_subspace(K, x, E)
-    if all(v == 0 for row in restr for v in row):
-        return False
-    for u in E:
-        for v in E:
-            if la.gram(K, data.form, u, v):
-                return False
-    eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
-    if not la.span_contains(K, eperp, E):
-        return False
-    return la.jordan_partition(K, la.action_between(K, x, E, eperp)) == tuple(lap)
 
 
 def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
@@ -560,18 +515,7 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 
 
 # ---------------------------------------------------------------------------
-# Frobenius on SL flags
-
-
-def _perp(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
-    """{v : Psi(u, v) = 0 for u in span}: conj of the nullspace of U A."""
-    K = data.field
-    if not basis:
-        return la.identity(K, len(data.form))
-    ua = la.mat_mul(K, basis, data.form)
-    ns = la.nullspace(K, ua)
-    conj = tuple(tuple(data.conj(c) for c in row) for row in ns)
-    return la.echelon_basis(K, conj)
+# F-stability of SL flags
 
 
 def _frob0(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
@@ -583,262 +527,8 @@ def _frob0(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
 def is_sl_flag_f_stable(data: SplitSLData, flag: Flag) -> bool:
     """Coordinatewise check: both subspaces fixed by the q-power map.
 
-    The twisted group's flag Frobenius composes this with the duality
-    below; a flag of q-rational subspaces is carried to a flag of
-    q-rational subspaces, and the explicit split flags are of this kind.
+    The twisted group's flag Frobenius composes this with a duality
+    through the Hermitian form; a flag of q-rational subspaces is
+    carried to a flag of q-rational subspaces.
     """
     return _frob0(data, flag.W) == flag.W and _frob0(data, flag.Wp) == flag.Wp
-
-
-def flag_frobenius_sl(data: SplitSLData, flag: Flag) -> tuple[la.Matrix, la.Matrix]:
-    """The duality-twisted Frobenius on flags of type (d, n-d).
-
-    (W, W') maps to (B ann(F0 W'), B ann(F0 W)) with B the inverse of
-    the conjugated form; this is the self-map of the flag variety whose
-    composite with itself is the plain q^2-power map.  It interchanges
-    the roles of the V/W and W' Jordan data, so stratum labels are not
-    preserved by it in general.
-    """
-    K = data.field
-    Abar = data.conj_mat(data.form)
-    Binv = la.inverse(K, Abar)
-
-    def image(basis: la.Matrix, outdim: int) -> la.Matrix:
-        src = _frob0(data, basis)
-        ann = la.nullspace(K, src) if src else la.identity(K, len(data.form))
-        rows = tuple(la.mat_vec(K, Binv, v) for v in ann)
-        out = la.echelon_basis(K, rows)
-        assert len(out) == outdim
-        return out
-
-    n = len(data.form)
-    return image(flag.Wp, len(flag.W)), image(flag.W, n - len(flag.W))
-
-
-# ---------------------------------------------------------------------------
-# explicit split flags
-
-
-def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: int, lap: Partition) -> la.Matrix:
-    """The partner W' for an explicit W: the perp of W when that works
-    (the usual situation), else the least valid completion from the
-    fibre, preferring q-rational ones.
-
-    The perp degenerates exactly for case III pivots whose row has bare
-    multiplicity (the short block pairs with itself); the fibre over
-    such a W is still nonempty and tiny, so it is enumerated.
-    """
-    K = data.field
-    n = len(x)
-    if 2 * d == n:
-        return w
-    wp = _perp(data, w)
-    if la.span_contains(K, wp, w):
-        if la.jordan_partition(K, la.action_between(K, x, w, wp)) == tuple(lap):
-            if quotient_type(K, x, wp, pows) == (d,):
-                return wp
-    candidates = [wp for wp, _ in _completions(K, x, pows, w, d, {tuple(lap)})]
-    if not candidates:
-        raise AssertionError("no completion W' exists for the explicit flag")
-    rational = [c for c in candidates if _frob0(data, c) == c]
-    pool = rational if rational else candidates
-    return min(pool)
-
-
-def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, target_nu: Partition) -> Optional[Flag]:
-    """Least flag with q-rational subspaces in the given stratum, if any."""
-    K = data.field
-    x = data.nilpotent
-    pows = power_images(K, x)
-    sub = K.subfield_elements(data.qexp)
-    kd = _kernel_of_power(K, x, d)
-    best = None
-    seen = set()
-    for v in la.span_vectors(K, la.mat(kd), sub):
-        if not any(v):
-            continue
-        w = _cyclic_span(K, x, v, d)
-        if w is None or w in seen:
-            continue
-        seen.add(w)
-        if quotient_type(K, x, w, pows) != tuple(target_nu):
-            continue
-        try:
-            wp = _completion_for_w(data, x, pows, w, d, lap)
-        except AssertionError:
-            continue
-        flag = Flag(
-            W=w,
-            Wp=wp,
-            type_W=(d,),
-            type_quotient=tuple(lap),
-            type_top=(d,),
-            type_mod_W=tuple(target_nu),
-        )
-        if not verify_flag_sl(data, d, lap, flag):
-            continue
-        if is_sl_flag_f_stable(data, flag):
-            if best is None or (flag.W, flag.Wp) < (best.W, best.Wp):
-                best = flag
-    return best
-
-
-def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[Flag]:
-    """The explicit rational flags of the three removal cases.
-
-    Case I: W spanned by the first d Jordan vectors of the pivot part.
-    Case II: W generated from an isotropic vector of the auxiliary form
-    <v, w> = Psi(v, x^{h-1} w) on the top layer of the two equal parts.
-    Case III: both flags, from alpha e_1 + e'_1 with alpha = 1 and 0.
-    Each output flag is re-checked against the defining conditions.
-    """
-    K = data.field
-    x = data.nilpotent
-    n = len(x)
-    pos = {kj: t for t, kj in enumerate(jordan_positions(data.la))}
-    pows = power_images(K, x)
-
-    def unit_vec(k, j):
-        t = pos[(k, j)]
-        return tuple(1 if i == t else 0 for i in range(n))
-
-    def flag_from_w(wvecs) -> Flag:
-        w = la.echelon_basis(K, wvecs)
-        wp = _completion_for_w(data, x, pows, w, d, lap)
-        return Flag(
-            W=w,
-            Wp=wp,
-            type_W=la.jordan_partition(K, la.restrict_to_subspace(K, x, w)),
-            type_quotient=la.jordan_partition(K, la.action_between(K, x, w, wp)),
-            type_top=quotient_type(K, x, wp, pows),
-            type_mod_W=quotient_type(K, x, w, pows),
-        )
-
-    out = []
-    if case.tag == "I":
-        i = case.pivots[0]
-        out.append(flag_from_w([unit_vec(i, j) for j in range(1, d + 1)]))
-    elif case.tag == "II":
-        i = case.pivots[0]
-        h = data.la[i - 1]
-        # auxiliary form on <v_{i,h}, v_{i+1,h}>
-        tops = [unit_vec(i, h), unit_vec(i + 1, h)]
-        xpow = la.mat_pow(K, x, h - 1)
-        q = K.p**data.qexp
-
-        def aux(vv, ww):
-            return la.gram(K, data.form, vv, tuple(data.conj(c) for c in la.mat_vec(K, xpow, ww)))
-
-        def rational(v):
-            return all(K.pow(c, q) == c for c in v)
-
-        iso = [v for v in la.line_representatives(K, la.mat(tops)) if aux(v, v) == 0]
-        if not iso:
-            raise AssertionError("no isotropic vector for the auxiliary form")
-        iso.sort(key=lambda v: (not rational(v), v))
-        vec = iso[0]
-        chain = [vec]
-        cur = vec
-        for _ in range(h - 1):
-            cur = la.mat_vec(K, x, cur)
-            chain.append(cur)
-        # x^{h-1} v, ..., x^{h-d} v
-        wvecs = chain[h - d : h][::-1] if d > 0 else []
-        flag = flag_from_w(wvecs)
-        if not (is_sl_flag_f_stable(data, flag)):
-            rat = _rational_flag_same_stratum(data, d, lap, flag.type_mod_W)
-            if rat is not None:
-                flag = rat
-        out.append(flag)
-    elif case.tag == "III":
-        i, j = case.pivots
-        for alpha, label in ((1, "nu"), (0, "nu_prime")):
-            wvecs = []
-            for t in range(1, d + 1):
-                ei = unit_vec(i, t)
-                ej = unit_vec(j, t)
-                v = tuple(K.add(K.mul(alpha, a), b) for a, b in zip(ei, ej))
-                wvecs.append(v)
-            out.append(flag_from_w(wvecs))
-    else:
-        raise ValueError(f"unsupported SL case {case.tag}")
-    for f in out:
-        if not verify_flag_sl(data, d, lap, f):
-            raise AssertionError("explicit split flag fails the defining conditions")
-    return out
-
-
-def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[SOFlag]:
-    """Explicit isotropic planes for the supported orthogonal cases.
-
-    Case I: the first two vectors of the pivot block.  Case IV: the two
-    planes <e_1, e_2 +- e'_1>.  Case V: the beta family with
-    alpha = beta^2 (e'_1, e'_{h-1}) / 2, including beta = 0.
-    """
-    K = data.field
-    x = data.nilpotent
-    n = len(x)
-    # block starts in coordinate order (pair blocks hold two chains)
-    starts: dict[int, tuple[int, int]] = {}
-    t = 0
-    jdx = 1
-    parts = data.la
-    while jdx <= len(parts):
-        h = parts[jdx - 1]
-        if h % 2 == 1:
-            starts[jdx] = (t, h)
-            t += h
-            jdx += 1
-        else:
-            starts[jdx] = (t, h)
-            starts[jdx + 1] = (t + h, h)
-            t += 2 * h
-            jdx += 2
-
-    def unit(start, a):
-        # a is 1-based within the chain
-        return tuple(1 if i == start + a - 1 else 0 for i in range(n))
-
-    def make(vecs) -> SOFlag:
-        return _so_flag(data, la.echelon_basis(K, vecs))
-
-    out = []
-    if case.tag == "I":
-        s, h = starts[case.pivot]
-        out.append(make([unit(s, 1), unit(s, 2)]))
-    elif case.tag == "IV":
-        i = case.pivot
-        s_low, h_low = starts[i]  # smaller odd part, size h - 2
-        s_hi, h = starts[i + 1]  # larger odd part, size h
-        e1 = unit(s_hi, 1)
-        e2 = unit(s_hi, 2)
-        ep1 = unit(s_low, 1)
-        for sign in (1, -1):
-            v = tuple(K.add(a, b if sign == 1 else K.neg(b)) for a, b in zip(e2, ep1))
-            out.append(make([e1, v]))
-    elif case.tag == "V":
-        i = case.pivot
-        s_odd, h_odd = starts[i]  # odd part of size h - 1
-        s_e, h = starts[i + 1]  # first chain of the even pair
-        s_f, _ = starts[i + 2]  # second chain
-        e1 = unit(s_e, 1)
-        e2 = unit(s_e, 2)
-        f1 = unit(s_f, 1)
-        ep1 = unit(s_odd, 1)
-        ep_last = unit(s_odd, h_odd)
-        pairing = la.gram(K, data.form, ep1, ep_last)
-        half = K.half()
-        # isotropy of <e_1, e_2 + z> forces alpha = -beta^2 (e'_1, e'_{h-1})/2
-        # with the block pairings of the assembled form
-        for beta in K.elements():
-            alpha = K.neg(K.mul(K.mul(K.mul(beta, beta), pairing), half))
-            z = tuple(
-                K.add(K.add(a, K.mul(alpha, b)), K.mul(beta, c)) for a, b, c in zip(e2, f1, ep1)
-            )
-            out.append(make([e1, z]))
-    else:
-        raise ValueError(f"unsupported SO case {case.tag}")
-    for f in out:
-        if not verify_flag_so(data, lap, f):
-            raise AssertionError("explicit split flag fails the defining conditions")
-    return out

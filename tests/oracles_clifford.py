@@ -1,4 +1,4 @@
-"""Exact Clifford algebra arithmetic over small finite fields.
+"""The in-algebra Clifford model: the reference for the spin side.
 
 C(V) is taken for a symmetric bilinear form on an N-dimensional space.
 Elements are sparse maps from basis monomials e_S (factors in increasing
@@ -10,6 +10,11 @@ a square root of -1 and square roots of base-field scalars are always
 available.  The Frobenius twist fixes the chosen basis of V and raises
 coefficients to the q-th power, which is how sign behaviour of the
 center and of the block generators is detected.
+
+The package computes none of this at run time: its component-group
+model (`component_groups.SpinGamma`) and its F-signs
+(`split.spin_frobenius_signs`, `tables.spin_tau_signs`) are checked here
+against exact products of the block generators inside C(V).
 """
 
 from __future__ import annotations
@@ -17,14 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import flinalg as la
-from .ffield import FieldSpec, make_field
-from .partitions import Partition, check_partition, delta_index, is_in_XN
+from springer import flinalg as la
+from springer.ffield import FieldSpec, make_field
+from springer.partitions import Partition, check_partition, is_in_XN
+from springer.split import SOBlock, orthonormalize_block, split_so_form
 
 Word = tuple[int, ...]  # strictly increasing 0-based basis indices
 
 # algebra dimension 2^N; exhaustive operations stay below this
 MAX_N = 13
+
+
+def least_nonsquare_in_subfield(K: FieldSpec, d: int) -> int:
+    """Least encoded element of F_{p^d} inside K that is not a square there."""
+    e = (K.p**d - 1) // 2
+    for a in K.subfield_elements(d):
+        if a and K.pow(a, e) != 1:
+            return a
+    raise ValueError("no non-square in subfield (p = 2?)")
 
 
 @dataclass(frozen=True)
@@ -55,10 +70,6 @@ class QuadSpace:
                 if K.frobenius(c, self.qexp) != c:
                     raise ValueError("form entries must be fixed by the q-power map")
 
-    @property
-    def q(self) -> int:
-        return self.field.p**self.qexp
-
     def conj(self, c: int) -> int:
         """Coefficient Frobenius x -> x^q."""
         return self.field.frobenius(c, self.qexp)
@@ -77,7 +88,7 @@ def standard_space(N: int, q_p: int, q_k: int = 1, twist: str = "split") -> Quad
     if twist == "nonsplit":
         if q_p == 2:
             raise ValueError("non-split form needs odd q")
-        rows[N - 1][N - 1] = K.least_nonsquare_in_subfield(q_k)
+        rows[N - 1][N - 1] = least_nonsquare_in_subfield(K, q_k)
     elif twist != "split":
         raise ValueError(f"unknown twist {twist!r}")
     return QuadSpace(N=N, field=K, qexp=q_k, form=la.mat(rows), twist=twist)
@@ -134,9 +145,6 @@ class CliffordElement:
         K = self.space.field
         return CliffordElement(self.space, {w: K.neg(c) for w, c in self.terms.items()})
 
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
     def scale(self, c: int) -> "CliffordElement":
         K = self.space.field
         return CliffordElement(self.space, {w: K.mul(c, x) for w, x in self.terms.items()})
@@ -173,9 +181,6 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.space.N, tuple(sorted(self.terms.items()))))
 
     # -- structure maps
 
@@ -235,15 +240,6 @@ class CliffordElement:
                 mask |= 1 << i
             out.append([mask, self.space.field.serialize_element(c)])
         return out
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            mono = "".join(f"e{i}" for i in w) or "1"
-            bits.append(f"{self.space.field.coeffs(c)}*{mono}")
-        return " + ".join(bits)
 
 
 def _word_times_vector(space: QuadSpace, word: Word, j: int) -> dict[Word, int]:
@@ -418,147 +414,7 @@ def frobenius_on_center(space: QuadSpace) -> CenterFrobeniusReport:
 
 
 # ---------------------------------------------------------------------------
-# Lemma-3.3 style block orthonormalization
-
-
-@dataclass(frozen=True)
-class OrthonormalBlock:
-    h: int
-    c: int
-    vectors: la.Matrix  # rows: v_1..v_h in block coordinates over F_{q^2}
-    frob_signs: tuple[int, ...]  # +1 or -1 per vector, from actual F application
-
-
-def block_form(h: int, c: int, K: FieldSpec) -> la.Matrix:
-    """The form (e_a, e_{h-a+1}) = (-1)^{c+a} on an h-dim block (1-based)."""
-    rows = [[0] * h for _ in range(h)]
-    for a in range(1, h + 1):
-        val = K.scalar((-1) ** ((c + a) % 2))
-        rows[a - 1][h - a] = val
-    return la.mat(rows)
-
-
-def orthonormalize_block(h: int, c: int, field: FieldSpec, qexp: int) -> OrthonormalBlock:
-    """Orthonormal basis of the block with form (e_a, e_{h-a+1}) = (-1)^{c+a}.
-
-    h must be odd and q odd; the field must contain a square root of -1.
-    Orthonormality of the output and the F-eigenvector property of each
-    vector are machine-checked, not assumed.
-    """
-    if h % 2 == 0:
-        raise ValueError("block size must be odd")
-    K = field
-    if K.p == 2:
-        raise ValueError("q must be odd")
-    zeta = K.zeta4()
-    if zeta is None:
-        raise ValueError("field has no square root of -1")
-    m = (h - 1) // 2
-    gamma = K.scalar((-1) ** ((c + 1) % 2))
-    half = K.half()
-    gh = K.mul(gamma, half)
-
-    def e(a: int) -> list[int]:
-        v = [0] * h
-        v[a - 1] = 1
-        return v
-
-    vp: list[Optional[tuple[int, ...]]] = [None] * (h + 1)  # 1-based
-    for a in range(1, m + 1):
-        sign = K.scalar((-1) ** ((a + 1) % 2))
-        coef = K.mul(sign, gh)
-        top = e(a)
-        top[h - a] = coef
-        vp[a] = tuple(top)
-        bot = e(a)
-        bot[h - a] = K.neg(coef)
-        vp[h + 1 - a] = tuple(bot)
-    vp[m + 1] = tuple(e(m + 1))
-
-    v: list[Optional[tuple[int, ...]]] = [None] * (h + 1)
-    for a in range(1, m + 1):
-        v[a] = vp[a]
-        v[h + 1 - a] = tuple(K.mul(zeta, x) for x in vp[h + 1 - a])
-    if (m + 1 + c) % 2 == 0:
-        v[m + 1] = vp[m + 1]
-    else:
-        v[m + 1] = tuple(K.mul(zeta, x) for x in vp[m + 1])
-
-    vecs = la.mat(v[1:])
-    form = block_form(h, c, K)
-    for i in range(h):
-        for j in range(h):
-            got = la.gram(K, form, vecs[i], vecs[j])
-            if got != (1 if i == j else 0):
-                raise AssertionError(f"orthonormality failed at ({i + 1}, {j + 1})")
-    signs = []
-    for row in vecs:
-        frow = tuple(K.frobenius(x, qexp) for x in row)
-        if frow == row:
-            signs.append(1)
-        elif frow == tuple(K.neg(x) for x in row):
-            signs.append(-1)
-        else:
-            raise AssertionError("basis vector is not an F-eigenvector")
-    return OrthonormalBlock(h=h, c=c, vectors=vecs, frob_signs=tuple(signs))
-
-
-# ---------------------------------------------------------------------------
 # the section 3.1 space and the Gamma generators
-
-
-@dataclass(frozen=True)
-class SOBlock:
-    """One constituent of the split orthogonal space for a partition."""
-
-    kind: str  # "odd" or "even_pair"
-    positions: tuple[int, ...]  # 1-based part indices in the partition
-    size: int  # dimension of the block (h or 2h)
-    start: int  # first global 0-based coordinate
-    delta: Optional[int]  # the exponent index for odd blocks
-
-
-def so_blocks(la_parts: Partition) -> list[SOBlock]:
-    la_parts = check_partition(la_parts)
-    blocks = []
-    start = 0
-    j = 1
-    k = len(la_parts)
-    while j <= k:
-        h = la_parts[j - 1]
-        if h % 2 == 1:
-            blocks.append(SOBlock("odd", (j,), h, start, delta_index(la_parts, j)))
-            start += h
-            j += 1
-        else:
-            if j + 1 > k or la_parts[j] != h:
-                raise ValueError(f"even part {h} at index {j} has no partner")
-            blocks.append(SOBlock("even_pair", (j, j + 1), 2 * h, start, None))
-            start += 2 * h
-            j += 2
-    return blocks
-
-
-def split_so_form(la_parts: Partition, K: FieldSpec) -> tuple[la.Matrix, list[SOBlock]]:
-    """The assembled symmetric form of the split orthogonal data."""
-    blocks = so_blocks(la_parts)
-    N = sum(la_parts)
-    rows = [[0] * N for _ in range(N)]
-    for b in blocks:
-        if b.kind == "odd":
-            h = b.size
-            for a in range(1, h + 1):
-                val = K.scalar((-1) ** ((b.delta - a) % 2))
-                rows[b.start + (h - a)][b.start + (a - 1)] = val
-        else:
-            h = b.size // 2
-            for a in range(1, h + 1):
-                val = K.scalar((-1) ** ((a - 1) % 2))
-                r = b.start + (h - a)  # e^j_{h-a+1}
-                cidx = b.start + h + (a - 1)  # e^{j+1}_a
-                rows[r][cidx] = val
-                rows[cidx][r] = val
-    return la.mat(rows), blocks
 
 
 def split_so_quadspace(la_parts: Partition, q_p: int, q_k: int = 1) -> tuple[QuadSpace, list[SOBlock]]:

@@ -1,7 +1,6 @@
 """Point-count and nullspace oracles against the class-dimension formulas."""
 
 import numpy as np
-import pytest
 
 import oracles as orc
 from springer import partitions as pt

@@ -1,11 +1,12 @@
 import itertools
 
+import oracles_clifford as cl
 import pytest
 
-from springer import clifford as cl
 from springer import flinalg as la
 from springer import partitions as pt
 from springer.ffield import make_field
+from springer.split import block_form, orthonormalize_block
 
 
 def _space(N, p=3, k=1, twist="split"):
@@ -146,9 +147,9 @@ def test_frobenius_on_center_multiple_fields():
 
 def test_orthonormalize_block_h1():
     K = make_field(3, 2)
-    blk = cl.orthonormalize_block(1, 1, K, 1)
+    blk = orthonormalize_block(1, 1, K, 1)
     v = blk.vectors[0][0]
-    form = cl.block_form(1, 1, K)
+    form = block_form(1, 1, K)
     assert K.mul(K.mul(v, form[0][0]), v) == 1
 
 
@@ -156,8 +157,8 @@ def test_orthonormalize_block_primed_norm_h3():
     # (v'_1, v'_1) = gamma * (e_1, e_3) = gamma^2 = 1
     for c in (0, 1, 2, 3):
         K = make_field(5, 2)
-        blk = cl.orthonormalize_block(3, c, K, 1)
-        form = cl.block_form(3, c, K)
+        blk = orthonormalize_block(3, c, K, 1)
+        form = block_form(3, c, K)
         vp1 = blk.vectors[0]  # v_1 = v'_1 by construction
         assert la.gram(K, form, vp1, vp1) == 1
 
@@ -166,7 +167,7 @@ def test_orthonormalize_block_signs_q3mod4():
     # q = 3: F(v_h) = -v_h for h = 3 (the last vector is zeta-scaled)
     K = make_field(3, 2)
     for c in (0, 1):
-        blk = cl.orthonormalize_block(3, c, K, 1)
+        blk = orthonormalize_block(3, c, K, 1)
         assert blk.frob_signs[2] == -1
         assert blk.frob_signs[0] == 1
         m = 1
@@ -177,13 +178,13 @@ def test_orthonormalize_block_all_fixed_q1mod4():
     K = make_field(5, 2)
     for h in (1, 3, 5, 7):
         for c in (0, 1):
-            blk = cl.orthonormalize_block(h, c, K, 1)
+            blk = orthonormalize_block(h, c, K, 1)
             assert all(s == 1 for s in blk.frob_signs)
 
 
 def test_orthonormalize_block_rejects_even():
     with pytest.raises(ValueError):
-        cl.orthonormalize_block(2, 0, make_field(3, 2), 1)
+        orthonormalize_block(2, 0, make_field(3, 2), 1)
 
 
 def test_gamma_generators_squares():

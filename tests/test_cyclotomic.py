@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from springer.cyclotomic import Cyc, CycRing, cyclotomic_polynomial, sqrt_rational
+from springer.cyclotomic import CycRing, cyclotomic_polynomial, sqrt_rational
 
 
 def test_cyclotomic_polynomials():

@@ -1,6 +1,7 @@
 import pytest
+from oracles_clifford import least_nonsquare_in_subfield
 
-from springer.ffield import FieldSpec, _poly_mod, _poly_mul, is_prime, make_field
+from springer.ffield import _poly_mod, _poly_mul, is_prime, make_field
 
 
 def test_make_field_prime_field():
@@ -121,7 +122,7 @@ def test_subfield_and_nonsquare():
     F81 = make_field(3, 4)
     sub = F81.subfield_elements(2)
     assert len(sub) == 9
-    d = F81.least_nonsquare_in_subfield(2)
+    d = least_nonsquare_in_subfield(F81, 2)
     assert d in sub
     # not a square in F_9: d^((9-1)/2) != 1
     assert F81.pow(d, 4) != 1

@@ -1,4 +1,6 @@
+import oracles_flags as ofl
 import pytest
+from oracles_groups import centralizer_algebra_dimension
 
 from springer import partitions as pt
 
@@ -66,17 +68,17 @@ def test_divide_roundtrip():
 
 
 def test_classify_pair_spin_examples():
-    c = pt.classify_pair_spin((9,), (5,))
+    c = ofl.classify_pair_spin((9,), (5,))
     assert c.tag == "I" and c.pivot == 1
-    c = pt.classify_pair_spin((3, 3), (1, 1))
+    c = ofl.classify_pair_spin((3, 3), (1, 1))
     assert c.tag == "II" and c.pivot == 1
-    c = pt.classify_pair_spin((1, 2, 2), (1,))
+    c = ofl.classify_pair_spin((1, 2, 2), (1,))
     assert c.tag == "V" and c.pivot == 1
 
 
 def test_classify_pair_spin_case_iii_recognized_unsupported():
     # (4,4) -> (1,3) drops by (3,1): the case III pattern (4 >= 0 + 4)
-    c = pt.classify_pair_spin((4, 4), (1, 3))
+    c = ofl.classify_pair_spin((4, 4), (1, 3))
     assert c is not None and c.tag == "III" and not c.supported
 
 
@@ -85,7 +87,7 @@ def _brute_spin_match(la, lap):
     found = []
     for tag in ("I", "II", "III", "IV", "V"):
         for i in range(1, len(la) + 1):
-            if pt._spin_case_matches(la, lap, tag, i):
+            if ofl._spin_case_matches(la, lap, tag, i):
                 found.append((tag, i))
     return found
 
@@ -95,7 +97,7 @@ def test_classify_pair_spin_matches_brute_force_and_tag_unique():
         for la in pt.enumerate_XN(N):
             for lap in pt.enumerate_XN(N - 4):
                 matches = _brute_spin_match(la, lap)
-                c = pt.classify_pair_spin(la, lap)
+                c = ofl.classify_pair_spin(la, lap)
                 if not matches:
                     assert c is None
                 else:
@@ -170,8 +172,8 @@ def test_class_dimension_input_validation():
 
 
 def test_centralizer_algebra_dimension():
-    assert pt.centralizer_algebra_dimension((1, 2)) == 5
-    assert pt.centralizer_algebra_dimension((2,)) == 2
+    assert centralizer_algebra_dimension((1, 2)) == 5
+    assert centralizer_algebra_dimension((2,)) == 2
 
 
 def test_conjugate():

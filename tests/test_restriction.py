@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from springer import partitions as pt

@@ -16,20 +16,20 @@ def test_enumerate_spin_series_examples():
 
 
 def test_spin_series_of_examples():
-    assert sr.spin_series_of((5,)) == (1, 1)
-    assert sr.spin_series_of((1, 2, 2)) == (1, 1)
-    assert sr.spin_series_of((1, 3)) == (0, 1)
-    with pytest.raises(ValueError):
-        sr.spin_series_of((1, 1, 3))
+    # a class in X_N lies in the series of its defect
+    assert (pt.defect((5,)), sr.spin_weyl_rank(5, pt.defect((5,)))) == (1, 1)
+    assert (pt.defect((1, 2, 2)), sr.spin_weyl_rank(5, pt.defect((1, 2, 2)))) == (1, 1)
+    assert (pt.defect((1, 3)), sr.spin_weyl_rank(4, pt.defect((1, 3)))) == (0, 1)
+    assert not pt.is_in_XN((1, 1, 3))
 
 
 def test_every_class_maps_to_an_enumerated_series():
     for N in range(3, 21):
         labels = {c.d for c in sr.enumerate_spin_series(N)}
         for la in pt.enumerate_XN(N):
-            d, rank = sr.spin_series_of(la)
+            d = pt.defect(la)
             assert d in labels
-            assert rank >= 0
+            assert sr.spin_weyl_rank(N, d) >= 0
 
 
 def test_count_bipartitions():
@@ -63,12 +63,12 @@ def test_series_cardinality_through_20():
 
 
 def test_sl_springer_label():
-    lab = sr.sl_springer_label((5,), 5)
-    assert lab.content == (1,) and lab.size == 1
-    lab = sr.sl_springer_label((2, 4), 2)
-    assert lab.content == (1, 2)
+    # the symmetric-group label of a class in the order-d series is la/d
+    lab = pt.divide((5,), 5)
+    assert lab == (1,) and sum(lab) == 1
+    assert pt.divide((2, 4), 2) == (1, 2)
     with pytest.raises(ValueError):
-        sr.sl_springer_label((1, 5), 2)
+        pt.divide((1, 5), 2)
 
 
 def test_sl_series_divisibility_bijection():

@@ -1,8 +1,11 @@
+import oracles_groups as og
 import pytest
 
+from springer import component_groups as cg
 from springer import flinalg as la
 from springer import partitions as pt
 from springer import split as sp
+from springer import tables as tb
 
 
 def test_build_so_split_block_3():
@@ -82,7 +85,9 @@ def test_sl_jordan_roundtrip_and_form_invariance():
             for lam in pt.partitions_of(n):
                 data = sp.build_sl_split(lam, q_p, q_k)
                 K = data.field
-                x = la.mat_add(K, data.unipotent, la.mat_neg(K, la.identity(K, n)))
+                x = la.mat(
+                    [K.sub(u, int(i == j)) for j, u in enumerate(row)] for i, row in enumerate(data.unipotent)
+                )
                 assert la.jordan_partition(K, x) == lam
                 assert data.nilpotent == x
 
@@ -91,7 +96,7 @@ def test_jordan_type_edge_cases():
     from springer.ffield import make_field
 
     K = make_field(3, 1)
-    zero = la.zeros(K, 4, 4)
+    zero = la.mat([[0] * 4] * 4)
     assert la.jordan_partition(K, zero) == (1, 1, 1, 1)
     shift = la.mat([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
     assert la.jordan_partition(K, shift) == (4,)
@@ -101,36 +106,40 @@ def test_jordan_type_edge_cases():
 
 def test_spin_frobenius_report_signs():
     # q = 1 mod 4: trivial action
-    rep = sp.frobenius_action_report(sp.build_so_split((1, 2, 2), 5))
-    assert rep.tau_is_trivial
+    signs = sp.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 5))
+    assert all(s == 1 for s in signs)
     # q = 3 mod 4, lambda = (1,2,2): single odd part, sign +1 per the formula
-    rep = sp.frobenius_action_report(sp.build_so_split((1, 2, 2), 3))
-    assert rep.signs == (1,)
-    assert rep.tau_squared_trivial
+    signs = sp.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 3))
+    assert signs == (1,)
+    assert og.tau_order(cg.build_spin_gamma((1, 2, 2), signs)) <= 2
 
 
 def test_spin_frobenius_report_matches_formula():
     for q in (3, 7):
         for N in range(3, 12):
             for lam in pt.enumerate_XN(N):
-                rep = sp.frobenius_action_report(sp.build_so_split(lam, q))
+                signs = sp.spin_frobenius_signs(sp.build_so_split(lam, q))
                 expect = tuple(
                     (-1) ** (((lam[j - 1] - 1) // 2 + 1 + j) % 2) for j in pt.odd_part_positions(lam)
                 )
-                assert rep.signs == expect, (q, lam)
+                assert signs == expect, (q, lam)
+                assert signs == tb.spin_tau_signs(lam, q), (q, lam)
+                # tau squares to the identity on the component group
+                assert og.tau_order(cg.build_spin_gamma(lam, signs)) <= 2, (q, lam)
     for N in range(3, 12):
         for lam in pt.enumerate_XN(N):
-            rep = sp.frobenius_action_report(sp.build_so_split(lam, 5))
-            assert rep.tau_is_trivial
+            signs = sp.spin_frobenius_signs(sp.build_so_split(lam, 5))
+            assert all(s == 1 for s in signs)
 
 
 def test_sl_frobenius_report():
-    rep = sp.frobenius_action_report(sp.build_sl_split((2, 4), 5))
-    assert rep.group.m == 2
-    assert rep.tau_order == 1  # inversion trivial on order 2
-    rep = sp.frobenius_action_report(sp.build_sl_split((5,), 3))
-    assert rep.group.m == 5 and rep.tau_mult == 2
-    assert rep.tau_order == 4 and not rep.tau_squared_trivial
+    # tau is a -> a^{-q} on the cyclic component group
+    group = cg.build_sl_component((2, 4), 5, q=5)
+    assert group.m == 2
+    assert og.tau_order(group) == 1  # inversion trivial on order 2
+    group = cg.build_sl_component((5,), 3, q=3)
+    assert group.m == 5 and group.tau_mult == 2
+    assert og.tau_order(group) == 4  # tau^2 is not the identity here
 
 
 def test_sl_split_determinism():

@@ -1,7 +1,9 @@
 import itertools
 
 import oracles as orc
+import oracles_flags as ofl
 import pytest
+from oracles_groups import centralizer_algebra_dimension
 
 from springer import flinalg as la
 from springer import partitions as pt
@@ -115,7 +117,7 @@ def test_enumerate_flags_sl_12_golden():
     assert len(by_type[(2,)]) == 9
     assert len(by_type[(1, 1)]) == 10
     for f in flags:
-        assert vr.verify_flag_sl(data, 1, (1,), f)
+        assert ofl.verify_flag_sl(data, 1, (1,), f)
 
 
 def test_all_lambda_prime_enumeration_matches_single_calls():
@@ -202,7 +204,7 @@ def test_enumerate_flags_so_case_IV_two_flags():
         flags = _so_flags(data, ())
         assert len(flags) == 2
         for f in flags:
-            assert vr.verify_flag_so(data, (), f)
+            assert ofl.verify_flag_so(data, (), f)
             assert vr.is_so_flag_f_stable(data, f)
 
 
@@ -211,8 +213,8 @@ def test_enumerate_flags_so_case_V_family():
     for q in (3, 5):
         data = sp.build_so_split((1, 2, 2), q)
         flags = _so_flags(data, (1,))
-        case = pt.classify_pair_spin((1, 2, 2), (1,))
-        fam = vr.split_flag_so(data, (1,), case)
+        case = ofl.classify_pair_spin((1, 2, 2), (1,))
+        fam = ofl.split_flag_so(data, (1,), case)
         assert len(fam) == q  # one flag per beta in F_q
         enum_keys = {f.E for f in flags}
         for f in fam:
@@ -223,7 +225,7 @@ def test_enumerate_flags_so_case_V_family():
 def test_split_flag_sl_case_I():
     data = sp.build_sl_split((1, 3), 3)
     case = pt.classify_pair_sl((1, 3), (1, 1))
-    flags = vr.split_flag_sl(data, 1, (1, 1), case)
+    flags = ofl.split_flag_sl(data, 1, (1, 1), case)
     assert len(flags) == 1
     # W = <v_{2,1}>: coordinate 1 in the (1,3) layout
     assert flags[0].W == ((0, 1, 0, 0),)
@@ -236,7 +238,7 @@ def test_split_flag_sl_case_III_strata():
     data = sp.build_sl_split((1, 2), 3)
     case = pt.classify_pair_sl((1, 2), (1,))
     assert case.tag == "III"
-    fl = vr.split_flag_sl(data, 1, (1,), case)
+    fl = ofl.split_flag_sl(data, 1, (1,), case)
     assert len(fl) == 2
     assert fl[0].type_mod_W == (2,)  # alpha = 1: the nu stratum
     assert fl[1].type_mod_W == (1, 1)  # alpha = 0: the nu' stratum
@@ -248,7 +250,7 @@ def test_split_flag_sl_case_II():
     data = sp.build_sl_split((2, 2), 3)
     case = pt.classify_pair_sl((2, 2), (1, 1))
     assert case.tag == "II"
-    fl = vr.split_flag_sl(data, 1, (1, 1), case)
+    fl = ofl.split_flag_sl(data, 1, (1, 1), case)
     assert len(fl) == 1
     assert vr.is_sl_flag_f_stable(data, fl[0])
     enum = vr.enumerate_flags_sl(data, 1, [(1, 1)])
@@ -259,9 +261,9 @@ def test_flag_frobenius_squares_to_plain_frobenius():
     data = sp.build_sl_split((1, 2), 3)
     flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     for f in flags[:6]:
-        w1, wp1 = vr.flag_frobenius_sl(data, f)
+        w1, wp1 = ofl.flag_frobenius_sl(data, f)
         f2 = vr.Flag(W=w1, Wp=wp1, type_W=f.type_W, type_quotient=f.type_quotient, type_top=f.type_top, type_mod_W=f.type_mod_W)
-        w2, wp2 = vr.flag_frobenius_sl(data, f2)
+        w2, wp2 = ofl.flag_frobenius_sl(data, f2)
         assert w2 == vr._frob0(data, vr._frob0(data, f.W))
         assert wp2 == vr._frob0(data, vr._frob0(data, f.Wp))
 
@@ -272,7 +274,7 @@ def test_frobenius_is_a_bijection_of_the_flag_set():
     index = {(f.W, f.Wp): f for f in flags}
     images = set()
     for f in flags:
-        key = vr.flag_frobenius_sl(data, f)
+        key = ofl.flag_frobenius_sl(data, f)
         assert key in index
         images.add(key)
     assert len(images) == len(flags)
@@ -280,7 +282,7 @@ def test_frobenius_is_a_bijection_of_the_flag_set():
 
 def test_centralizer_units_counts():
     K = make_field(3, 1)
-    zero = la.zeros(K, 2, 2)
+    zero = la.mat([[0] * 2] * 2)
     cu = orc.centralizer_unit_scan(zero, K)
     assert cu.dimension == 4
     assert len(cu.units) == (9 - 1) * (9 - 3)  # |GL_2(F_3)|
@@ -290,12 +292,12 @@ def test_centralizer_units_counts():
     assert len(cu.units) == 3 * 2  # a + b x with a != 0
     x12 = _nilpotent_of_type(K, (1, 2))
     cu = orc.centralizer_unit_scan(x12, K)
-    assert cu.dimension == pt.centralizer_algebra_dimension((1, 2)) == 5
+    assert cu.dimension == centralizer_algebra_dimension((1, 2)) == 5
 
 
 def test_centralizer_units_budget():
     K = make_field(3, 1)
-    zero = la.zeros(K, 4, 4)
+    zero = la.mat([[0] * 4] * 4)
     with pytest.raises(vr.VarietyBudgetError):
         orc.centralizer_unit_scan(zero, K, bound=100)
 
@@ -319,7 +321,7 @@ def test_centralizer_generators_generate_the_unit_group():
         x = _nilpotent_of_type(K, lam)
         gens = vr.centralizer_units(x, K)
         scan = orc.centralizer_unit_scan(x, K)
-        assert gens.dimension == scan.dimension == pt.centralizer_algebra_dimension(lam), (K.q, lam)
+        assert gens.dimension == scan.dimension == centralizer_algebra_dimension(lam), (K.q, lam)
         assert _generated_group(K, gens.units) == set(scan.units), (K.q, lam)
 
 
@@ -354,7 +356,7 @@ def test_orbit_decomposition_case_III():
 def test_orbit_decomposition_empty():
     data = sp.build_sl_split((1, 1), 3)
     K = data.field
-    units = vr.centralizer_units(la.zeros(K, 2, 2), K)
+    units = vr.centralizer_units(la.mat([[0] * 2] * 2), K)
     dec = vr.orbit_decomposition([], units, K)
     assert dec.orbits == ()
 
