@@ -9,6 +9,9 @@ and printed "-" for every orbit, and every other column is unchanged.
 The SO split digests with F-signs of -1, the two JSON tables and the
 orbit outputs for (1,4), (2,3) and (1,1,3) were recorded before the
 test-only code moved out of the library.
+The X_N listings and the two-extension refusal were recorded before the
+spin characters moved to monomial matrices and X_N to direct
+generation.
 The last test pins the two-extension (intertwiner) path of the
 even-generator spin model, which no CLI invocation reaches with a
 verified row.
@@ -90,6 +93,9 @@ GOLDEN = [
         "flags --group sl --lambda 1,1,3 --d 1 --q 3 --orbits",
         "ed8cda29c15cc3239064164a54fb5bc4fbfd1429e7f1071a09371b086c243fe3",
     ),
+    # X_N and X~_N listings
+    ("xn --N 24", "d5c64c131d74720ff4e68b6ac812d75749744e34bc400429086e9dc656031019"),
+    ("xn --N 20 --tilde", "c6e8f4af5b314522b7332ee3ae9109326b1a5af2a6d98977144bdc670bf20ccb"),
 ]
 
 
@@ -108,6 +114,18 @@ def test_split_so_outside_XN_is_refused(capsys):
     assert captured.out == ""
     report = json.loads(captured.err.strip().splitlines()[-1])
     assert report == {"error": "ValueError", "message": "(3, 3) is not in X_N"}
+
+
+def test_spin_two_extension_refusal(capsys):
+    # (1,2,2,2,2,5,7) at q = 3 has a tau-stable character of dimension 2 with
+    # tau acting nontrivially: the intertwiner is built, both extensions
+    # exist, and without --extension the table is refused
+    assert main("tables --group spin --N 21 --q 3".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == (
+        '{"error": "ValueError", "message": "two extensions exist; pass extension= one of [\'plus\', \'minus\']"}'
+    )
 
 
 def test_even_generator_extensions_digest():
