@@ -5,10 +5,11 @@ products (spin side) and cyclic groups of order n'_lambda (special
 linear side).  Each carries a Frobenius automorphism tau.
 
 Irreducible characters are produced with exact cyclotomic values.  The
-higher-dimensional spin characters come from explicit tensor-product
-matrices over the cyclotomic field of order 4; irreducibility, pairwise
-orthogonality and completeness of the resulting table are verified by
-exact arithmetic, so the table doubles as its own brute-force check.
+spin characters with xi(eps) = -1 come from monomial matrices: the
+generators are Kronecker products of Pauli matrices scaled by 1 or i,
+so every word has one nonzero entry per row, a fourth root of unity,
+and is stored as a column index and a phase mod 4 per row.  The group
+law and irreducibility are verified exactly for every table built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .cyclotomic import Cyc, CycRing, sqrt_rational
 from .partitions import Partition, check_partition, is_in_XN, odd_part_positions
 
 Element = tuple[int, int]  # SpinGamma: (epsilon power, generator bitmask)
+Word = tuple[tuple[int, ...], tuple[int, ...]]  # monomial matrix: (columns, phases mod 4)
 
 # ---------------------------------------------------------------------------
 # small exact matrices over a cyclotomic ring
@@ -74,16 +76,8 @@ def cmat_kron(a, b):
     return tuple(out)
 
 
-def cmat_eq(a, b) -> bool:
-    return all((x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def cmat_is_zero(a) -> bool:
     return all(x.is_zero() for row in a for x in row)
-
-
-def cmat_lift(a, R: CycRing):
-    return tuple(tuple(x.lift(R) for x in row) for row in a)
 
 
 def _pauli(R: CycRing):
@@ -318,56 +312,83 @@ def char_inner(G, chi: dict, psi: dict) -> Fraction:
     return r
 
 
-def _spin_linear_characters(G: SpinGamma, ring: CycRing) -> list[IrrChar]:
-    """Characters trivial on epsilon: the dual of the even-mask 2-group."""
-    r = G.r
-    out = []
-    seen = set()
-    for t_mask in range(1 << r):
-        key = min(t_mask, t_mask ^ ((1 << r) - 1)) if r > 0 else 0
-        if key in seen:
-            continue
-        seen.add(key)
-        vals = []
-        for a, s in G.elements:
-            sign = (-1) ** (bin(s & key).count("1") % 2)
-            vals.append(((a, s), ring.from_int(sign)))
-        out.append(IrrChar(label=f"lin[{key:0{max(r, 1)}b}]", dim=1, ring=ring, values=tuple(vals), central_eps=1))
-    return out
+def monomial(mat, ring: CycRing) -> Word:
+    """(columns, phases) of a matrix whose rows each hold one nonzero
+    entry, a fourth root of unity: row k holds i^phases[k] in column
+    columns[k]."""
+    phase_of = {ring.root_of_unity(4, k).coeffs: k for k in range(4)}
+    columns, phases = [], []
+    for row in mat:
+        nonzero = [(j, x) for j, x in enumerate(row) if not x.is_zero()]
+        if len(nonzero) != 1:
+            raise AssertionError(f"not monomial: a row has {len(nonzero)} nonzero entries")
+        j, x = nonzero[0]
+        if x.ring != ring or x.coeffs not in phase_of:
+            raise AssertionError(f"monomial entry {x!r} is not a fourth root of unity")
+        columns.append(j)
+        phases.append(phase_of[x.coeffs])
+    return tuple(columns), tuple(phases)
+
+
+def word_mul(a: Word, b: Word) -> Word:
+    """Product of monomial matrices: row k of ab is row columns_a[k] of b,
+    scaled by the entry of a."""
+    ca, pa = a
+    cb, pb = b
+    return tuple(cb[c] for c in ca), tuple((p + pb[c]) % 4 for c, p in zip(ca, pa))
 
 
 class SpinRepresentation:
-    """Exact matrix model of a xi(eps) = -1 irreducible of SpinGamma."""
+    """A xi(eps) = -1 irreducible of SpinGamma by monomial matrices.
+
+    The generator matrices are converted once to (columns, phases); each
+    word x_S is then a product of index lookups, and its trace counts the
+    phases on the fixed points of the columns.
+    """
 
     def __init__(self, G: SpinGamma, ring: CycRing, gen_mats: list, label: str):
         self.G = G
         self.ring = ring
-        self.gen_mats = gen_mats  # one matrix per generator index
+        self.gen_mats = gen_mats  # dense, one per generator index
+        self.gens = [monomial(m, ring) for m in gen_mats]
+        self._one_i = ring.one().coeffs, ring.i().coeffs
+        self.dim = len(gen_mats[0]) if gen_mats else 1
         self.label = label
-        self._cache: dict[Element, tuple] = {}
+        self._cache: dict[Element, Word] = {}
 
-    def matrix(self, g: Element) -> tuple:
+    def word(self, g: Element) -> Word:
         if g in self._cache:
             return self._cache[g]
         a, s = g
         if a:
-            out = cmat_scale(self.ring.from_int(-1), self.matrix((0, s)))
+            columns, phases = self.word((0, s))
+            out = columns, tuple((p + 2) % 4 for p in phases)
         elif s:
             # the word x_S is x_i x_{S - i} for its least index i; the
             # shorter words are cached too, so each word costs one product
             low = s & -s
-            out = cmat_mul(self.gen_mats[low.bit_length() - 1], self.matrix((0, s ^ low)))
+            out = word_mul(self.gens[low.bit_length() - 1], self.word((0, s ^ low)))
         else:
-            out = cmat_identity(self.ring, self.dim)
+            out = tuple(range(self.dim)), (0,) * self.dim
         self._cache[g] = out
         return out
 
-    @property
-    def dim(self) -> int:
-        return len(self.gen_mats[0]) if self.gen_mats else 1
+    def trace(self, g: Element) -> Cyc:
+        counts = [0, 0, 0, 0]
+        for k, (c, p) in enumerate(zip(*self.word(g))):
+            if c == k:
+                counts[p] += 1
+        re, im = counts[0] - counts[2], counts[1] - counts[3]
+        return Cyc(self.ring, [re * a + im * b for a, b in zip(*self._one_i)])
+
+    def dense(self, g: Element, ring: CycRing) -> tuple:
+        """The matrix of g with entries in ring (whose order 4 divides)."""
+        units = [ring.root_of_unity(4, k) for k in range(4)]
+        zero = ring.zero()
+        return tuple(tuple(units[p] if j == c else zero for j in range(self.dim)) for c, p in zip(*self.word(g)))
 
     def character(self) -> dict[Element, Cyc]:
-        return {g: cmat_trace(self.matrix(g)) for g in self.G.elements}
+        return {g: self.trace(g) for g in self.G.elements}
 
 
 def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepresentation]:
@@ -407,14 +428,9 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
     return reps
 
 
-def spin_irreducibles(G: SpinGamma, eps_value: int, ring: Optional[CycRing] = None) -> list[IrrChar]:
-    """Irreducible characters with the prescribed value of xi at epsilon."""
-    if eps_value not in (1, -1):
-        raise ValueError("the central character is determined by xi(eps) = +-1")
-    if ring is None:
-        ring = CycRing(4)
-    if eps_value == 1:
-        return _spin_linear_characters(G, ring)
+def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
+    """The irreducible characters with xi(eps) = -1."""
+    ring = CycRing(4)
     reps = _spin_negative_representations(G, ring)
     out = []
     # checking the group law on (generator, anything) pairs suffices:
@@ -425,8 +441,9 @@ def spin_irreducibles(G: SpinGamma, eps_value: int, ring: Optional[CycRing] = No
             gens.append((0, (1 << i) | (1 << j)))
     for rep in reps:
         for s in gens:
+            ws = rep.word(s)
             for h in G.elements:
-                if not cmat_eq(cmat_mul(rep.matrix(s), rep.matrix(h)), rep.matrix(G.mul(s, h))):
+                if word_mul(ws, rep.word(h)) != rep.word(G.mul(s, h)):
                     raise AssertionError("matrix model violates the group law")
         chi = rep.character()
         if char_inner(G, chi, chi) != 1:
@@ -534,7 +551,7 @@ class ExtendedChar:
 
 def _find_intertwiner(G: SpinGamma, rep, ring: CycRing):
     """T with T rho(g) T^{-1} = rho(tau g), normalized so that T^2 = 1."""
-    dim = len(rep.matrix(G.identity()))
+    dim = rep.dim
     for ei in range(dim):
         for ej in range(dim):
             M = tuple(
@@ -542,7 +559,7 @@ def _find_intertwiner(G: SpinGamma, rep, ring: CycRing):
             )
             S = None
             for g in G.elements:
-                term = cmat_mul(cmat_mul(cmat_lift(rep.matrix(G.tau(g)), ring), M), cmat_lift(rep.matrix(G.inv(g)), ring))
+                term = cmat_mul(cmat_mul(rep.dense(G.tau(g), ring), M), rep.dense(G.inv(g), ring))
                 S = term if S is None else cmat_add(S, term)
             if not cmat_is_zero(S):
                 S2 = cmat_mul(S, S)
@@ -583,7 +600,7 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     reps = _spin_negative_representations(G, chi.ring)
     rep = None
     for cand in reps:
-        cand_chi = {g: cmat_trace(cand.matrix(g)) for g in G.elements}
+        cand_chi = cand.character()
         if all(cand_chi[g] == chi.value(g) for g in G.elements):
             rep = cand
             break
@@ -593,7 +610,7 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     out = []
     for sign, lab in ((1, "plus"), (-1, "minus")):
         Ts = cmat_scale(ring.from_int(sign), T)
-        vals = tuple((g, cmat_trace(cmat_mul(cmat_lift(rep.matrix(g), ring), Ts))) for g in G.elements)
+        vals = tuple((g, cmat_trace(cmat_mul(rep.dense(g, ring), Ts))) for g in G.elements)
         out.append(ExtendedChar(base=chi, label=lab, ring=ring, coset_values=vals))
     # deterministic order: by serialized value vector
     out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for _, v in e.coset_values))

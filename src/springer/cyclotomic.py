@@ -222,17 +222,6 @@ class Cyc:
             return None
         return int(r)
 
-    def lift(self, ring: CycRing) -> "Cyc":
-        """Image in a larger cyclotomic ring (order a multiple of ours)."""
-        if ring.n % self.ring.n != 0:
-            raise ValueError("target ring does not contain this one")
-        step = ring.n // self.ring.n
-        out = ring.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + ring.root(k * step) * c
-        return out
-
     def serialize(self) -> list[str]:
         """Coefficient vector over the power basis, as exact strings."""
         return [str(c) for c in self.coeffs]

@@ -106,9 +106,29 @@ def is_in_XN(la: Partition) -> bool:
 
 
 def enumerate_XN(N: int, tilde: bool = False) -> list[Partition]:
-    """All members of X_N (or of the larger set X~_N), lexicographically sorted."""
-    test = is_in_XN_tilde if tilde else is_in_XN
-    return [la for la in partitions_of(N) if test(la)]
+    """All members of X_N (or of the larger set X~_N), lexicographically sorted.
+
+    Generated part size by part size, largest first: an even part occurs
+    in pairs, an odd part at most once (any number of times for X~_N).
+    """
+
+    def gen(n: int, k: int) -> Iterator[Partition]:
+        # members of size n with every part at most k
+        if n == 0:
+            yield ()
+            return
+        k = min(k, n)
+        if k == 0:
+            return
+        if k % 2 == 0:
+            counts = range(0, n // k + 1, 2)
+        else:
+            counts = range(n // k + 1) if tilde else range(2)
+        for m in counts:
+            for rest in gen(n - m * k, k - 1):
+                yield rest + (k,) * m
+
+    return sorted(gen(N, N))
 
 
 def part_defect(m: int) -> int:

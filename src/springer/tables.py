@@ -281,7 +281,7 @@ def y0_row_spin(
         raise ValueError(f"unknown twist {twist!r}")
     signs = spin_tau_signs(la, q)
     A = build_spin_gamma(la, tau_signs=signs)
-    chars = spin_irreducibles(A, -1)
+    chars = spin_irreducibles(A)
     if len(chars) > 1:
         if omega_value is None:
             raise ValueError("even generator count: pass omega_value to select the local system")

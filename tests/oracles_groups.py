@@ -1,8 +1,9 @@
 """Brute-force checks on the component-group models and the table rows.
 
-The package builds only the characters a table row needs; here the
-whole character table of the spin model is assembled and checked to be
-one (class count, completeness, exact orthonormality), with conjugacy
+The package builds only the characters a table row needs (on the spin
+side, those with xi(eps) = -1); here the characters trivial on eps are
+added and the whole character table of the spin model is assembled and
+checked to be one (class count, completeness, exact orthonormality), with conjugacy
 classes, commutators and the action of tau found by running over every
 element.  The elementary abelian 2-group (the orthogonal quotient) and
 its sign characters, the orthogonality of finished table rows and the
@@ -104,6 +105,24 @@ def elem_abelian_characters(G: ElemAbelian2, ring: Optional[CycRing] = None) -> 
 # whole-table verification
 
 
+def spin_linear_characters(G: SpinGamma, ring: CycRing) -> list[IrrChar]:
+    """Characters trivial on epsilon: the dual of the even-mask 2-group."""
+    r = G.r
+    out = []
+    seen = set()
+    for t_mask in range(1 << r):
+        key = min(t_mask, t_mask ^ ((1 << r) - 1)) if r > 0 else 0
+        if key in seen:
+            continue
+        seen.add(key)
+        vals = []
+        for a, s in G.elements:
+            sign = (-1) ** (bin(s & key).count("1") % 2)
+            vals.append(((a, s), ring.from_int(sign)))
+        out.append(IrrChar(label=f"lin[{key:0{max(r, 1)}b}]", dim=1, ring=ring, values=tuple(vals), central_eps=1))
+    return out
+
+
 @dataclass(frozen=True)
 class TableReport:
     order: int
@@ -117,12 +136,12 @@ def spin_character_table_report(G: SpinGamma) -> TableReport:
     """Assemble the full character table and verify it is one.
 
     The positive-central characters are the linear functionals of the
-    quotient 2-group, the negative-central ones come from the matrix
-    models; the report confirms class count, completeness and exact
+    quotient 2-group, the negative-central ones come from the library's
+    matrix models; the report confirms class count, completeness and exact
     orthonormality, which pins the table uniquely.
     """
     ring = CycRing(4)
-    chars = spin_irreducibles(G, 1, ring) + spin_irreducibles(G, -1, ring)
+    chars = spin_linear_characters(G, ring) + spin_irreducibles(G)
     charmaps = [c.value_map() for c in chars]
     ortho = True
     for i in range(len(chars)):

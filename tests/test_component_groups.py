@@ -92,7 +92,7 @@ def test_prop_2_5_dimension_table():
     for r, lam in sorted(cases.items()):
         g = cg.build_spin_gamma(lam)
         assert g.r == r
-        neg = cg.spin_irreducibles(g, -1)
+        neg = cg.spin_irreducibles(g)
         if r == 0:
             assert len(neg) == 1 and neg[0].dim == 1
         elif r % 2 == 1:
@@ -101,7 +101,58 @@ def test_prop_2_5_dimension_table():
             assert len(neg) == 2 and all(c.dim == 2 ** ((r - 2) // 2) for c in neg)
         # the matrix models report the size of their own matrices
         for rep in cg._spin_negative_representations(g, CycRing(4)):
-            assert rep.dim == len(rep.matrix(g.identity()))
+            assert rep.dim == len(rep.dense(g.identity(), CycRing(4)))
+
+
+# r = 1..6 generators, each with the last part 1 and 3 mod 4 (both
+# parities of exponents[last])
+MONOMIAL_TYPES = (
+    (5,),
+    (3,),
+    (1, 5),
+    (1, 3),
+    (1, 3, 5),
+    (1, 3, 7),
+    (1, 3, 5, 9),
+    (1, 3, 5, 7),
+    (1, 3, 5, 7, 9),
+    (1, 3, 5, 7, 11),
+    (1, 3, 5, 7, 9, 13),
+    (1, 3, 5, 7, 9, 11),
+)
+
+
+def test_monomial_words_match_dense_products():
+    R = CycRing(4)
+    seen = set()
+    for lam in MONOMIAL_TYPES:
+        g = cg.build_spin_gamma(lam)
+        seen.add((g.r, g.exponents[-1]))
+        for rep in cg._spin_negative_representations(g, R):
+            for a, mask in g.elements:
+                dense = cg.cmat_identity(R, rep.dim)
+                for i in reversed(range(g.r)):
+                    if mask >> i & 1:
+                        dense = cg.cmat_mul(rep.gen_mats[i], dense)
+                if a:
+                    dense = cg.cmat_scale(R.from_int(-1), dense)
+                assert rep.dense((a, mask), R) == dense, (lam, rep.label, a, mask)
+                assert rep.trace((a, mask)) == cg.cmat_trace(dense), (lam, rep.label, a, mask)
+    assert seen == {(r, e) for r in range(1, 7) for e in (0, 1)}
+
+
+def test_monomial_conversion_rejects_non_monomial_matrices():
+    R = CycRing(4)
+    z, o, i = R.zero(), R.one(), R.i()
+    assert cg.monomial(((z, -i), (o, z)), R) == ((1, 0), (3, 0))
+    with pytest.raises(AssertionError):
+        cg.monomial(((o, i), (o, z)), R)  # two nonzero entries in a row
+    with pytest.raises(AssertionError):
+        cg.monomial(((z, o), (z, z)), R)  # a zero row
+    with pytest.raises(AssertionError):
+        cg.monomial(((z, o), (R.from_int(2), z)), R)  # 2 is not in mu_4
+    with pytest.raises(AssertionError):
+        cg.monomial(((o + i, z), (z, o)), R)  # neither is 1 + i
 
 
 def test_full_character_table_is_complete_and_orthonormal():
@@ -115,7 +166,7 @@ def test_full_character_table_is_complete_and_orthonormal():
 
 def test_identity_value_is_dim_and_eps_value():
     g = cg.build_spin_gamma((1, 3, 5))
-    chi = cg.spin_irreducibles(g, -1)[0]
+    chi = cg.spin_irreducibles(g)[0]
     assert chi.value(g.identity()).as_int() == chi.dim
     assert chi.value(g.epsilon()).as_int() == -chi.dim
 
@@ -215,7 +266,7 @@ def test_extend_character_spin_nontrivial_tau():
     assert signs == (1, -1, -1)
     g = cg.build_spin_gamma(lam, tau_signs=signs)
     assert not og.tau_is_identity_on_group(g)
-    chi = cg.spin_irreducibles(g, -1)[0]
+    chi = cg.spin_irreducibles(g)[0]
     assert cg.is_tau_stable(g, chi)
     exts = cg.extend_character(chi, g)
     assert len(exts) == 2
@@ -250,6 +301,6 @@ def test_char_orthogonality_cyclic():
 
 def test_dispatch():
     # each group kind has its own character routine
-    assert len(cg.spin_irreducibles(cg.build_spin_gamma((1, 3)), -1)) == 2
+    assert len(cg.spin_irreducibles(cg.build_spin_gamma((1, 3)))) == 2
     assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5), 2)) == 1
     assert len(og.elem_abelian_characters(og.ElemAbelian2(2))) == 4

@@ -136,7 +136,7 @@ def test_even_generator_extensions_digest():
     assert signs == (1, 1, -1, -1)
     G = cg.build_spin_gamma(lam, tau_signs=signs)
     doc = []
-    for chi in cg.spin_irreducibles(G, -1):
+    for chi in cg.spin_irreducibles(G):
         if cg.is_tau_stable(G, chi):
             for ext in cg.extend_character(chi, G):
                 doc.append([chi.label, ext.label, [[list(g), v.serialize()] for g, v in ext.coset_values]])

@@ -11,6 +11,19 @@ def test_is_in_XN_paper_examples():
     assert not pt.is_in_XN((1, 1, 3))  # odd part 1 repeats
 
 
+def enumerate_XN_by_filter(N, tilde=False):
+    """X_N (or X~_N) as the members of partitions_of(N) that pass the
+    membership predicate."""
+    test = pt.is_in_XN_tilde if tilde else pt.is_in_XN
+    return [la for la in pt.partitions_of(N) if test(la)]
+
+
+def test_enumerate_XN_equals_filter_over_all_partitions():
+    for N in range(31):
+        assert pt.enumerate_XN(N) == enumerate_XN_by_filter(N), N
+        assert pt.enumerate_XN(N, tilde=True) == enumerate_XN_by_filter(N, tilde=True), N
+
+
 def test_enumerate_XN_ground_truth():
     assert pt.enumerate_XN(5) == [(1, 2, 2), (5)] or pt.enumerate_XN(5) == [(1, 2, 2), (5,)]
     assert set(pt.enumerate_XN(5)) == {(5,), (1, 2, 2)}
