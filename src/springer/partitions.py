@@ -118,7 +118,7 @@ def enumerate_XN(N: int, tilde: bool = False) -> list[Partition]:
             yield ()
             return
         k = min(k, n)
-        if k == 0:
+        if k <= 0:
             return
         if k % 2 == 0:
             counts = range(0, n // k + 1, 2)

@@ -3,11 +3,12 @@
 The package builds only the characters a table row needs (on the spin
 side, those with xi(eps) = -1); here the characters trivial on eps are
 added and the whole character table of the spin model is assembled and
-checked to be one (class count, completeness, exact orthonormality), with conjugacy
-classes, commutators and the action of tau found by running over every
-element.  The elementary abelian 2-group (the orthogonal quotient) and
-its sign characters, the orthogonality of finished table rows and the
-dimension of a nilpotent's commutant are references for the tests too.
+checked to be one (class count, completeness, exact orthonormality),
+with conjugacy classes, commutators and the action of tau found by
+running over every element.  The elementary abelian 2-group (the
+orthogonal quotient) and its sign characters, the orthogonality of
+finished table rows and the dimension of a nilpotent's commutant are
+references for the tests too.
 """
 
 from __future__ import annotations

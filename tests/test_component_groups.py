@@ -152,7 +152,7 @@ def test_monomial_conversion_rejects_non_monomial_matrices():
     with pytest.raises(AssertionError):
         cg.monomial(((z, o), (R.from_int(2), z)), R)  # 2 is not in mu_4
     with pytest.raises(AssertionError):
-        cg.monomial(((o + i, z), (z, o)), R)  # neither is 1 + i
+        cg.monomial(((o + i, z), (z, o)), R)  # nor is 1 + i
 
 
 def test_full_character_table_is_complete_and_orthonormal():

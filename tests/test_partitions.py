@@ -19,7 +19,7 @@ def enumerate_XN_by_filter(N, tilde=False):
 
 
 def test_enumerate_XN_equals_filter_over_all_partitions():
-    for N in range(31):
+    for N in range(-2, 31):
         assert pt.enumerate_XN(N) == enumerate_XN_by_filter(N), N
         assert pt.enumerate_XN(N, tilde=True) == enumerate_XN_by_filter(N, tilde=True), N
 
