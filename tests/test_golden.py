@@ -12,6 +12,9 @@ test-only code moved out of the library.
 The X_N listings and the two-extension refusal were recorded before the
 spin characters moved to monomial matrices and X_N to direct
 generation.
+The order-24 and order-8 SL tables, the F_9 spin table and the order-4
+JSON table were recorded before the cyclotomic coefficients became
+plain integers and the characters element-to-value maps.
 The last test pins the two-extension (intertwiner) path of the
 even-generator spin model, which no CLI invocation reaches with a
 verified row.
@@ -96,6 +99,21 @@ GOLDEN = [
     # X_N and X~_N listings
     ("xn --N 24", "d5c64c131d74720ff4e68b6ac812d75749744e34bc400429086e9dc656031019"),
     ("xn --N 20 --tilde", "c6e8f4af5b314522b7332ee3ae9109326b1a5af2a6d98977144bdc670bf20ccb"),
+    # rings and fields the tables above miss: order 24 and order 8
+    # cyclotomics, F_9 spin signs, and a JSON row with fourth roots
+    (
+        "tables --group sl --n 24 --q 23 --xi-order 12",
+        "752a95e32534d8a38d3965585405550b24f5cb6e242695263e1b69bd767dee77",
+    ),
+    (
+        "tables --group sl --n 24 --q 7 --xi-order 8",
+        "1c510da0d80db014cd284b2ac196eabb381d79d6552a63b7d79750044efb7536",
+    ),
+    ("tables --group spin --N 20 --q 9", "47b797005d38eaa584e0101738aa80e7b463619a0526bfadbb5ec64bb130639b"),
+    (
+        "tables --group sl --n 12 --q 11 --xi-order 4 --format json",
+        "d9b586399daaa8ce487cd2a92d7796138218859699cdffa04fa509163197ad13",
+    ),
 ]
 
 
