@@ -169,8 +169,16 @@ def cmd_flags(args) -> int:
     return 0
 
 
+def _at_least_one(args, *names: str) -> None:
+    """Usage error unless each named integer option is at least 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            args.parser.error(f"--{name.replace('_', '-')} must be at least 1, not {getattr(args, name)}")
+
+
 def cmd_restrict(args) -> int:
     lines = ["lambda\tlambda_prime\tcase\tmultiplicity"]
+    _at_least_one(args, "d")
     n, d = args.n, args.d
     if n - 2 * d < 0:
         args.parser.error(f"--n {n} is smaller than twice --d {d}")
@@ -202,6 +210,7 @@ def cmd_tables(args) -> int:
     if args.group == "sl":
         if args.n is None or args.xi_order is None:
             args.parser.error("--group sl needs --n and --xi-order")
+        _at_least_one(args, "n", "xi_order")
         rows = tb.y0_table_sl(args.n, args.xi_order, p, k)
         series = args.xi_order
     else:

@@ -4,12 +4,18 @@ Two shapes occur: the Clifford-type 2-group generated by the odd-block
 products (spin side) and cyclic groups of order n'_lambda (special
 linear side).  Each carries a Frobenius automorphism tau.
 
-Irreducible characters are produced with exact cyclotomic values.  The
-spin characters with xi(eps) = -1 come from monomial matrices: the
+A character is a dict from group elements, in group element order, to
+exact cyclotomic values; an extension to the coset A tau is the same
+kind of dict, read at g tau.  On the cyclic side only the character
+lifting the requested central character is built.
+
+The spin characters with xi(eps) = -1 come from monomial matrices: the
 generators are Kronecker products of Pauli matrices scaled by 1 or i,
 so every word has one nonzero entry per row, a fourth root of unity,
-and is stored as a column index and a phase mod 4 per row.  The group
-law and irreducibility are verified exactly for every table built.
+and is stored as a column index and a phase mod 4 per row.  Each such
+character keeps its model, from which the intertwiner of its twisted
+extensions is built.  The group law and irreducibility are verified
+exactly for every table built.
 """
 
 from __future__ import annotations
@@ -216,16 +222,17 @@ class SpinGamma:
         return (0, (1 << self.r) - 1)
 
 class CyclicGroup:
-    """Z / m with the power automorphism a -> t a (t coprime to m)."""
+    """Z / m with the power automorphism a -> t a (t coprime to m), as a
+    quotient of the center Z / n_prime (n_prime defaults to m)."""
 
-    def __init__(self, m: int, tau_mult: int = 1, context: Optional[dict] = None):
+    def __init__(self, m: int, tau_mult: int = 1, n_prime: Optional[int] = None):
         if m < 1:
             raise ValueError("order must be positive")
         self.m = m
         self.tau_mult = tau_mult % m if m > 1 else 0
         if m > 1 and gcd(self.tau_mult, m) != 1:
             raise ValueError("tau multiplier must be invertible mod m")
-        self.context = context or {}
+        self.n_prime = m if n_prime is None else n_prime
         self.elements = list(range(m))
 
     @property
@@ -248,6 +255,8 @@ def build_spin_gamma(la_parts: Partition, tau_signs: Optional[Sequence[int]] = N
 
 
 def p_prime_part(n: int, p: int) -> int:
+    if n < 1:
+        raise ValueError(f"the group order n = {n} must be at least 1")
     if p == 1:
         return n
     while n % p == 0:
@@ -273,9 +282,7 @@ def build_sl_component(la_parts: Partition, p: int, q: Optional[int] = None) -> 
     la_parts = check_partition(la_parts)
     n = sum(la_parts)
     m = sl_component_order(la_parts, n, p)
-    t = (-q) % m if (q is not None and m > 1) else (1 % m if m > 1 else 0)
-    ctx = {"n": n, "p": p, "q": q, "la": la_parts, "n_prime": p_prime_part(n, p)}
-    return CyclicGroup(m, tau_mult=t if m > 1 else 0, context=ctx)
+    return CyclicGroup(m, tau_mult=1 if q is None else -q, n_prime=p_prime_part(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +294,8 @@ class IrrChar:
     label: str
     dim: int
     ring: CycRing
-    values: tuple  # tuple of (element, Cyc) in group element order
-    central_eps: Optional[int] = None  # SpinGamma: value of xi at epsilon
-
-    def value(self, g) -> Cyc:
-        for el, v in self.values:
-            if el == g:
-                return v
-        raise KeyError(g)
-
-    def value_map(self) -> dict:
-        return {el: v for el, v in self.values}
+    values: dict  # element -> Cyc, in group element order
+    rep: Optional["SpinRepresentation"] = None  # the matrix model of a spin character
 
 
 def char_inner(G, chi: dict, psi: dict) -> Fraction:
@@ -346,14 +344,13 @@ class SpinRepresentation:
     phases on the fixed points of the columns.
     """
 
-    def __init__(self, G: SpinGamma, ring: CycRing, gen_mats: list, label: str):
+    def __init__(self, G: SpinGamma, ring: CycRing, gen_mats: list):
         self.G = G
         self.ring = ring
         self.gen_mats = gen_mats  # dense, one per generator index
         self.gens = [monomial(m, ring) for m in gen_mats]
         self._one_i = ring.one().coeffs, ring.i().coeffs
         self.dim = len(gen_mats[0]) if gen_mats else 1
-        self.label = label
         self._cache: dict[Element, Word] = {}
 
     def word(self, g: Element) -> Word:
@@ -402,11 +399,11 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
     """
     r = G.r
     if r == 0:
-        return [SpinRepresentation(G, ring, [], "neg")]
+        return [SpinRepresentation(G, ring, [])]
     if r % 2 == 1:
         signs = [1 if e == 0 else -1 for e in G.exponents]
         mats = anticommuting_matrices(signs, ring)
-        return [SpinRepresentation(G, ring, mats, "neg")]
+        return [SpinRepresentation(G, ring, mats)]
     # even r: the reduced generators z_k = x_k x_last (k < last) form an
     # odd family.  Only even words are evaluated, so it suffices that
     # pairs come out right: with c^2 = (-1)^(e_last + 1), X_k = c z_k and
@@ -417,29 +414,28 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
     z_signs = [(-1) ** ((1 + G.exponents[k] + e_last) % 2) for k in range(r - 1)]
     c, c_inv = (ring.one(), ring.one()) if e_last % 2 else (ring.i(), -ring.i())
     reps = []
-    for variant, lab in ((1, "a"), (-1, "b")):
+    for variant in (1, -1):
         zmats = anticommuting_matrices(z_signs, ring)
         if variant == -1:
             # flip the chirality generator (the odd-count completion)
             zmats[-1] = cmat_scale(ring.from_int(-1), zmats[-1])
         mats = [cmat_scale(c, z) for z in zmats]
         mats.append(cmat_scale(c_inv, cmat_identity(ring, len(zmats[0]))))
-        reps.append(SpinRepresentation(G, ring, mats, f"neg{lab}"))
+        reps.append(SpinRepresentation(G, ring, mats))
     return reps
 
 
 def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
-    """The irreducible characters with xi(eps) = -1."""
+    """The irreducible characters with xi(eps) = -1, each with its model."""
     ring = CycRing(4)
-    reps = _spin_negative_representations(G, ring)
-    out = []
+    models = []
     # checking the group law on (generator, anything) pairs suffices:
     # the property is closed under left multiplication by generators
     gens = [G.epsilon()]
     for i in range(G.r):
         for j in range(i + 1, G.r):
             gens.append((0, (1 << i) | (1 << j)))
-    for rep in reps:
+    for rep in _spin_negative_representations(G, ring):
         for s in gens:
             ws = rep.word(s)
             for h in G.elements:
@@ -448,67 +444,44 @@ def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
         chi = rep.character()
         if char_inner(G, chi, chi) != 1:
             raise AssertionError("negative-central character is not irreducible")
-        dim = chi[G.identity()].as_int()
-        out.append(
-            IrrChar(
-                label=rep.label,
-                dim=dim,
-                ring=ring,
-                values=tuple((g, chi[g]) for g in G.elements),
-                central_eps=-1,
-            )
-        )
-    if len(out) == 2:
+        models.append((rep, chi))
+    if len(models) == 1:
+        labels = ["neg"]
+    else:
         # deterministic labels from the value on the full even word
         w = G.full_word()
-        key = lambda ch: tuple(str(c) for c in ch.value(w).coeffs)
-        out.sort(key=key)
-        out = [
-            IrrChar(label=f"neg[xI={out[0].value(w)!r}]", dim=out[0].dim, ring=ring, values=out[0].values, central_eps=-1),
-            IrrChar(label=f"neg[xI={out[1].value(w)!r}]", dim=out[1].dim, ring=ring, values=out[1].values, central_eps=-1),
-        ]
-    return out
+        models.sort(key=lambda m: tuple(str(c) for c in m[1][w].coeffs))
+        labels = [f"neg[xI={chi[w]!r}]" for _, chi in models]
+    return [
+        IrrChar(label=label, dim=chi[G.identity()].as_int(), ring=ring, values=chi, rep=rep)
+        for label, (rep, chi) in zip(labels, models)
+    ]
 
 
-def cyclic_characters(G: CyclicGroup, ring: Optional[CycRing] = None) -> list[IrrChar]:
-    if ring is None:
-        order = 1 if G.m == 0 else G.m
-        ring = CycRing(_lcm(4, max(order, 1)))
-    out = []
-    for j in range(G.m):
-        vals = tuple((a, ring.root_of_unity(G.m, (j * a) % G.m)) for a in G.elements)
-        out.append(IrrChar(label=f"chi{j}", dim=1, ring=ring, values=vals, central_eps=None))
-    return out
+def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int) -> list[IrrChar]:
+    """Characters of Z/m whose pullback along Z/n' -> Z/m is the canonical
+    character of order xi_order.  Exactly one when xi_order | m, else none."""
+    if G.n_prime % xi_order != 0:
+        raise ValueError(f"no central character of order {xi_order} exists (center has order {G.n_prime})")
+    if xi_order < 1 or G.m % xi_order != 0:
+        return []
+    j = (G.m // xi_order) % G.m
+    ring = CycRing(_lcm(4, G.m))
+    values = {a: ring.root_of_unity(G.m, j * a) for a in G.elements}
+    return [IrrChar(label=f"chi{j}", dim=1, ring=ring, values=values)]
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int, ring: Optional[CycRing] = None) -> list[IrrChar]:
-    """Characters of Z/m whose pullback along Z/n' -> Z/m is the canonical
-    character of order xi_order.  Exactly one when xi_order | m, else none."""
-    n_prime = G.context.get("n_prime")
-    if n_prime is not None and n_prime % xi_order != 0:
-        raise ValueError(f"no central character of order {xi_order} exists (center has order {n_prime})")
-    if xi_order < 1 or G.m % xi_order != 0:
-        return []
-    j = G.m // xi_order
-    chars = cyclic_characters(G, ring)
-    return [chars[j % G.m]] if G.m > 0 else []
-
-
 # ---------------------------------------------------------------------------
 # twisted classes and extensions
 
 
-@dataclass(frozen=True)
-class TwistedClassTable:
-    classes: tuple  # tuple of (representative, members tuple)
-
-
-def twisted_classes(G) -> TwistedClassTable:
-    """Orbits of a -> b a tau(b)^{-1} on the coset A tau."""
+def twisted_classes(G) -> tuple:
+    """Orbits of a -> b a tau(b)^{-1} on the coset A tau, as
+    (representative, members) pairs in representative order."""
     elements = list(G.elements)
     seen = set()
     classes = []
@@ -530,23 +503,17 @@ def twisted_classes(G) -> TwistedClassTable:
         seen |= orbit
         classes.append((orbit_t[0], orbit_t))
     classes.sort(key=lambda c: c[0])
-    return TwistedClassTable(classes=tuple(classes))
+    return tuple(classes)
 
 
 def is_tau_stable(G, chi: IrrChar) -> bool:
-    vm = chi.value_map()
-    return all(vm[G.tau(g)] == vm[g] for g in G.elements)
+    return all(chi.values[G.tau(g)] == v for g, v in chi.values.items())
 
 
 @dataclass(frozen=True)
 class ExtendedChar:
-    base: IrrChar
     label: str
-    ring: CycRing
-    coset_values: tuple  # tuple of (element g, value at g*tau)
-
-    def coset_value_map(self) -> dict:
-        return {el: v for el, v in self.coset_values}
+    coset_values: dict  # element g -> value at g*tau, in group element order
 
 
 def _find_intertwiner(G: SpinGamma, rep, ring: CycRing):
@@ -592,26 +559,16 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
         raise ValueError("character is not tau-stable")
     trivial_tau = all(G.tau(g) == g for g in G.elements)
     if chi.dim == 1 or trivial_tau:
-        vals = tuple((g, v) for g, v in chi.values)
-        return [ExtendedChar(base=chi, label="trivial", ring=chi.ring, coset_values=vals)]
-    if not isinstance(G, SpinGamma):
+        return [ExtendedChar(label="trivial", coset_values=chi.values)]
+    if chi.rep is None:
         raise ValueError("higher-dimensional extensions only arise for the spin model")
     ring = CycRing(_lcm(8, chi.ring.n))
-    reps = _spin_negative_representations(G, chi.ring)
-    rep = None
-    for cand in reps:
-        cand_chi = cand.character()
-        if all(cand_chi[g] == chi.value(g) for g in G.elements):
-            rep = cand
-            break
-    if rep is None:
-        raise AssertionError("no matrix model matches the character")
-    T = _find_intertwiner(G, rep, ring)
+    T = _find_intertwiner(G, chi.rep, ring)
     out = []
     for sign, lab in ((1, "plus"), (-1, "minus")):
         Ts = cmat_scale(ring.from_int(sign), T)
-        vals = tuple((g, cmat_trace(cmat_mul(rep.dense(g, ring), Ts))) for g in G.elements)
-        out.append(ExtendedChar(base=chi, label=lab, ring=ring, coset_values=vals))
+        vals = {g: cmat_trace(cmat_mul(chi.rep.dense(g, ring), Ts)) for g in G.elements}
+        out.append(ExtendedChar(label=lab, coset_values=vals))
     # deterministic order: by serialized value vector
-    out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for _, v in e.coset_values))
+    out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for v in e.coset_values.values()))
     return out

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic rings Q(zeta_n).
 
-Elements are Fraction-coefficient vectors over the power basis
-1, zeta, ..., zeta^{phi(n)-1} of Z[x]/(Phi_n(x)), where Phi_n is the
-n-th cyclotomic polynomial.  This is enough for every character value
-in the package: no floating point appears anywhere.
+Elements are coefficient vectors over the power basis 1, zeta, ...,
+zeta^{phi(n)-1} of Z[x]/(Phi_n(x)), where Phi_n is the n-th cyclotomic
+polynomial.  Phi_n is monic, so the power table and products stay in the
+integers: coefficients are kept as given, ints stay ints, and a Fraction
+appears only through division by a rational.  The reduced vector of an
+element is unique, so equality compares coefficients.  This is enough
+for every character value in the package: no floating point appears
+anywhere.
 
 Values are immutable; a CycRing is shared freely.
 """
@@ -15,44 +19,28 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _divide_monic(a: list[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b for a monic b that divides a (lowest degree first)."""
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(list(a)):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        a.pop()
-    return q, _poly_trim(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + db]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    assert not any(a), "division by a monic polynomial left a remainder"
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first (integer, monic)."""
-    if n == 1:
-        return (-1, 1)
     # (x^n - 1) / prod_{d | n, d < n} Phi_d
-    num = [Fraction(0)] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = Fraction(1)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not r, f"Phi_{d} does not divide x^{n}-1"
-            num = q
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            num = _divide_monic(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 class CycRing:
@@ -63,41 +51,26 @@ class CycRing:
             raise ValueError("order must be positive")
         self.n = n
         self.phi_poly = cyclotomic_polynomial(n)
-        self.degree = len(self.phi_poly) - 1
-        # zeta^k reduced to the power basis, for k = 0 .. n-1
-        self._powers: list[tuple[Fraction, ...]] = []
-        cur = [Fraction(0)] * self.degree
-        if self.degree:
-            cur[0] = Fraction(1)
+        self.degree = d = len(self.phi_poly) - 1
+        # zeta^k reduced to the power basis, for k = 0 .. n-1: multiply by
+        # zeta and subtract the overflow times the monic Phi_n
+        self._powers: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (d - 1)
         for _ in range(n):
             self._powers.append(tuple(cur))
-            cur = self._shift(cur)
-
-    def _shift(self, c: list[Fraction]) -> list[Fraction]:
-        """Multiply a power-basis vector by zeta and reduce."""
-        d = self.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, x in enumerate(c):
-            out[i + 1] = x
-        lead = out[d]
-        if lead:
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
             for i in range(d):
-                out[i] -= lead * self.phi_poly[i]
-        return out[:d]
+                cur[i] -= lead * self.phi_poly[i]
 
     def zero(self) -> "Cyc":
-        return Cyc(self, (Fraction(0),) * self.degree)
+        return Cyc(self, (0,) * self.degree)
 
     def one(self) -> "Cyc":
         return self.from_int(1)
 
     def from_int(self, v) -> "Cyc":
-        c = [Fraction(0)] * self.degree
-        if self.degree:
-            c[0] = Fraction(v)
-        elif v:
-            raise ValueError("degree-0 ring")
-        return Cyc(self, tuple(c))
+        return Cyc(self, (v,) + (0,) * (self.degree - 1))
 
     def root(self, k: int = 1) -> "Cyc":
         """zeta_n^k."""
@@ -111,6 +84,14 @@ class CycRing:
 
     def i(self) -> "Cyc":
         return self.root_of_unity(4)
+
+    def _reduce(self, out: list, terms) -> "Cyc":
+        """The element out + sum c * zeta^k over the (k, c) pairs."""
+        for k, c in terms:
+            if c:
+                for i, x in enumerate(self._powers[k % self.n]):
+                    out[i] += c * x
+        return Cyc(self, out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CycRing) and self.n == other.n
@@ -127,9 +108,9 @@ class Cyc:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: CycRing, coeffs: Sequence[Fraction]):
+    def __init__(self, ring: CycRing, coeffs: Sequence):
         self.ring = ring
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
         assert len(self.coeffs) == ring.degree
 
     # -- arithmetic
@@ -140,7 +121,7 @@ class Cyc:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = self.ring.from_int(other)
+            return Cyc(self.ring, (self.coeffs[0] + other,) + self.coeffs[1:])
         self._check(other)
         return Cyc(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -150,8 +131,6 @@ class Cyc:
         return Cyc(self.ring, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -162,26 +141,20 @@ class Cyc:
             return Cyc(self.ring, tuple(a * other for a in self.coeffs))
         self._check(other)
         d = self.ring.degree
-        prod = [Fraction(0)] * (2 * d)
+        prod = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         prod[i + j] += a * b
-        # reduce powers >= d via the precomputed table on zeta^k
-        out = list(prod[:d])
-        for k in range(d, 2 * d):
-            c = prod[k]
-            if c:
-                for i, x in enumerate(self.ring._powers[k % self.ring.n]):
-                    out[i] += c * x
-        return Cyc(self.ring, tuple(out))
+        # powers below d are already reduced
+        return self.ring._reduce(prod[:d], enumerate(prod[d:], start=d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyc(self.ring, tuple(a / other for a in self.coeffs))
+            return Cyc(self.ring, tuple(Fraction(a, other) for a in self.coeffs))
         raise TypeError("division only by rational scalars")
 
     def conj(self) -> "Cyc":
@@ -190,31 +163,27 @@ class Cyc:
 
     def galois(self, t: int) -> "Cyc":
         """The map zeta -> zeta^t (t coprime to the order)."""
-        out = self.ring.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc(self.ring, self.ring._powers[(k * t) % self.ring.n]) * c
-        return out
+        return self.ring._reduce([0] * self.ring.degree, ((k * t, c) for k, c in enumerate(self.coeffs)))
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return (self - other).is_zero()
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         if not isinstance(other, Cyc):
             return NotImplemented
-        return self.ring == other.ring and (self - other).is_zero()
+        return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.ring.n, self.coeffs))
 
     def as_rational(self) -> Optional[Fraction]:
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.coeffs[1:]):
             return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0]
 
     def as_int(self) -> Optional[int]:
         r = self.as_rational()

@@ -104,16 +104,13 @@ def spin_cuspidal_class(d: int) -> Partition:
     return members[0]
 
 
-def exponents_spin(la: Partition, d: Optional[int] = None) -> ExponentData:
-    """Exponent data for a spin class; d defaults to the defect."""
+def exponents_spin(la: Partition) -> ExponentData:
+    """Exponent data for a spin class, in the series of its defect."""
     la = check_partition(la)
     if not is_in_XN(la):
         raise ValueError(f"{la} is not in X_N")
     N = sum(la)
-    if d is None:
-        d = defect(la)
-    if defect(la) != d:
-        raise ValueError(f"{la} lies in the series of {defect(la)}, not {d}")
+    d = defect(la)
     m = spin_weyl_rank(N, d)
     D = d * (2 * d - 1)
     dim_g = group_dimension("SO", N)
@@ -183,19 +180,25 @@ def _checked_row(
 ) -> GreenBasisRow:
     """The row of ext's values on the twisted classes of A.
 
-    Checked: each value is constant on its class, the identity class
-    carries dim rho, and the exponent identity holds with an even sum.
+    Checked: each value is constant on its class, and the exponent
+    identity holds with an even sum.  The trivial extension carries
+    dim rho on the identity class; an extension through an intertwiner
+    (tau nontrivial on rho) is checked by twisted orthogonality instead,
+    sum over classes of size * |value|^2 = |A|, as its value on 1*tau
+    is the trace of the intertwiner.
     """
-    table = twisted_classes(A)
-    vm = ext.coset_value_map()
+    classes = twisted_classes(A)
+    vm = ext.coset_values
     values = []
-    for rep, members in table.classes:
-        vals = {tuple(vm[m].coeffs) for m in members}
-        if len(vals) != 1:
+    for rep, members in classes:
+        if any(vm[m] != vm[rep] for m in members):
             raise AssertionError("extension value is not constant on a twisted class")
         values.append(vm[rep])
-    if values[0].as_int() != rho.dim:
-        raise AssertionError("identity-class value differs from the dimension")
+    if ext.label == "trivial":
+        if values[0] != rho.dim:
+            raise AssertionError("identity-class value differs from the dimension")
+    elif sum(v * v.conj() * len(members) for v, (_, members) in zip(values, classes)) != A.order:
+        raise AssertionError("extension fails twisted orthogonality")
     if not exp.consistent:
         raise AssertionError("exponent identity failed")
     if not exp.even:
@@ -208,7 +211,7 @@ def _checked_row(
         rho_label=rho.label,
         extension_label=ext.label,
         dim=rho.dim,
-        classes=tuple((rep, len(members)) for rep, members in table.classes),
+        classes=tuple((rep, len(members)) for rep, members in classes),
         values=tuple(values),
         exponents=exp,
     )
@@ -231,7 +234,7 @@ def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasi
     A = build_sl_component(la, q_p, q=q)
     found = cyclic_characters_with_xi(A, xi_order)
     if not found:
-        raise EmptyFiberError(f"no character of {A!r} lifts the order-{xi_order} central character")
+        raise EmptyFiberError(f"no character of Z/{A.m} lifts the order-{xi_order} central character")
     rho = found[0]
     if not is_tau_stable(A, rho):
         raise NotFStableError("the local system attached to the pair is moved by F")
@@ -251,7 +254,6 @@ def y0_row_spin(
     la: Partition,
     q_p: int,
     q_k: int = 1,
-    twist: str = "split",
     omega_value: Optional[str] = None,
     extension: Optional[str] = None,
 ) -> GreenBasisRow:
@@ -260,9 +262,7 @@ def y0_row_spin(
     For even N the central character also takes a value at omega, which
     selects one of the two candidate local systems: pass omega_value as
     one of "1", "-1", "i", "-i" (matched against the character value on
-    the full generator word).  A non-split twist is refused outright:
-    the central character is moved by F and the fixed-point set is
-    empty.
+    the full generator word).
     """
     la = check_partition(la)
     if not is_in_XN(la):
@@ -271,14 +271,6 @@ def y0_row_spin(
         raise ValueError("spin tables need odd q")
     q = q_p**q_k
     N = sum(la)
-    if twist == "nonsplit":
-        if N % 2 == 1:
-            raise ValueError("odd N has no non-split form")
-        raise NotFStableError(
-            "central character with sign -1 at eps is moved by the non-split F (omega maps to -omega), so the fixed-point set is empty"
-        )
-    if twist != "split":
-        raise ValueError(f"unknown twist {twist!r}")
     signs = spin_tau_signs(la, q)
     A = build_spin_gamma(la, tau_signs=signs)
     chars = spin_irreducibles(A)
@@ -288,7 +280,7 @@ def y0_row_spin(
         ring = chars[0].ring
         target = {"1": ring.one(), "-1": -ring.one(), "i": ring.i(), "-i": -ring.i()}[omega_value]
         w = A.full_word()
-        matching = [c for c in chars if c.value(w) == target * c.dim]
+        matching = [c for c in chars if c.values[w] == target * c.dim]
         if not matching:
             raise EmptyFiberError(f"no local system with omega acting by {omega_value}")
         rho = matching[0]
@@ -302,8 +294,8 @@ def y0_row_spin(
     if len(exts) == 1:
         ext = exts[0]
     else:
-        if extension is None:
-            labels = sorted((e.label for e in exts), key=("plus", "minus").index)
+        labels = ["plus", "minus"]
+        if extension not in labels:
             raise ValueError(f"two extensions exist; pass extension= one of {labels}")
         ext = next(e for e in exts if e.label == extension)
     return _checked_row("spin", q, la, defect(la), rho, ext, A, exponents_spin(la))

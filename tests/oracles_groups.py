@@ -1,8 +1,9 @@
 """Brute-force checks on the component-group models and the table rows.
 
 The package builds only the characters a table row needs (on the spin
-side, those with xi(eps) = -1); here the characters trivial on eps are
-added and the whole character table of the spin model is assembled and
+side, those with xi(eps) = -1; on the cyclic side, the one lifting the
+central character); here every character of a cyclic group is listed,
+the spin characters trivial on eps are added, and the whole character table of the spin model is assembled and
 checked to be one (class count, completeness, exact orthonormality),
 with conjugacy classes, commutators and the action of tau found by
 running over every element.  The elementary abelian 2-group (the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from springer.component_groups import IrrChar, SpinGamma, char_inner, spin_irreducibles
+from springer.component_groups import CyclicGroup, IrrChar, SpinGamma, char_inner, spin_irreducibles
 from springer.cyclotomic import CycRing
 from springer.partitions import Partition, check_partition
 
@@ -64,9 +65,22 @@ def tau_order(G) -> int:
     return k
 
 
-def class_sizes(table) -> tuple[int, ...]:
-    """Sizes of the twisted classes of a component_groups.TwistedClassTable."""
-    return tuple(len(members) for _, members in table.classes)
+def class_sizes(classes) -> tuple[int, ...]:
+    """Sizes of the twisted classes that component_groups.twisted_classes returns."""
+    return tuple(len(members) for _, members in classes)
+
+
+# ---------------------------------------------------------------------------
+# every character of a cyclic group
+
+
+def cyclic_characters(G: CyclicGroup) -> list[IrrChar]:
+    """chi_j(a) = zeta_m^(j a) for j = 0 .. m-1."""
+    ring = CycRing(4 * G.m)
+    return [
+        IrrChar(label=f"chi{j}", dim=1, ring=ring, values={a: ring.root_of_unity(G.m, j * a) for a in G.elements})
+        for j in range(G.m)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +111,8 @@ def elem_abelian_characters(G: ElemAbelian2, ring: Optional[CycRing] = None) -> 
         ring = CycRing(4)
     out = []
     for t in range(1 << G.rank):
-        vals = tuple((a, ring.from_int((-1) ** (bin(a & t).count("1") % 2))) for a in G.elements)
-        out.append(IrrChar(label=f"sgn[{t:0{max(G.rank, 1)}b}]", dim=1, ring=ring, values=vals, central_eps=None))
+        vals = {a: ring.from_int((-1) ** (bin(a & t).count("1") % 2)) for a in G.elements}
+        out.append(IrrChar(label=f"sgn[{t:0{max(G.rank, 1)}b}]", dim=1, ring=ring, values=vals))
     return out
 
 
@@ -116,11 +130,8 @@ def spin_linear_characters(G: SpinGamma, ring: CycRing) -> list[IrrChar]:
         if key in seen:
             continue
         seen.add(key)
-        vals = []
-        for a, s in G.elements:
-            sign = (-1) ** (bin(s & key).count("1") % 2)
-            vals.append(((a, s), ring.from_int(sign)))
-        out.append(IrrChar(label=f"lin[{key:0{max(r, 1)}b}]", dim=1, ring=ring, values=tuple(vals), central_eps=1))
+        vals = {(a, s): ring.from_int((-1) ** (bin(s & key).count("1") % 2)) for a, s in G.elements}
+        out.append(IrrChar(label=f"lin[{key:0{max(r, 1)}b}]", dim=1, ring=ring, values=vals))
     return out
 
 
@@ -143,12 +154,11 @@ def spin_character_table_report(G: SpinGamma) -> TableReport:
     """
     ring = CycRing(4)
     chars = spin_linear_characters(G, ring) + spin_irreducibles(G)
-    charmaps = [c.value_map() for c in chars]
     ortho = True
     for i in range(len(chars)):
         for j in range(len(chars)):
             expect = Fraction(1 if i == j else 0)
-            if char_inner(G, charmaps[i], charmaps[j]) != expect:
+            if char_inner(G, chars[i].values, chars[j].values) != expect:
                 ortho = False
     dims = tuple(c.dim for c in chars)
     return TableReport(

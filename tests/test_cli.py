@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from springer import component_groups as cg
+from springer import tables as tb
 from springer.cli import main
 
 
@@ -102,19 +108,19 @@ def test_spin_default_omega_is_i_for_N_2_mod_4(capsys):
         assert default_out == omega_i_out, (N, q)
 
 
-def test_invariant_failure_exit_3():
-    # (1,3,7) at q = 3 fails the identity-class row check
-    proc = subprocess.run(
-        [sys.executable, "-m", "springer.cli", "tables", "--group", "spin", "--N", "11", "--q", "3", "--extension", "plus"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    report = json.loads(proc.stderr)
-    assert report == {"error": "AssertionError", "message": "identity-class value differs from the dimension"}
+def test_invariant_failure_exit_3(monkeypatch, capsys):
+    # a library self-check that fails inside a table build
+    def fail(A):
+        raise AssertionError("twisted classes do not cover the group")
+
+    monkeypatch.setattr(tb, "twisted_classes", fail)
+    code, out, err = run_cli(["tables", "--group", "sl", "--n", "6", "--q", "5", "--xi-order", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report == {"error": "AssertionError", "message": "twisted classes do not cover the group"}
 
 
 def test_verify_spin_series(capsys):
@@ -161,3 +167,69 @@ def test_negative_omega_usage_error_names_the_attached_form(capsys):
     assert "--omega=-i" in capsys.readouterr().err
     code, out, _ = run_cli(["tables", "--group", "spin", "--N", "10", "--q", "3", "--omega=-i"], capsys)
     assert code == 0 and out.startswith("lambda\t")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--group", "sl", "--n", "0", "--q", "3", "--xi-order", "1"],  # p'-part of 0 never ended
+        ["tables", "--group", "sl", "--n", "-3", "--q", "3", "--xi-order", "1"],
+        ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "0"],  # division by zero
+        ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "-2"],  # printed an object address
+        ["restrict", "--n", "4", "--d", "0"],  # division by zero
+        ["restrict", "--n", "4", "--d", "-1"],
+    ],
+)
+def test_integers_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "Traceback" not in err and " at 0x" not in err
+
+
+def test_p_prime_part_refuses_orders_below_one():
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="group order"):
+            cg.p_prime_part(n, 3)
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@st.composite
+def table_argvs(draw):
+    q = draw(st.sampled_from(PRIME_POWERS))
+    if draw(st.booleans()):
+        argv = ["tables", "--group", "spin", "--N", str(draw(st.integers(1, 20))), "--q", str(q)]
+        omega = draw(st.sampled_from((None, "1", "-1", "i", "-i")))
+        if omega is not None:
+            argv.append(f"--omega={omega}")
+        extension = draw(st.sampled_from((None, "plus", "minus", "trivial")))
+        if extension is not None:
+            argv += ["--extension", extension]
+    else:
+        n = draw(st.integers(1, 20))
+        argv = ["tables", "--group", "sl", "--n", str(n), "--q", str(q), "--xi-order", str(draw(st.integers(1, n)))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_argvs())
+def test_valid_arguments_print_rows_or_one_json_refusal(argv):
+    # capsys cannot be reset between hypothesis examples, so capture here
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1], argv
+    code, out, err = runs[0]
+    if code == 0:
+        assert err == "" and out, argv
+    else:
+        assert out == "" and err.count("\n") == 1, argv
+        assert set(json.loads(err)) == {"error", "message"}, argv

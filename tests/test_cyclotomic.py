@@ -1,6 +1,11 @@
+import cmath
 from fractions import Fraction
+from math import gcd
 
-from springer.cyclotomic import CycRing, cyclotomic_polynomial, sqrt_rational
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from springer.cyclotomic import Cyc, CycRing, cyclotomic_polynomial, sqrt_rational
 
 
 def test_cyclotomic_polynomials():
@@ -99,3 +104,58 @@ def test_galois():
     a = z + 3 * R.root(2)
     b = z * z - R.one()
     assert (a * b).galois(3) == a.galois(3) * b.galois(3)
+
+
+# ---------------------------------------------------------------------------
+# against an independent model: evaluation at zeta_n = exp(2 pi i / n)
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 24)
+integers = st.integers(-30, 30)
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def evaluate(x) -> complex:
+    zeta = cmath.exp(2j * cmath.pi / x.ring.n)
+    return sum(float(c) * zeta**k for k, c in enumerate(x.coeffs))
+
+
+def close(x, value: complex) -> bool:
+    return cmath.isclose(evaluate(x), value, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def elements(draw, n, coeff):
+    R = CycRing(n)
+    return Cyc(R, draw(st.lists(coeff, min_size=R.degree, max_size=R.degree)))
+
+
+@st.composite
+def ring_pairs(draw):
+    n = draw(st.sampled_from(ORDERS))
+    coeff = draw(st.sampled_from((integers, rationals)))
+    return draw(elements(n, coeff)), draw(elements(n, coeff)), draw(st.sampled_from([t for t in range(1, n + 1) if gcd(t, n) == 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_pairs())
+def test_arithmetic_agrees_with_complex_evaluation(case):
+    a, b, t = case
+    n = a.ring.n
+    assert close(a + b, evaluate(a) + evaluate(b))
+    assert close(a * b, evaluate(a) * evaluate(b))
+    assert close(a.conj(), evaluate(a).conjugate())
+    # zeta -> zeta^t on the coefficient vector, evaluated independently
+    zeta_t = cmath.exp(2j * cmath.pi * t / n)
+    assert close(a.galois(t), sum(float(c) * zeta_t**k for k, c in enumerate(a.coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(lambda n: elements(n, integers)))
+def test_int_and_fraction_forms_are_one_element(a):
+    b = Cyc(a.ring, [Fraction(c) for c in a.coeffs])
+    assert a == b and hash(a) == hash(b)
+    # equality with an integer and zero tests read the value, not a coefficient
+    k = a.coeffs[0]
+    assert (a == k) == (b == k) == cmath.isclose(evaluate(a), k, abs_tol=1e-9)
+    assert a.is_zero() == b.is_zero() == cmath.isclose(evaluate(a), 0, abs_tol=1e-9)
+    assert (a * 3) / 3 == a and hash((a * 3) / 3) == hash(a)

@@ -157,7 +157,7 @@ def test_even_generator_extensions_digest():
     for chi in cg.spin_irreducibles(G):
         if cg.is_tau_stable(G, chi):
             for ext in cg.extend_character(chi, G):
-                doc.append([chi.label, ext.label, [[list(g), v.serialize()] for g, v in ext.coset_values]])
+                doc.append([chi.label, ext.label, [[list(g), v.serialize()] for g, v in ext.coset_values.items()]])
     assert len(doc) == 4
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == "d4dbece9be2891e9743ae8d35a7c7efef40998eced866afb1ef8ac3f1cf4e23b"

@@ -1,6 +1,7 @@
 import oracles_groups as og
 import pytest
 
+from springer import component_groups as cg
 from springer import partitions as pt
 from springer import tables as tb
 
@@ -82,11 +83,6 @@ def test_y0_spin_dim2_row():
             assert v.is_zero()
 
 
-def test_y0_spin_nonsplit_refused():
-    with pytest.raises(tb.NotFStableError):
-        tb.y0_row_spin((1, 3), 3, twist="nonsplit", omega_value="1")
-
-
 def test_y0_spin_omega_selection():
     # lambda = (1,3), N = 4: Gamma = Z/2 x Z/2, two candidate local systems
     with pytest.raises(ValueError):
@@ -142,3 +138,37 @@ def test_two_extension_refusal_lists_plus_then_minus():
         with pytest.raises(ValueError) as exc:
             tb.y0_table_spin(N, q)
         assert str(exc.value) == "two extensions exist; pass extension= one of ['plus', 'minus']", (N, q)
+
+
+def _omega_of(chi, G):
+    """The --omega value of a character on the full word, when it has one."""
+    if G.r % 2 or G.r == 0:
+        return None
+    ring = chi.ring
+    names = {"1": ring.one(), "-1": -ring.one(), "i": ring.i(), "-i": -ring.i()}
+    return next(name for name, unit in names.items() if chi.values[G.full_word()] == unit * chi.dim)
+
+
+def test_twisted_extensions_are_orthonormal_and_opposite():
+    # every tau-nontrivial row of dimension 2: the value on 1*tau is the
+    # trace of the intertwiner, not dim rho, and the row check is twisted
+    # orthogonality
+    seen = 0
+    for N in range(3, 14):
+        for q in (3, 7):
+            for la in pt.enumerate_XN(N):
+                G = cg.build_spin_gamma(la, tau_signs=tb.spin_tau_signs(la, q))
+                if og.tau_is_identity_on_group(G):
+                    continue
+                for chi in cg.spin_irreducibles(G):
+                    if chi.dim != 2 or not cg.is_tau_stable(G, chi):
+                        continue
+                    omega = _omega_of(chi, G)
+                    plus, minus = (tb.y0_row_spin(la, q, omega_value=omega, extension=e) for e in ("plus", "minus"))
+                    for row in (plus, minus):
+                        norm = sum(v * v.conj() * size for v, (_, size) in zip(row.values, row.classes))
+                        assert norm == G.order, (la, q, row.extension_label)
+                    assert plus.classes == minus.classes
+                    assert plus.values == tuple(-v for v in minus.values), (la, q)
+                    seen += 1
+    assert seen == 4  # (1,3,7) and (1,5,7), each at q = 3 and q = 7
