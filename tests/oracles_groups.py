@@ -10,15 +10,34 @@ running over every element.  The elementary abelian 2-group (the
 orthogonal quotient) and its sign characters, the orthogonality of
 finished table rows and the dimension of a nilpotent's commutant are
 references for the tests too.
+
+The twisted side has three references: the character table of
+A x| <tau>, computed numerically by Burnside's algorithm, whose
+irreducibles over a tau-stable character restrict on the coset A tau to
+its extensions; the twisted classes closed under every element of A
+rather than under generators; and the intertwiner found by averaging
+matrix units over the group on dense matrices and normalized by a
+rational square root, rather than read off as a Clifford word.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-from springer.component_groups import CyclicGroup, IrrChar, SpinGamma, char_inner, spin_irreducibles
+from springer.component_groups import (
+    CyclicGroup,
+    ExtendedChar,
+    IrrChar,
+    SpinGamma,
+    char_inner,
+    cmat_mul,
+    cmat_scale,
+    spin_irreducibles,
+)
 from springer.cyclotomic import CycRing
 from springer.partitions import Partition, check_partition
 
@@ -190,3 +209,228 @@ def centralizer_algebra_dimension(la: Partition) -> int:
     """dim of {m : m x = x m} for x nilpotent of type la (any field)."""
     la = check_partition(la)
     return sum(min(a, b) for a in la for b in la)
+
+
+# ---------------------------------------------------------------------------
+# the character table of A x| <tau>, numerically
+
+
+class TauExtended:
+    """A x| <tau> for an involution tau of A: pairs (g, k) with k mod 2,
+    (g, k)(h, l) = (g tau^k(h), k + l), so (1, 1) conjugates (h, 0) to
+    (tau(h), 0)."""
+
+    def __init__(self, G):
+        if any(G.tau(G.tau(g)) != g for g in G.elements):
+            raise ValueError("tau is not an involution")
+        self.G = G
+        self.elements = [(g, k) for k in (0, 1) for g in G.elements]
+        self.order = len(self.elements)
+
+    def mul(self, x, y):
+        (g, k), (h, l) = x, y
+        return self.G.mul(g, self.G.tau(h) if k else h), (k + l) % 2
+
+    def inv(self, x):
+        g, k = x
+        return (self.G.tau(self.G.inv(g)) if k else self.G.inv(g)), k
+
+
+def character_table(G, seed: int = 0) -> list[dict]:
+    """Every irreducible character of G as an element -> complex map.
+
+    Burnside's algorithm: the class sums span the center of the group
+    algebra, each central character w satisfies
+    w(C_i) w(C_j) = sum_l a_ijl w(C_l) with a_ijl the number of x in C_i
+    with x^-1 z_l in C_j (z_l a fixed member of C_l), so the vectors
+    (w(C_l))_l are the common eigenvectors of the matrices (a_ijl)_jl;
+    a random combination of them separates the eigenvalues.  Then
+    chi(z_l) = chi(1) w(C_l) / |C_l|, with chi(1) fixed by sum |chi|^2 = |G|.
+    """
+    import numpy as np
+
+    classes = conjugacy_classes(G)
+    index = {g: i for i, c in enumerate(classes) for g in c}
+    k = len(classes)
+    a = np.zeros((k, k, k))
+    for l, cl in enumerate(classes):
+        z = cl[0]
+        for i, ci in enumerate(classes):
+            for x in ci:
+                a[i, index[G.mul(G.inv(x), z)], l] += 1
+    coeffs = np.random.default_rng(seed).standard_normal(k)
+    values, vectors = np.linalg.eig(np.tensordot(coeffs, a, axes=1))
+    if min(abs(u - v) for i, u in enumerate(values) for v in values[i + 1 :]) < 1e-6:
+        raise AssertionError("the random class-sum combination repeats an eigenvalue")
+    sizes = np.array([len(c) for c in classes])
+    e = next(g for g in G.elements if G.mul(g, g) == g)
+    one = index[e]
+    out = []
+    for col in vectors.T:
+        w = col / col[one]
+        dim = np.sqrt(G.order / np.sum(abs(w) ** 2 / sizes))
+        chi = dim * w / sizes
+        out.append({g: complex(chi[index[g]]) for g in G.elements})
+    if abs(sum(abs(chi[e]) ** 2 for chi in out) - G.order) > 1e-6:
+        raise AssertionError("the squared degrees do not sum to the group order")
+    return out
+
+
+def to_complex(x) -> complex:
+    """A cyclotomic value evaluated at zeta_n = exp(2 pi i / n)."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / x.ring.n) for k, c in enumerate(x.coeffs))
+
+
+def coset_restrictions_over(G, chi: IrrChar) -> list[dict]:
+    """The characters of A x| <tau> lying over chi, read on the coset A tau:
+    g -> value at (g, 1), for each irreducible whose restriction to A is chi."""
+    over = []
+    for psi in character_table(TauExtended(G)):
+        if all(cmath.isclose(psi[(g, 0)], to_complex(v), abs_tol=1e-9) for g, v in chi.values.items()):
+            over.append({g: psi[(g, 1)] for g in G.elements})
+    return over
+
+
+# ---------------------------------------------------------------------------
+# twisted classes by running over every element
+
+
+def twisted_classes_by_all_b(G) -> tuple:
+    """Orbits of a -> b a tau(b)^{-1} on A tau, closed under every b in A,
+    as (representative, members) pairs in representative order."""
+    seen = set()
+    classes = []
+    for a in G.elements:
+        if a in seen:
+            continue
+        orbit = set()
+        frontier = {a}
+        while frontier:
+            x = frontier.pop()
+            if x in orbit:
+                continue
+            orbit.add(x)
+            for b in G.elements:
+                y = G.mul(G.mul(b, x), G.inv(G.tau(b)))
+                if y not in orbit:
+                    frontier.add(y)
+        members = tuple(sorted(orbit))
+        seen |= orbit
+        classes.append((members[0], members))
+    classes.sort(key=lambda c: c[0])
+    return tuple(classes)
+
+
+# ---------------------------------------------------------------------------
+# the intertwiner by a search over matrix units, on dense matrices
+
+
+def dense(rep, g, ring: CycRing) -> tuple:
+    """The matrix of g in a monomial spin model, with entries in ring
+    (whose order 4 divides)."""
+    units = [ring.root_of_unity(4, k) for k in range(4)]
+    zero = ring.zero()
+    return tuple(tuple(units[p] if j == c else zero for j in range(rep.dim)) for c, p in zip(*rep.word(g)))
+
+
+def cmat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def cmat_trace(a):
+    s = a[0][0].ring.zero()
+    for i in range(len(a)):
+        s = s + a[i][i]
+    return s
+
+
+def cmat_is_zero(a) -> bool:
+    return all(x.is_zero() for row in a for x in row)
+
+
+def _squarefree_split(m: int) -> tuple[int, int]:
+    """m = f * s^2 with f squarefree; returns (f, s)."""
+    f, s = 1, 1
+    d = 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        s *= d ** (e // 2)
+        if e % 2:
+            f *= d
+        d += 1
+    return f * m, s
+
+
+def sqrt_rational(ring: CycRing, r: Fraction):
+    """A square root of the rational r inside the ring, if one exists.
+
+    Covers rational squares, their negatives (via i when 4 | order) and
+    the 2 * square family (via zeta_8 + zeta_8^{-1} when 8 | order).
+    """
+    r = Fraction(r)
+    if r == 0:
+        return ring.zero()
+    f, s = _squarefree_split(abs(r.numerator) * r.denominator)
+    base = Fraction(s, r.denominator)
+    if f == 1:
+        val = ring.one() * base
+    elif f == 2 and ring.n % 8 == 0:
+        val = (ring.root_of_unity(8) + ring.root_of_unity(8, -1)) * base
+    else:
+        return None
+    if r < 0:
+        if ring.n % 4 != 0:
+            return None
+        val = ring.i() * val
+    return val
+
+
+def find_intertwiner(G: SpinGamma, rep, ring: CycRing):
+    """T with T rho(g) T^{-1} = rho(tau g) and T^2 = 1: the average of
+    rho(tau g) E rho(g)^{-1} over g for the first matrix unit E that
+    gives a nonzero sum, scaled by the principal square root of the
+    inverse of its scalar square."""
+    dim = rep.dim
+    for ei in range(dim):
+        for ej in range(dim):
+            M = tuple(
+                tuple(ring.one() if (i, j) == (ei, ej) else ring.zero() for j in range(dim)) for i in range(dim)
+            )
+            S = None
+            for g in G.elements:
+                term = cmat_mul(cmat_mul(dense(rep, G.tau(g), ring), M), dense(rep, G.inv(g), ring))
+                S = term if S is None else cmat_add(S, term)
+            if not cmat_is_zero(S):
+                S2 = cmat_mul(S, S)
+                c = S2[0][0]
+                for i in range(dim):
+                    for j in range(dim):
+                        expect = c if i == j else ring.zero()
+                        if not (S2[i][j] - expect).is_zero():
+                            raise AssertionError("intertwiner square is not scalar")
+                cr = c.as_rational()
+                if cr is None:
+                    raise AssertionError("intertwiner square is not rational in this ring")
+                gamma = sqrt_rational(ring, Fraction(1, 1) / cr)
+                if gamma is None:
+                    raise AssertionError("normalizing scalar has no square root in the ring")
+                return cmat_scale(gamma, S)
+    raise AssertionError("no nonzero intertwiner found")
+
+
+def extend_by_search(chi: IrrChar, G: SpinGamma) -> list[ExtendedChar]:
+    """Both extensions of a tau-stable spin character with tau nontrivial,
+    through the searched intertwiner: value tr(rho(g) (+-T)) at g tau,
+    labelled plus and minus and ordered by serialized value vector."""
+    ring = CycRing(8 * chi.ring.n // gcd(8, chi.ring.n))
+    T = find_intertwiner(G, chi.rep, ring)
+    out = []
+    for sign, label in ((1, "plus"), (-1, "minus")):
+        Ts = cmat_scale(ring.from_int(sign), T)
+        values = {g: cmat_trace(cmat_mul(dense(chi.rep, g, ring), Ts)) for g in G.elements}
+        out.append(ExtendedChar(label=label, coset_values=values))
+    out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for v in e.coset_values.values()))
+    return out

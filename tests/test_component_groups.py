@@ -1,4 +1,6 @@
+import cmath
 from fractions import Fraction
+from math import gcd
 
 import oracles_clifford as cl
 import oracles_groups as og
@@ -6,6 +8,7 @@ import pytest
 
 from springer import component_groups as cg
 from springer import partitions as pt
+from springer import tables as tb
 from springer.cyclotomic import CycRing
 
 
@@ -304,3 +307,66 @@ def test_dispatch():
     assert len(cg.spin_irreducibles(cg.build_spin_gamma((1, 3)))) == 2
     assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5), 2)) == 1
     assert len(og.elem_abelian_characters(og.ElemAbelian2(2))) == 4
+
+
+def test_extensions_are_the_semidirect_characters_over_rho():
+    # the irreducibles of A x| <tau> over a tau-stable rho restrict on the
+    # coset A tau to the two extensions of rho, one each
+    for lam in ((1, 3, 7), (1, 5, 7)):
+        for q in (3, 7):
+            g = cg.build_spin_gamma(lam, tau_signs=tb.spin_tau_signs(lam, q))
+            assert not og.tau_is_identity_on_group(g)
+            (chi,) = cg.spin_irreducibles(g)
+            assert chi.dim == 2 and cg.is_tau_stable(g, chi)
+            over = og.coset_restrictions_over(g, chi)
+            assert len(over) == 2, (lam, q)
+            exts = cg.extend_character(chi, g)
+            assert len(exts) == 2
+            for ext in exts:
+                matches = [
+                    psi
+                    for psi in over
+                    if all(cmath.isclose(og.to_complex(v), psi[a], abs_tol=1e-9) for a, v in ext.coset_values.items())
+                ]
+                assert len(matches) == 1, (lam, q, ext.label)
+
+
+def test_character_table_oracle_on_a_known_group():
+    # Z/4 x| <inversion> is the dihedral group of order 8: five classes,
+    # degrees 1, 1, 1, 1, 2
+    table = og.character_table(og.TauExtended(cg.CyclicGroup(4, tau_mult=-1)))
+    identity = (0, 0)
+    assert sorted(round(chi[identity].real) for chi in table) == [1, 1, 1, 1, 2]
+
+
+def _spin_groups(q: int, n_max: int = 28):
+    for N in range(3, n_max + 1):
+        for lam in pt.enumerate_XN(N):
+            yield lam, cg.build_spin_gamma(lam, tau_signs=tb.spin_tau_signs(lam, q))
+
+
+def test_generator_closure_matches_the_all_b_closure():
+    groups = [g for q in (3, 5) for _, g in _spin_groups(q)]
+    groups += [cg.CyclicGroup(m, tau_mult=t) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
+    groups.append(cg.CyclicGroup(1))
+    for g in groups:
+        assert cg.twisted_classes(g) == og.twisted_classes_by_all_b(g)
+
+
+def test_word_intertwiner_matches_the_matrix_unit_search():
+    # every tau-nontrivial class with N <= 28 at q = 3: same labels, the
+    # same values in the same order and the same ring
+    pairs = 0
+    for lam, g in _spin_groups(3):
+        if og.tau_is_identity_on_group(g):
+            continue
+        for chi in cg.spin_irreducibles(g):
+            if chi.dim == 1 or not cg.is_tau_stable(g, chi):
+                continue
+            new, old = cg.extend_character(chi, g), og.extend_by_search(chi, g)
+            assert [e.label for e in new] == [e.label for e in old], lam
+            for a, b in zip(new, old):
+                assert list(a.coset_values.items()) == list(b.coset_values.items()), (lam, a.label)
+                assert {v.ring for v in a.coset_values.values()} == {v.ring for v in b.coset_values.values()}
+            pairs += 1
+    assert pairs == 119
