@@ -13,9 +13,12 @@ The spin characters with xi(eps) = -1 come from monomial matrices: the
 generators are Kronecker products of Pauli matrices scaled by 1 or i,
 so every word has one nonzero entry per row, a fourth root of unity,
 and is stored as a column index and a phase mod 4 per row.  Each such
-character keeps its model, from which the intertwiner of its twisted
-extensions is built.  The group law and irreducibility are verified
-exactly for every table built.
+character keeps its model.  On SpinGamma, tau is conjugation by an even
+word, so the intertwiner of a twisted extension is that word's matrix
+times a fourth root of unity.  The group law and irreducibility are
+verified exactly for every table built.
+
+Both groups list generators; twisted classes are closed under them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyc, CycRing, sqrt_rational
+from .cyclotomic import Cyc, CycRing
 from .partitions import Partition, check_partition, is_in_XN, odd_part_positions
 
 Element = tuple[int, int]  # SpinGamma: (epsilon power, generator bitmask)
@@ -59,17 +62,6 @@ def cmat_scale(c: Cyc, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def cmat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def cmat_trace(a) -> Cyc:
-    s = a[0][0].ring.zero()
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
-
-
 def cmat_kron(a, b):
     out = []
     for ra in a:
@@ -80,10 +72,6 @@ def cmat_kron(a, b):
                     row.append(xa * xb)
             out.append(tuple(row))
     return tuple(out)
-
-
-def cmat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 def _pauli(R: CycRing):
@@ -185,6 +173,14 @@ class SpinGamma:
     def epsilon(self) -> Element:
         return (1, 0)
 
+    def generators(self) -> list[Element]:
+        """epsilon and every product x_i x_j (i < j) of two generators."""
+        gens = [self.epsilon()]
+        for i in range(self.r):
+            for j in range(i + 1, self.r):
+                gens.append((0, (1 << i) | (1 << j)))
+        return gens
+
     def _merge_sign(self, s_mask: int, t_mask: int) -> int:
         """Exponent of epsilon produced when sorting x_S x_T."""
         exp = 0
@@ -247,6 +243,9 @@ class CyclicGroup:
 
     def tau(self, a: int) -> int:
         return (self.tau_mult * a) % self.m
+
+    def generators(self) -> tuple[int, ...]:
+        return (1,) if self.m > 1 else ()
 
 
 def build_spin_gamma(la_parts: Partition, tau_signs: Optional[Sequence[int]] = None) -> SpinGamma:
@@ -349,7 +348,6 @@ class SpinRepresentation:
         self.ring = ring
         self.gen_mats = gen_mats  # dense, one per generator index
         self.gens = [monomial(m, ring) for m in gen_mats]
-        self._one_i = ring.one().coeffs, ring.i().coeffs
         self.dim = len(gen_mats[0]) if gen_mats else 1
         self._cache: dict[Element, Word] = {}
 
@@ -370,19 +368,16 @@ class SpinRepresentation:
         self._cache[g] = out
         return out
 
-    def trace(self, g: Element) -> Cyc:
+    def trace(self, g: Element, ring: Optional[CycRing] = None, phase: int = 0) -> Cyc:
+        """i^phase tr rho(g), in ring (the model's own by default; its order
+        must be a multiple of 4)."""
+        ring = ring or self.ring
         counts = [0, 0, 0, 0]
         for k, (c, p) in enumerate(zip(*self.word(g))):
             if c == k:
-                counts[p] += 1
+                counts[(p + phase) % 4] += 1
         re, im = counts[0] - counts[2], counts[1] - counts[3]
-        return Cyc(self.ring, [re * a + im * b for a, b in zip(*self._one_i)])
-
-    def dense(self, g: Element, ring: CycRing) -> tuple:
-        """The matrix of g with entries in ring (whose order 4 divides)."""
-        units = [ring.root_of_unity(4, k) for k in range(4)]
-        zero = ring.zero()
-        return tuple(tuple(units[p] if j == c else zero for j in range(self.dim)) for c, p in zip(*self.word(g)))
+        return Cyc(ring, [re * a + im * b for a, b in zip(ring.one().coeffs, ring.i().coeffs)])
 
     def character(self) -> dict[Element, Cyc]:
         return {g: self.trace(g) for g in self.G.elements}
@@ -431,12 +426,8 @@ def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
     models = []
     # checking the group law on (generator, anything) pairs suffices:
     # the property is closed under left multiplication by generators
-    gens = [G.epsilon()]
-    for i in range(G.r):
-        for j in range(i + 1, G.r):
-            gens.append((0, (1 << i) | (1 << j)))
     for rep in _spin_negative_representations(G, ring):
-        for s in gens:
+        for s in G.generators():
             ws = rep.word(s)
             for h in G.elements:
                 if word_mul(ws, rep.word(h)) != rep.word(G.mul(s, h)):
@@ -481,11 +472,11 @@ def _lcm(a: int, b: int) -> int:
 
 def twisted_classes(G) -> tuple:
     """Orbits of a -> b a tau(b)^{-1} on the coset A tau, as
-    (representative, members) pairs in representative order."""
-    elements = list(G.elements)
+    (representative, members) pairs in representative order.  An orbit
+    of A is closed under A once it is closed under generators of A."""
     seen = set()
     classes = []
-    for a in elements:
+    for a in G.elements:
         if a in seen:
             continue
         orbit = set()
@@ -495,7 +486,7 @@ def twisted_classes(G) -> tuple:
             if x in orbit:
                 continue
             orbit.add(x)
-            for b in elements:
+            for b in G.generators():
                 y = G.mul(G.mul(b, x), G.inv(G.tau(b)))
                 if y not in orbit:
                     frontier.add(y)
@@ -516,44 +507,21 @@ class ExtendedChar:
     coset_values: dict  # element g -> value at g*tau, in group element order
 
 
-def _find_intertwiner(G: SpinGamma, rep, ring: CycRing):
-    """T with T rho(g) T^{-1} = rho(tau g), normalized so that T^2 = 1."""
-    dim = rep.dim
-    for ei in range(dim):
-        for ej in range(dim):
-            M = tuple(
-                tuple(ring.one() if (i, j) == (ei, ej) else ring.zero() for j in range(dim)) for i in range(dim)
-            )
-            S = None
-            for g in G.elements:
-                term = cmat_mul(cmat_mul(rep.dense(G.tau(g), ring), M), rep.dense(G.inv(g), ring))
-                S = term if S is None else cmat_add(S, term)
-            if not cmat_is_zero(S):
-                S2 = cmat_mul(S, S)
-                c = S2[0][0]
-                for i in range(dim):
-                    for j in range(dim):
-                        expect = c if i == j else ring.zero()
-                        if not (S2[i][j] - expect).is_zero():
-                            raise AssertionError("intertwiner square is not scalar")
-                cr = c.as_rational()
-                if cr is None:
-                    raise AssertionError("intertwiner square is not rational in this ring")
-                gamma = sqrt_rational(ring, Fraction(1, 1) / cr)
-                if gamma is None:
-                    raise AssertionError("normalizing scalar has no square root in the ring")
-                return cmat_scale(gamma, S)
-    raise AssertionError("no nonzero intertwiner found")
-
-
 def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     """Extensions of a tau-stable character to the coset A tau.
 
     Abelian groups and trivial tau get the trivial extension (value at
     g tau equals chi(g)).  A higher-dimensional spin character with
-    nontrivial tau yields both extensions, deterministically labeled;
-    selecting between them needs restriction-side data, which this
-    module does not consume.
+    nontrivial tau has two, through T and -T, where T rho(g) T^{-1} =
+    rho(tau g) and T^2 = 1.  There tau is conjugation by the even word
+    w = x_F, F the generators that tau negates (or the complement when F
+    is odd), so T = i^s rho(w): s is u or u + 1 for u the phase of the
+    column-0 entry of rho(w^{-1}), with the parity of the epsilon power
+    of w^2.  That makes T^2 = 1 and gives T the phase of the average of
+    rho(tau g) E_00 rho(g)^{-1} over A.  The value at g tau is
+    +-i^s tr rho(g w).  The two are labelled plus and minus and ordered by
+    their values; selecting between them needs restriction-side data,
+    which this module does not consume.
     """
     if not is_tau_stable(G, chi):
         raise ValueError("character is not tau-stable")
@@ -562,13 +530,26 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
         return [ExtendedChar(label="trivial", coset_values=chi.values)]
     if chi.rep is None:
         raise ValueError("higher-dimensional extensions only arise for the spin model")
+    rep = chi.rep
+    flipped = sum(1 << k for k, sign in enumerate(G.tau_signs) if sign == -1)
+    even = [f for f in (flipped, flipped ^ ((1 << G.r) - 1)) if bin(f).count("1") % 2 == 0]
+    if not even:
+        raise AssertionError("tau is not conjugation by an even word, so rho is not tau-stable")
+    w = (0, even[0])
+    columns, phases = rep.word(G.inv(w))
+    u = phases[columns.index(0)]
+    s = u + (u + G.mul(w, w)[0]) % 2
+    columns, phases = rep.word(w)
+    T = columns, tuple((p + s) % 4 for p in phases)
+    if word_mul(T, T) != rep.word(G.identity()):
+        raise AssertionError("the word intertwiner does not square to 1")
+    if any(word_mul(T, rep.word(x)) != word_mul(rep.word(G.tau(x)), T) for x in G.generators()):
+        raise AssertionError("the word intertwiner does not conjugate rho to rho after tau")
     ring = CycRing(_lcm(8, chi.ring.n))
-    T = _find_intertwiner(G, chi.rep, ring)
-    out = []
-    for sign, lab in ((1, "plus"), (-1, "minus")):
-        Ts = cmat_scale(ring.from_int(sign), T)
-        vals = {g: cmat_trace(cmat_mul(chi.rep.dense(g, ring), Ts)) for g in G.elements}
-        out.append(ExtendedChar(label=lab, coset_values=vals))
+    out = [
+        ExtendedChar(label=label, coset_values={g: rep.trace(G.mul(g, w), ring, s + shift) for g in G.elements})
+        for label, shift in (("plus", 0), ("minus", 2))
+    ]
     # deterministic order: by serialized value vector
     out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for v in e.coset_values.values()))
     return out

@@ -207,42 +207,3 @@ class Cyc:
                     terms.append(f"{c}*z^{k}")
         return " + ".join(terms) if terms else "0"
 
-
-def _squarefree_split(m: int) -> tuple[int, int]:
-    """m = f * s^2 with f squarefree; returns (f, s)."""
-    f, s = 1, 1
-    d = 2
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
-            f *= d
-        d += 1
-    return f * m, s
-
-
-def sqrt_rational(ring: CycRing, r: Fraction) -> Optional[Cyc]:
-    """A square root of the rational r inside the ring, if one exists.
-
-    Covers rational squares, their negatives (via i when 4 | order) and
-    the 2 * square family (via zeta_8 + zeta_8^{-1} when 8 | order).
-    """
-    r = Fraction(r)
-    if r == 0:
-        return ring.zero()
-    f, s = _squarefree_split(abs(r.numerator) * r.denominator)
-    base = Fraction(s, r.denominator)
-    if f == 1:
-        val = ring.one() * base
-    elif f == 2 and ring.n % 8 == 0:
-        val = (ring.root_of_unity(8) + ring.root_of_unity(8, -1)) * base
-    else:
-        return None
-    if r < 0:
-        if ring.n % 4 != 0:
-            return None
-        val = ring.i() * val
-    return val

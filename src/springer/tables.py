@@ -178,14 +178,15 @@ def _rep_str(group: str, rep) -> str:
 def _checked_row(
     group: str, q: int, la: Partition, series: int, rho: IrrChar, ext: ExtendedChar, A, exp: ExponentData
 ) -> GreenBasisRow:
-    """The row of ext's values on the twisted classes of A.
+    """The row of ext's values on the twisted classes of A (the orbits
+    of a -> b a tau(b)^{-1}, closed under generators of A).
 
     Checked: each value is constant on its class, and the exponent
     identity holds with an even sum.  The trivial extension carries
-    dim rho on the identity class; an extension through an intertwiner
-    (tau nontrivial on rho) is checked by twisted orthogonality instead,
-    sum over classes of size * |value|^2 = |A|, as its value on 1*tau
-    is the trace of the intertwiner.
+    dim rho on the identity class; an extension through the word
+    intertwiner T = +-i^s rho(w) (tau nontrivial on rho) is checked by
+    twisted orthogonality instead, sum over classes of
+    size * |value|^2 = |A|, as its value on 1*tau is tr T, not dim rho.
     """
     classes = twisted_classes(A)
     vm = ext.coset_values

@@ -104,7 +104,7 @@ def test_prop_2_5_dimension_table():
             assert len(neg) == 2 and all(c.dim == 2 ** ((r - 2) // 2) for c in neg)
         # the matrix models report the size of their own matrices
         for rep in cg._spin_negative_representations(g, CycRing(4)):
-            assert rep.dim == len(rep.dense(g.identity(), CycRing(4)))
+            assert rep.dim == len(og.dense(rep, g.identity(), CycRing(4)))
 
 
 # r = 1..6 generators, each with the last part 1 and 3 mod 4 (both
@@ -139,8 +139,8 @@ def test_monomial_words_match_dense_products():
                         dense = cg.cmat_mul(rep.gen_mats[i], dense)
                 if a:
                     dense = cg.cmat_scale(R.from_int(-1), dense)
-                assert rep.dense((a, mask), R) == dense, (lam, k, a, mask)
-                assert rep.trace((a, mask)) == cg.cmat_trace(dense), (lam, k, a, mask)
+                assert og.dense(rep, (a, mask), R) == dense, (lam, k, a, mask)
+                assert rep.trace((a, mask)) == og.cmat_trace(dense), (lam, k, a, mask)
     assert seen == {(r, e) for r in range(1, 7) for e in (0, 1)}
 
 

@@ -15,9 +15,13 @@ generation.
 The order-24 and order-8 SL tables, the F_9 spin table and the order-4
 JSON table were recorded before the cyclotomic coefficients became
 plain integers and the characters element-to-value maps.
-The last test pins the two-extension (intertwiner) path of the
-even-generator spin model, which no CLI invocation reaches with a
-verified row.
+The last test pins the two-extension path of the even-generator spin
+model, which no CLI invocation reaches with a verified row; its digest
+was recorded with the intertwiner found by a search over matrix units
+and holds for the intertwiner read off as a Clifford word, T = i^s rho(w)
+with w the even word whose conjugation is tau.  The spin tables with
+tau nontrivial were recorded with twisted classes closed under every
+element of A and hold for the closure under generators.
 """
 
 import hashlib
@@ -148,7 +152,8 @@ def test_spin_two_extension_refusal(capsys):
 
 def test_even_generator_extensions_digest():
     # (1,3,7,9) at q = 3: F flips x3 and x4, so both xi(eps) = -1
-    # characters are tau-stable and extend through the intertwiner
+    # characters are tau-stable and extend through the word intertwiner
+    # T = i^s rho(x3 x4)
     lam = (1, 3, 7, 9)
     signs = tb.spin_tau_signs(lam, 3)
     assert signs == (1, 1, -1, -1)
