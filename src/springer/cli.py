@@ -140,6 +140,7 @@ def _flag_row(idx: int, lap, sub, sup, invariant, orbit, stable: bool) -> str:
 
 
 def cmd_flags(args) -> int:
+    _at_least_one(args, "d")
     lam = _parse_partition(args.lam)
     p, k = _prime_of(args.q)
     lines = ["flag_id\tlambda_prime\tW\tWp\ttype_mod_W\torbit\tf_stable"]
@@ -216,6 +217,7 @@ def cmd_tables(args) -> int:
     else:
         if args.N is None:
             args.parser.error("--group spin needs --N")
+        _at_least_one(args, "N")
         rows = tb.y0_table_spin(args.N, p, k, omega_value=args.omega, extension=args.extension)
         series = "by-defect"
     if args.format == "json":
@@ -343,7 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--xi-order", dest="xi_order", type=int)
     p.add_argument("--omega", choices=("1", "-1", "i", "-i"))
-    p.add_argument("--extension", choices=("plus", "minus", "trivial"))
+    p.add_argument(
+        "--extension",
+        choices=("plus", "minus", "trivial"),
+        help="the twisted extension of a class that has two (default: both, plus then minus)",
+    )
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     add_output(p)
     p.set_defaults(func=cmd_tables, parser=p)

@@ -263,7 +263,9 @@ def y0_row_spin(
     For even N the central character also takes a value at omega, which
     selects one of the two candidate local systems: pass omega_value as
     one of "1", "-1", "i", "-i" (matched against the character value on
-    the full generator word).
+    the full generator word).  When tau acts nontrivially on a local
+    system of dimension > 1 it has two extensions, and extension ("plus"
+    or "minus") names one; a class with one extension ignores it.
     """
     la = check_partition(la)
     if not is_in_XN(la):
@@ -320,6 +322,9 @@ def y0_table_spin(
 
     omega_value defaults to "i" when N = 2 (mod 4), where the center is
     Z/4 and omega squares to eps, so it acts by i or -i; otherwise to "1".
+    Without extension, a class with two extensions gives its plus row,
+    then its minus row (y0_row_spin ignores the name "plus" on a class
+    with one extension).
     """
     from .partitions import enumerate_XN
 
@@ -331,8 +336,10 @@ def y0_table_spin(
         if len(odd_part_positions(la)) % 2 == 0 and len(odd_part_positions(la)) > 0:
             kwargs["omega_value"] = omega_value
         try:
-            rows.append(y0_row_spin(la, q_p, q_k, extension=extension, **kwargs))
+            rows.append(y0_row_spin(la, q_p, q_k, extension=extension or "plus", **kwargs))
         except NotFStableError:
             continue
+        if extension is None and rows[-1].extension_label == "plus":
+            rows.append(y0_row_spin(la, q_p, q_k, extension="minus", **kwargs))
     return rows
 

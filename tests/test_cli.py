@@ -178,6 +178,9 @@ def test_negative_omega_usage_error_names_the_attached_form(capsys):
         ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "-2"],  # printed an object address
         ["restrict", "--n", "4", "--d", "0"],  # division by zero
         ["restrict", "--n", "4", "--d", "-1"],
+        ["flags", "--group", "sl", "--lambda", "1,2", "--d", "0", "--q", "3"],  # printed only the header
+        ["flags", "--group", "sl", "--lambda", "1,2", "--d", "-1", "--q", "3"],
+        ["tables", "--group", "spin", "--N", "0", "--q", "3"],  # printed a table for N = 0
     ],
 )
 def test_integers_below_one_are_usage_errors(argv, capsys):

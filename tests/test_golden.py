@@ -140,12 +140,34 @@ def test_split_so_outside_XN_is_refused(capsys):
 
 def test_spin_two_extension_refusal(capsys):
     # (1,2,2,2,2,5,7) at q = 3 has a tau-stable character of dimension 2 with
-    # tau acting nontrivially: the intertwiner is built, both extensions
-    # exist, and without --extension the table is refused
-    assert main("tables --group spin --N 21 --q 3".split()) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines()[-1] == (
+    # tau acting nontrivially, so both extensions exist: without --extension
+    # each such class prints the rows of --extension plus, then those of
+    # --extension minus; --extension trivial is refused for it
+    def run(*extra):
+        code = main(["tables", "--group", "spin", "--N", "21", "--q", "3", *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def by_class(out):
+        groups = {}
+        for line in out.splitlines()[1:]:
+            groups.setdefault(line.split("\t")[0], []).append(line)
+        return groups
+
+    code, both, err = run()
+    assert code == 0 and err == ""
+    assert hashlib.sha256(both.encode()).hexdigest() == "859da35d25ed295f43cba7710117e1fb6e27d3ac34a4a1f068acb47896f4f6da"
+    plus, minus = (by_class(run("--extension", e)[1]) for e in ("plus", "minus"))
+    expected = both.splitlines()[:1]
+    for la, lines in plus.items():
+        expected += lines
+        if lines[0].split("\t")[2] == "plus":
+            expected += minus[la]
+    assert both.splitlines() == expected
+    assert plus["[1, 2, 2, 2, 2, 5, 7]"][0].split("\t")[1:3] == ["neg", "plus"]
+    code, out, err = run("--extension", "trivial")
+    assert code == 1 and out == ""
+    assert err.strip().splitlines()[-1] == (
         '{"error": "ValueError", "message": "two extensions exist; pass extension= one of [\'plus\', \'minus\']"}'
     )
 

@@ -133,10 +133,18 @@ def test_row_json_roundtrip():
 
 
 def test_two_extension_refusal_lists_plus_then_minus():
-    # extend_character orders the extensions by value; the message does not
-    for N, q in ((11, 3), (13, 7)):
+    # without an extension, a class with two gives its plus row, then its
+    # minus row; naming the trivial extension for it is refused, and the
+    # message lists plus then minus although extend_character orders the
+    # extensions by value
+    for N, q, la in ((11, 3, (1, 3, 7)), (13, 7, (1, 5, 7))):
+        rows = tb.y0_table_spin(N, q)
+        labels = [(r.la, r.extension_label) for r in rows]
+        assert [x for x in labels if x[1] != "trivial"] == [(la, "plus"), (la, "minus")], (N, q)
+        i = labels.index((la, "plus"))
+        assert rows[i : i + 2] == [tb.y0_row_spin(la, q, extension=e) for e in ("plus", "minus")]
         with pytest.raises(ValueError) as exc:
-            tb.y0_table_spin(N, q)
+            tb.y0_table_spin(N, q, extension="trivial")
         assert str(exc.value) == "two extensions exist; pass extension= one of ['plus', 'minus']", (N, q)
 
 
