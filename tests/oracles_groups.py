@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from springer.component_groups import (
@@ -425,7 +425,7 @@ def extend_by_search(chi: IrrChar, G: SpinGamma) -> list[ExtendedChar]:
     """Both extensions of a tau-stable spin character with tau nontrivial,
     through the searched intertwiner: value tr(rho(g) (+-T)) at g tau,
     labelled plus and minus and ordered by serialized value vector."""
-    ring = CycRing(8 * chi.ring.n // gcd(8, chi.ring.n))
+    ring = CycRing(lcm(8, chi.ring.n))
     T = find_intertwiner(G, chi.rep, ring)
     out = []
     for sign, label in ((1, "plus"), (-1, "minus")):
