@@ -7,12 +7,15 @@ and re-check every defining condition (`verify_flag_sl`,
 enumerates.  The orthogonal cases are classified here
 (`classify_pair_spin`), since only these explicit planes consume them.
 `flag_frobenius_sl` is the duality-twisted Frobenius on SL flags, whose
-square is the plain q^2-power map.
+square is the plain q^2-power map.  The last section keeps the plain
+forms of the cyclic-subspace enumeration, quotient types and span
+vectors that `varieties` and `flinalg` shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from springer import flinalg as la
@@ -424,3 +427,87 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
         if not verify_flag_so(data, lap, f):
             raise AssertionError("explicit split flag fails the defining conditions")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the enumeration before its per-subspace shortcuts
+#
+# `varieties` and `flinalg` skip work the algebra makes redundant: no
+# span is rebuilt for d <= 2, quotient ranks come from reducing W
+# against the echelon rows of the power images, and span vectors are
+# running sums.  These are the plain forms they replaced, kept as the
+# references the shortcuts must reproduce exactly (order included).
+
+
+def span_vectors_by_product(K, basis: la.Matrix, coeffs=None):
+    """Every combination of the rows, the coefficient of row 0 varying
+    fastest, each vector summed row by row from scratch."""
+    if not basis:
+        yield ()
+        return
+    n = len(basis[0])
+    for cs in product(K.elements() if coeffs is None else coeffs, repeat=len(basis)):
+        v = [0] * n
+        for cf, row in zip(reversed(cs), basis):
+            if cf:
+                for j, rv in enumerate(row):
+                    if rv:
+                        v[j] = K.add(v[j], K.mul(cf, rv))
+        yield tuple(v)
+
+
+def power_images_by_rref(K, x: la.Matrix) -> list:
+    """Echelon bases of im(x^k) for k = 0..n + 1 (index 0 unused)."""
+    n = len(x)
+    out = [None]
+    cur = x
+    for _ in range(n):
+        img = la.echelon_basis(K, la.transpose(cur))
+        out.append(img)
+        if not img:
+            break
+        cur = la.mat_mul(K, cur, x)
+    while len(out) <= n + 1:
+        out.append(())
+    return out
+
+
+def quotient_type_by_rref(K, x: la.Matrix, w_basis: la.Matrix, pow_images=None) -> Partition:
+    """Jordan type of x on V / W from the echelon form of im(x^k) + W at
+    every k; pow_images is power_images_by_rref(K, x) when given."""
+    n = len(x)
+    d = len(w_basis)
+    if pow_images is None:
+        pow_images = power_images_by_rref(K, x)
+    ranks = [n - d]
+    for img in pow_images[1 : n + 1]:
+        ranks.append(len(la.echelon_basis(K, img + w_basis)) - d if img else 0)
+    return la.partition_from_ranks(ranks)
+
+
+def cyclic_subspaces_by_span(K, x: la.Matrix, d: int) -> list[la.Matrix]:
+    """The d in {1, 2} cyclic subspaces, each rebuilt and re-checked as
+    the span of its generator's x-orbit."""
+    assert d in (1, 2)
+    n = len(x)
+    if d > n:
+        return []
+    kd = vr._kernel_of_power(K, x, d)
+    kdm1 = vr._kernel_of_power(K, x, d - 1) if d > 1 else ()
+    comp = la.extend_basis(K, la.mat(kdm1), kd)
+    out = []
+    if d == 1:
+        for v in la.line_representatives(K, comp):
+            w = vr._cyclic_span(K, x, v, 1)
+            if w is not None:
+                out.append(w)
+        return sorted(out)
+    for c in la.line_representatives(K, comp):
+        xc = la.mat_vec(K, x, c)
+        kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
+        for w in span_vectors_by_product(K, kermod):
+            v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
+            sp = vr._cyclic_span(K, x, v, 2)
+            if sp is not None:
+                out.append(sp)
+    return sorted(out)

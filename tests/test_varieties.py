@@ -365,3 +365,60 @@ def test_budget_error_on_huge_instance():
     data = sp.build_sl_split((1, 2), 3)
     with pytest.raises(vr.VarietyBudgetError):
         vr.enumerate_flags_sl(data, 1, [(1,)], bound=3)
+
+
+def _enumeration_cases():
+    """(field, x) pairs for the shortcut-against-plain-form checks: the
+    split shift of every lambda |- n <= 5 over F_9, the transposed
+    quotient actions that `_completions` builds over the cyclic W of
+    every lambda |- n <= 5 over F_4 (not shifts), and the split
+    orthogonal nilpotents with N <= 6 at q = 3 and 5 (not shifts)."""
+    for n in range(1, 6):
+        for lam in pt.partitions_of(n):
+            data = sp.build_sl_split(lam, 3)
+            yield data.field, data.nilpotent
+    for n in range(2, 6):
+        for lam in pt.partitions_of(n):
+            data = sp.build_sl_split(lam, 2)
+            K, x = data.field, data.nilpotent
+            for d in (1, 2):
+                for w in vr.cyclic_subspaces(K, x, d):
+                    yield K, la.transpose(la.quotient_action(K, x, w)[0])
+    for N in range(2, 7):
+        for lam in pt.partitions_of(N):
+            if pt.is_in_XN_tilde(lam):
+                for q in (3, 5):
+                    data = sp.build_so_split(lam, q)
+                    yield data.field, data.nilpotent
+
+
+def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
+    # d <= 2 spans without the span rebuild, quotient ranks by reduction
+    # against the power images: same lists, same order, same types
+    for K, x in _enumeration_cases():
+        pows, plain_pows = vr.power_images(K, x), ofl.power_images_by_rref(K, x)
+        for d in (1, 2):
+            ws = vr.cyclic_subspaces(K, x, d)
+            assert ws == ofl.cyclic_subspaces_by_span(K, x, d), (K, x, d)
+            for w in ws:
+                assert vr.quotient_type(K, x, w, pows) == ofl.quotient_type_by_rref(K, x, w, plain_pows), (K, x, w)
+
+
+def test_span_vectors_match_product_form():
+    # the same vectors in the same order, with and without coeffs
+    for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        K = make_field(p, k)
+        g = K.primitive
+        bases = [
+            (),
+            ((1, 0, 0),),
+            ((0, g, 1),),
+            la.identity(K, 3),
+            ((1, g, 0, 1), (0, 0, 1, g), (g, 1, 1, 0)),
+            ((1, 1), (0, 0)),
+        ]
+        for basis in bases:
+            for coeffs in (None, K.subfield_elements(1), [1, 0], [g], []):
+                got = list(la.span_vectors(K, la.mat(basis), coeffs))
+                want = list(ofl.span_vectors_by_product(K, la.mat(basis), coeffs))
+                assert got == want, (p, k, basis, coeffs)
