@@ -8,7 +8,6 @@ to compare subspaces.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .ffield import FieldSpec
@@ -118,19 +117,32 @@ def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
 def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = None) -> Iterator[Vector]:
     """Every combination of the rows with coefficients from coeffs (all
     of K by default), the coefficient of row 0 varying fastest.  An
-    empty basis spans only the empty vector."""
+    empty basis spans only the empty vector.
+
+    The partial sums sum_{j >= i} c_j row_j sit on an odometer, so each
+    vector costs one vector sum (plus one per digit that carries); the
+    vectors are streamed, never stored."""
     if not basis:
         yield ()
         return
-    n = len(basis[0])
-    for cs in product(K.elements() if coeffs is None else coeffs, repeat=len(basis)):
-        v = [0] * n
-        for cf, row in zip(reversed(cs), basis):
-            if cf:
-                for j, rv in enumerate(row):
-                    if rv:
-                        v[j] = K.add(v[j], K.mul(cf, rv))
-        yield tuple(v)
+    cs = list(K.elements() if coeffs is None else coeffs)
+    if not cs:
+        return
+    multiples = [[tuple(K.mul(c, a) for a in row) for c in cs] for row in basis]
+    digits = [0] * len(basis)
+    partial = [(0,) * len(basis[0])] * (len(basis) + 1)  # partial[i] = sum_{j >= i} c_j row_j
+    i = len(basis) - 1
+    while True:
+        for j in range(i, -1, -1):
+            partial[j] = tuple(map(K.add, partial[j + 1], multiples[j][digits[j]]))
+        yield partial[0]
+        i = 0
+        while digits[i] == len(cs) - 1:
+            digits[i] = 0
+            i += 1
+            if i == len(digits):
+                return
+        digits[i] += 1
 
 
 def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:

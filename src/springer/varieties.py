@@ -11,16 +11,19 @@ x-stable subspaces with regular restriction are exactly the x-cyclic
 spans <x^{d-1} v, ..., v>, so the generator v is what gets enumerated,
 stratified along the kernel filtration and quotiented by the exact
 redundancy (scalars and shifts by x W); nothing scans the full
-Grassmannian.  An instance whose candidate count would exceed the
-budget raises rather than crawling.
+Grassmannian, and for d <= 2 no span is rebuilt or checked.  An
+instance whose candidate count would exceed the budget raises rather
+than crawling.
 
-The Jordan type of x on V/W is attached to every flag; its level sets
-are the strata that mirror the centralizer orbits.  Stratum counting is
-also available without materializing the W' side: the fibre over W is
-nonempty exactly when the target type is a horizontal d-strip drop of
-the type of V/W (the horizontal-strip rule, itself verified against
-brute force in the test suite).  That tally is taken once per (lambda, d)
-and serves every target type lambda'.
+The Jordan type of x on V/W is attached to every flag; its ranks come
+from W's rows reduced against the echelon rows of the power images of
+x, which are computed once per x.  Its level sets are the strata that
+mirror the centralizer orbits.  Stratum counting is also available
+without materializing the W' side: the fibre over W is nonempty exactly
+when the target type is a horizontal d-strip drop of the type of V/W
+(the horizontal-strip rule, itself verified against brute force in the
+test suite).  That tally is taken once per (lambda, d) and serves every
+target type lambda'.
 
 The centralizer of x acts on each flag list.  Its orbits are closures
 under a small generating set of the unit group, read off the Jordan
@@ -75,7 +78,10 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
 
     These are the spans <x^{d-1} v, ..., v> over v in ker x^d outside
     ker x^{d-1}; generators are enumerated modulo the exact redundancy
-    for d <= 2 and deduplicated by canonical form for larger d.
+    for d <= 2 and deduplicated by canonical form for larger d.  For
+    d <= 2 no span is rebuilt or checked: a line representative of the
+    echelon basis of ker x is already its line's echelon basis, and
+    v = c + w with w in ker x spans W = <v, x c> with x c fixed per line.
     """
     n = len(x)
     if d < 1 or d > n:
@@ -90,11 +96,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
         count = (K.q ** len(comp) - 1) // (K.q - 1)
         if count > bound:
             raise VarietyBudgetError(f"{count} candidate lines exceed budget {bound}")
-        for v in la.line_representatives(K, comp):
-            w = _cyclic_span(K, x, v, 1)
-            if w is not None:
-                out.append(w)
-        return sorted(out)
+        return sorted((v,) for v in la.line_representatives(K, comp))
     if d == 2:
         nlines = (K.q ** len(comp) - 1) // (K.q - 1)
         per_line = K.q ** max(len(kdm1) - 1, 0)
@@ -106,9 +108,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
             kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
             for w in la.span_vectors(K, kermod):
                 v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-                sp = _cyclic_span(K, x, v, 2)
-                if sp is not None:
-                    out.append(sp)
+                out.append(la.echelon_basis(K, (v, xc)))
         return sorted(out)
     # generic fallback: full generator sweep with dedup
     count = K.q ** len(comp) * K.q ** len(kdm1)
@@ -132,30 +132,40 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
 
 
 def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Optional[list] = None) -> Partition:
-    """Jordan type of x on V / span(w_basis), from rank arithmetic."""
-    n = len(x)
+    """Jordan type of x on V / span(w_basis), from rank arithmetic.
+
+    The rank of x^k on V/W is dim(im x^k + W) - dim W: the number of
+    echelon rows of im x^k plus the rank of W's rows once reduced
+    against them at their pivot columns.  No echelon form of the sum is
+    built, and the ranks stop at the first zero image.
+    """
     d = len(w_basis)
     if pow_images is None:
         pow_images = power_images(K, x)
-    ranks = [n - d]
-    for img in pow_images[1 : n + 1]:
-        ranks.append(len(la.echelon_basis(K, img + w_basis)) - d if img else 0)
-    return la.partition_from_ranks(ranks)
+    ranks = [len(x) - d]
+    for img, pivots in pow_images:
+        reduced = []
+        for v in w_basis:
+            for row, c in zip(img, pivots):
+                f = v[c]
+                if f:
+                    v = tuple(K.sub(a, K.mul(f, b)) for a, b in zip(v, row))
+            reduced.append(v)
+        ranks.append(len(img) + len(la.echelon_basis(K, reduced)) - d)
+    return la.partition_from_ranks(ranks + [0])
 
 
 def power_images(K: FieldSpec, x: la.Matrix) -> list:
-    """Echelon bases of im(x^k) for k = 0..n (index 0 unused)."""
-    n = len(x)
-    out = [None]
+    """(echelon basis, pivot columns) of each nonzero im(x^k), k = 1, 2,
+    ..., for nilpotent x."""
+    out = []
     cur = x
-    for _ in range(n):
-        img = la.echelon_basis(K, la.transpose(cur))
-        out.append(img)
-        if not img:
+    for _ in range(len(x)):
+        img = la.rref(K, la.transpose(cur))
+        if not img[0]:
             break
+        out.append(img)
         cur = la.mat_mul(K, cur, x)
-    while len(out) <= n + 1:
-        out.append(())
     return out
 
 
