@@ -117,11 +117,9 @@ def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
 def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = None) -> Iterator[Vector]:
     """Every combination of the rows with coefficients from coeffs (all
     of K by default), the coefficient of row 0 varying fastest.  An
-    empty basis spans only the empty vector.
-
-    The partial sums sum_{j >= i} c_j row_j sit on an odometer, so each
-    vector costs one vector sum (plus one per digit that carries); the
-    vectors are streamed, never stored."""
+    empty basis spans only the empty vector.  The partial sums
+    sum_{j >= i} c_j row_j sit on an odometer, so a vector costs one
+    vector sum (plus one per carried digit); none is stored."""
     if not basis:
         yield ()
         return

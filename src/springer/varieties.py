@@ -80,8 +80,8 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
     ker x^{d-1}; generators are enumerated modulo the exact redundancy
     for d <= 2 and deduplicated by canonical form for larger d.  For
     d <= 2 no span is rebuilt or checked: a line representative of the
-    echelon basis of ker x is already its line's echelon basis, and
-    v = c + w with w in ker x spans W = <v, x c> with x c fixed per line.
+    echelon basis of ker x is its line's echelon basis, and W = <v, x c>
+    for v = c + w with w in ker x, x c formed once per line.
     """
     n = len(x)
     if d < 1 or d > n:
@@ -147,8 +147,7 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Op
         reduced = []
         for v in w_basis:
             for row, c in zip(img, pivots):
-                f = v[c]
-                if f:
+                if f := v[c]:
                     v = tuple(K.sub(a, K.mul(f, b)) for a, b in zip(v, row))
             reduced.append(v)
         ranks.append(len(img) + len(la.echelon_basis(K, reduced)) - d)
@@ -156,8 +155,7 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Op
 
 
 def power_images(K: FieldSpec, x: la.Matrix) -> list:
-    """(echelon basis, pivot columns) of each nonzero im(x^k), k = 1, 2,
-    ..., for nilpotent x."""
+    """(echelon basis, pivot columns) of each nonzero im(x^k), k >= 1."""
     out = []
     cur = x
     for _ in range(len(x)):
