@@ -625,11 +625,14 @@ def stabilizer_order_layered(
     and C = (sum_h L_h) + J with J the radical, the kernel of the map
     to the multiplicity spaces.  Once each L_h is checked to be stable
     under the adjoint a -> f^-1 a^T f, the stabilizer is the product of
-    the L_h-factors (L_h^x intersect Iso, enumerated one chain length at
-    a time) and (1 + J) intersect Iso.  The Cayley transform
-    y -> (1 - y)(1 + y)^-1 maps the skew-adjoint part of J bijectively
-    onto the latter, so it has p^dim(J intersect g_f) points.  None when
-    a Levi factor is not adjoint-stable or its scan exceeds the budget.
+    the L_h-factors (L_h^x intersect Iso, one chain length at a time)
+    and (1 + J) intersect Iso.  An L_h-factor is enumerated when its
+    p^(m_h^2) candidates fit the budget, and is otherwise the order of
+    the isometry group of the multiplicity form (_levi_isometry_order).
+    The Cayley transform y -> (1 - y)(1 + y)^-1 maps the skew-adjoint
+    part of J bijectively onto (1 + J) intersect Iso, so it has
+    p^dim(J intersect g_f) points.  None when a Levi factor is not
+    adjoint-stable.
     """
     assert p % 2 == 1
     n = len(x)
@@ -642,8 +645,6 @@ def stabilizer_order_layered(
     levi = []
     for h, chains in sorted(_jordan_chains(x).items()):
         m = len(chains)
-        if p ** (m * m) > budget:
-            return None
         basis = np.zeros((m * m, n, n), dtype=np.int64)
         for k, (src, dst) in enumerate(product(chains, chains)):
             basis[k, dst, src] = 1  # e^src_a -> e^dst_a along the chains
@@ -651,18 +652,48 @@ def stabilizer_order_layered(
         adjoint = (f_inv @ np.transpose(basis, (0, 2, 1)) @ f) % p
         if rank_mod(np.concatenate([basis, adjoint]).reshape(2 * m * m, -1), p) != m * m:
             return None
-        rest = np.eye(n, dtype=np.int64) - basis[:: m + 1].sum(axis=0)
-        count = 0
-        for coeffs in _coeff_blocks(p, m * m):
-            g = (rest + np.tensordot(coeffs, basis, axes=(1, 0))) % p
-            gf = (np.transpose(g, (0, 2, 1)) @ f % p) @ g % p
-            count += int((gf == f).all(axis=(1, 2)).sum())
+        if p ** (m * m) > budget:
+            count = _levi_isometry_order(chains, adjoint, f, p)
+        else:
+            rest = np.eye(n, dtype=np.int64) - basis[:: m + 1].sum(axis=0)
+            count = 0
+            for coeffs in _coeff_blocks(p, m * m):
+                g = (rest + np.tensordot(coeffs, basis, axes=(1, 0))) % p
+                gf = (np.transpose(g, (0, 2, 1)) @ f % p) @ g % p
+                count += int((gf == f).all(axis=(1, 2)).sum())
         order *= count
         levi.extend(basis)
     assert rank_mod(np.array(levi + list(radical)).reshape(len(mats), -1), p) == len(mats)
     dim_l, dim_j = skew_adjoint_dim(np.array(levi), f, p), skew_adjoint_dim(radical, f, p)
     assert dim_l + dim_j == skew_adjoint_dim(mats, f, p)
     return order * p**dim_j
+
+
+def _levi_isometry_order(chains: list[list[int]], adjoint: np.ndarray, f: np.ndarray, p: int) -> int:
+    """|L_h^x intersect Iso(f)| for the Levi factor L_h = M_m on the m
+    Jordan chains of one length, given the adjoints of its chain-map
+    basis (in stabilizer_order_layered's order, already known to lie in
+    L_h).
+
+    With beta_ij = f(top of chain i, bottom of chain j), the adjoint
+    acts on L_h as A -> beta^-1 A^T beta (checked on the basis).  It
+    fixes the unit e_h of L_h, so 1 - e_h + A is an isometry exactly
+    when A^T beta A = beta: the count is |Sp_m(p)| for alternating beta
+    and |O^+-_m(p)| for symmetric beta, the type read off its
+    discriminant.
+    """
+    m = len(chains)
+    bottoms = [c[0] for c in chains]
+    beta = f[np.ix_([c[-1] for c in chains], bottoms)] % p
+    beta_inv = inv_mod(beta, p)
+    for k, (src, dst) in enumerate(product(range(m), range(m))):
+        unit = np.zeros((m, m), dtype=np.int64)
+        unit[dst, src] = 1
+        assert (adjoint[k][np.ix_(bottoms, bottoms)] % p == beta_inv @ unit.T @ beta % p).all()
+    if ((beta + beta.T) % p == 0).all():
+        return sp_order(m, p)
+    assert ((beta - beta.T) % p == 0).all()
+    return 2 * so_order(m, p, plus=m % 2 == 1 or orthogonal_type_is_plus(beta, p))
 
 
 # -- rational classes in the isometry groups
@@ -881,8 +912,9 @@ def _class_point_count_isometry(
     Even-N orthogonal counts are taken in the split group O^+_N(q), the
     isometry group of so_form_and_nilpotent's form at every q.  Each
     rational orbit is the isometry group's order over a stabilizer from
-    the layered count or, past its budget, the commutant scan; failing
-    both, the orbit is crawled.  The two stabilizer counts agree wherever
+    the layered count or, where a Levi factor is not adjoint-stable, the
+    commutant scan within its budget; failing both, the orbit is
+    crawled.  The two stabilizer counts agree wherever
     both run (test_layered_stabilizer_count_against_direct_scan)."""
     if all(part == 1 for part in lam):
         return 1

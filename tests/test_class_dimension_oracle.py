@@ -50,7 +50,8 @@ def test_gl_centralizer_order_against_direct_scan():
 
 
 def test_layered_stabilizer_count_against_direct_scan():
-    # the Levi-factor-plus-radical count versus a plain commutant scan
+    # the Levi-factor-plus-radical count versus a plain commutant scan,
+    # with each Levi factor enumerated and (budget 0) by its isometry-group order
     cases = [
         ("Sp", (2, 2)),
         ("Sp", (1, 1, 2)),
@@ -69,6 +70,7 @@ def test_layered_stabilizer_count_against_direct_scan():
                 assert q == 5, (kind, lam)
                 continue
             assert orc.stabilizer_order_layered(x, f, q) == direct, (kind, lam, q)
+            assert orc.stabilizer_order_layered(x, f, q, budget=0) == direct, (kind, lam, q)
 
 
 def test_even_orthogonal_forms_are_split():
