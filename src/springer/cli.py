@@ -142,6 +142,12 @@ def _flag_row(idx: int, lap, sub, sup, invariant, orbit, stable: bool) -> str:
 def cmd_flags(args) -> int:
     _at_least_one(args, "d")
     lam = _parse_partition(args.lam)
+    if args.group == "sl" and 2 * args.d > sum(lam):
+        args.parser.error(f"--lambda {args.lam} has size {sum(lam)}, smaller than twice --d {args.d}")
+    if args.group == "so" and args.d != 1:
+        args.parser.error(f"--group so enumerates planes and takes no --d, not {args.d}")
+    if args.group == "so" and args.orbits:
+        args.parser.error("--group so takes no --orbits")
     p, k = _prime_of(args.q)
     lines = ["flag_id\tlambda_prime\tW\tWp\ttype_mod_W\torbit\tf_stable"]
     if args.group == "sl":

@@ -153,6 +153,10 @@ def test_usage_error_exit_2(capsys):
         ["tables", "--group", "spin", "--q", "3"],
         ["tables", "--group", "sl", "--n", "4", "--q", "3"],
         ["restrict", "--n", "1", "--d", "1"],
+        ["flags", "--group", "sl", "--lambda", "1,2", "--d", "2", "--q", "3"],  # printed only the header
+        ["flags", "--group", "sl", "--lambda", "1", "--d", "1", "--q", "3", "--orbits"],
+        ["flags", "--group", "so", "--lambda", "1,2,2", "--d", "2", "--q", "3"],  # printed the --d 1 rows
+        ["flags", "--group", "so", "--lambda", "1,2,2", "--q", "3", "--orbits"],  # printed - for every orbit
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
