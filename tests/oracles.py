@@ -914,8 +914,8 @@ def _class_point_count_isometry(
     rational orbit is the isometry group's order over a stabilizer from
     the layered count or, where a Levi factor is not adjoint-stable, the
     commutant scan within its budget; failing both, the orbit is
-    crawled.  The two stabilizer counts agree wherever
-    both run (test_layered_stabilizer_count_against_direct_scan)."""
+    crawled.  The two stabilizer counts agree wherever both run
+    (test_layered_stabilizer_count_against_direct_scan)."""
     if all(part == 1 for part in lam):
         return 1
     if kind == "SO":
