@@ -18,7 +18,10 @@ word, so the intertwiner of a twisted extension is that word's matrix
 times a fourth root of unity.  The group law and irreducibility are
 verified exactly for every table built.
 
-Both groups list generators; twisted classes are closed under them.
+Both groups keep their arithmetic in closed form: SpinGamma multiplies
+bitmasks by popcounts, and the twisted classes of either group are read
+off without closing orbits (gcd cosets on Z/m, one sign parity per
+element on SpinGamma).
 """
 
 from __future__ import annotations
@@ -156,12 +159,12 @@ class SpinGamma:
         if len(tau_signs) != self.r or any(s not in (1, -1) for s in tau_signs):
             raise ValueError("tau_signs must be a +-1 vector, one per odd part")
         self.tau_signs = tuple(tau_signs)
-        self.elements: list[Element] = []
-        for mask in range(1 << self.r):
-            if bin(mask).count("1") % 2 == 0:
-                self.elements.append((0, mask))
-                self.elements.append((1, mask))
-        self.elements.sort(key=lambda e: (e[1], e[0]))
+        # bits of the generators that tau negates, and of those with x_k^2 = eps
+        self.flip_mask = sum(1 << k for k, sign in enumerate(self.tau_signs) if sign == -1)
+        self.exp_mask = sum(1 << k for k, e in enumerate(self.exponents) if e)
+        self.elements: list[Element] = [
+            (a, mask) for mask in range(1 << self.r) if mask.bit_count() % 2 == 0 for a in (0, 1)
+        ]
 
     @property
     def order(self) -> int:
@@ -182,18 +185,13 @@ class SpinGamma:
         return gens
 
     def _merge_sign(self, s_mask: int, t_mask: int) -> int:
-        """Exponent of epsilon produced when sorting x_S x_T."""
-        exp = 0
-        # inversions: pairs s in S, t in T with s > t
-        for t in range(self.r):
-            if t_mask >> t & 1:
-                higher = s_mask >> (t + 1)
-                exp += bin(higher).count("1")
-        # contractions x_i^2
-        both = s_mask & t_mask
-        for i in range(self.r):
-            if both >> i & 1:
-                exp += self.exponents[i]
+        """Exponent of epsilon produced when sorting x_S x_T: one per
+        contraction x_k^2 = eps and one per pair s in S, t in T with s > t."""
+        exp = (s_mask & t_mask & self.exp_mask).bit_count()
+        while t_mask:
+            low = t_mask & -t_mask
+            exp += (s_mask >> low.bit_length()).bit_count()
+            t_mask ^= low
         return exp % 2
 
     def mul(self, g: Element, h: Element) -> Element:
@@ -203,13 +201,11 @@ class SpinGamma:
 
     def inv(self, g: Element) -> Element:
         a, s = g
-        extra = self._merge_sign(s, s)
-        return ((a + extra) % 2, s)
+        return ((a + self._merge_sign(s, s)) % 2, s)
 
     def tau(self, g: Element) -> Element:
         a, s = g
-        flips = sum(1 for i in range(self.r) if (s >> i & 1) and self.tau_signs[i] == -1)
-        return ((a + flips) % 2, s)
+        return ((a + (s & self.flip_mask).bit_count()) % 2, s)
 
     def full_word(self) -> Element:
         """The distinguished even word: all generators in increasing order."""
@@ -243,9 +239,6 @@ class CyclicGroup:
 
     def tau(self, a: int) -> int:
         return (self.tau_mult * a) % self.m
-
-    def generators(self) -> tuple[int, ...]:
-        return (1,) if self.m > 1 else ()
 
 
 def build_spin_gamma(la_parts: Partition, tau_signs: Optional[Sequence[int]] = None) -> SpinGamma:
@@ -472,29 +465,26 @@ def _lcm(a: int, b: int) -> int:
 
 def twisted_classes(G) -> tuple:
     """Orbits of a -> b a tau(b)^{-1} on the coset A tau, as
-    (representative, members) pairs in representative order.  An orbit
-    of A is closed under A once it is closed under generators of A."""
-    seen = set()
+    (representative, members) pairs in representative order.
+
+    On Z/m the orbit of a is a + (1 - t) Z/m = a + gcd(1 - t, m) Z/m.  On
+    SpinGamma, eps acts trivially and x_i x_j sends (e, S) to
+    eps^(v_i + v_j) (e, S), where v_k = [k in S] + [tau negates x_k] mod
+    2.  So (e, S) is alone in its class when v is constant, that is when
+    S xor F is empty or full for F the negated generators (always so for
+    r < 2), and otherwise its class is {(0, S), (1, S)}.
+    """
+    if isinstance(G, CyclicGroup):
+        step = gcd(1 - G.tau_mult, G.m)
+        return tuple((a, tuple(range(a, G.m, step))) for a in range(step))
+    full = (1 << G.r) - 1
     classes = []
-    for a in G.elements:
-        if a in seen:
-            continue
-        orbit = set()
-        frontier = {a}
-        while frontier:
-            x = frontier.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            for b in G.generators():
-                y = G.mul(G.mul(b, x), G.inv(G.tau(b)))
-                if y not in orbit:
-                    frontier.add(y)
-        orbit_t = tuple(sorted(orbit))
-        seen |= orbit
-        classes.append((orbit_t[0], orbit_t))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    for e, s in G.elements:
+        if (s ^ G.flip_mask) in (0, full):
+            classes.append(((e, s), ((e, s),)))
+        elif e == 0:
+            classes.append(((0, s), ((0, s), (1, s))))
+    return tuple(sorted(classes))
 
 
 def is_tau_stable(G, chi: IrrChar) -> bool:
@@ -531,8 +521,7 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     if chi.rep is None:
         raise ValueError("higher-dimensional extensions only arise for the spin model")
     rep = chi.rep
-    flipped = sum(1 << k for k, sign in enumerate(G.tau_signs) if sign == -1)
-    even = [f for f in (flipped, flipped ^ ((1 << G.r) - 1)) if bin(f).count("1") % 2 == 0]
+    even = [f for f in (G.flip_mask, G.flip_mask ^ ((1 << G.r) - 1)) if f.bit_count() % 2 == 0]
     if not even:
         raise AssertionError("tau is not conjugation by an even word, so rho is not tau-stable")
     w = (0, even[0])

@@ -179,7 +179,7 @@ def _checked_row(
     group: str, q: int, la: Partition, series: int, rho: IrrChar, ext: ExtendedChar, A, exp: ExponentData
 ) -> GreenBasisRow:
     """The row of ext's values on the twisted classes of A (the orbits
-    of a -> b a tau(b)^{-1}, closed under generators of A).
+    of a -> b a tau(b)^{-1}, read off in closed form).
 
     Checked: each value is constant on its class, and the exponent
     identity holds with an even sum.  The trivial extension carries

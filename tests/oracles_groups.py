@@ -15,9 +15,11 @@ The twisted side has three references: the character table of
 A x| <tau>, computed numerically by Burnside's algorithm, whose
 irreducibles over a tau-stable character restrict on the coset A tau to
 its extensions; the twisted classes closed under every element of A
-rather than under generators; and the intertwiner found by averaging
+rather than read off in closed form; and the intertwiner found by averaging
 matrix units over the group on dense matrices and normalized by a
-rational square root, rather than read off as a Clifford word.
+rational square root, rather than read off as a Clifford word.  The
+Clifford sign rule and tau, which the model computes by popcounts, are
+also counted here one generator index at a time.
 """
 
 from __future__ import annotations
@@ -289,6 +291,31 @@ def coset_restrictions_over(G, chi: IrrChar) -> list[dict]:
         if all(cmath.isclose(psi[(g, 0)], to_complex(v), abs_tol=1e-9) for g, v in chi.values.items()):
             over.append({g: psi[(g, 1)] for g in G.elements})
     return over
+
+
+# ---------------------------------------------------------------------------
+# the Clifford sign rule bit by bit
+
+
+def merge_sign_by_loops(G: SpinGamma, s_mask: int, t_mask: int) -> int:
+    """Exponent of epsilon produced when sorting x_S x_T, counted one
+    generator index at a time: inversions, then contractions x_i^2."""
+    exp = 0
+    for t in range(G.r):
+        if t_mask >> t & 1:
+            exp += bin(s_mask >> (t + 1)).count("1")
+    both = s_mask & t_mask
+    for i in range(G.r):
+        if both >> i & 1:
+            exp += G.exponents[i]
+    return exp % 2
+
+
+def tau_by_loops(G: SpinGamma, g) -> tuple:
+    """tau on (a, S): one epsilon per generator in S that tau negates."""
+    a, s = g
+    flips = sum(1 for i in range(G.r) if (s >> i & 1) and G.tau_signs[i] == -1)
+    return ((a + flips) % 2, s)
 
 
 # ---------------------------------------------------------------------------

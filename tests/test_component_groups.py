@@ -345,12 +345,29 @@ def _spin_groups(q: int, n_max: int = 28):
             yield lam, cg.build_spin_gamma(lam, tau_signs=tb.spin_tau_signs(lam, q))
 
 
-def test_generator_closure_matches_the_all_b_closure():
+def test_closed_form_twisted_classes_match_the_all_b_closure():
     groups = [g for q in (3, 5) for _, g in _spin_groups(q)]
     groups += [cg.CyclicGroup(m, tau_mult=t) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
     groups.append(cg.CyclicGroup(1))
     for g in groups:
         assert cg.twisted_classes(g) == og.twisted_classes_by_all_b(g)
+
+
+def test_popcount_sign_rule_matches_the_bitwise_loops():
+    # every pair of even masks of every X_N group with r <= 6, N <= 28
+    groups = 0
+    for q in (3, 5):
+        for _, g in _spin_groups(q):
+            if g.r > 6:
+                continue
+            masks = [s for e, s in g.elements if e == 0]
+            for s in masks:
+                for e in (0, 1):
+                    assert g.tau((e, s)) == og.tau_by_loops(g, (e, s)), (g.la_parts, q, s)
+                for t in masks:
+                    assert g._merge_sign(s, t) == og.merge_sign_by_loops(g, s, t), (g.la_parts, s, t)
+            groups += 1
+    assert groups > 1000
 
 
 def test_word_intertwiner_matches_the_matrix_unit_search():

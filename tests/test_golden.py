@@ -21,7 +21,9 @@ was recorded with the intertwiner found by a search over matrix units
 and holds for the intertwiner read off as a Clifford word, T = i^s rho(w)
 with w the even word whose conjugation is tau.  The spin tables with
 tau nontrivial were recorded with twisted classes closed under every
-element of A and hold for the closure under generators.
+element of A; they held for the closure under generators and hold for
+the classes read off in closed form (one sign parity per element of
+the spin model, gcd cosets on Z/m).
 """
 
 import hashlib
