@@ -73,6 +73,18 @@ def _cyclic_span(K: FieldSpec, x: la.Matrix, v: la.Vector, d: int) -> Optional[l
     return basis
 
 
+def candidate_count(Q: int, kd: int, kdm1: int, d: int) -> int:
+    """Generators that cyclic_subspaces enumerates for an x over F_Q with
+    dim ker x^d = kd and dim ker x^(d-1) = kdm1: for d <= 2 one per
+    subspace, for larger d every vector of ker x^d."""
+    lines = (Q ** (kd - kdm1) - 1) // (Q - 1)
+    if d == 1:
+        return lines
+    if d == 2:
+        return lines * Q ** max(kdm1 - 1, 0)
+    return Q**kd
+
+
 def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BUDGET) -> list[la.Matrix]:
     """All d-dimensional x-stable W with x|_W regular nilpotent.
 
@@ -91,17 +103,14 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
     comp = la.extend_basis(K, la.mat(kdm1), kd)
     if not comp:
         return []
-    out = []
+    count = candidate_count(K.q, len(kd), len(kdm1), d)
+    if count > bound:
+        what = "candidate lines" if d == 1 else "candidates"
+        raise VarietyBudgetError(f"{count} {what} exceed budget {bound}")
     if d == 1:
-        count = (K.q ** len(comp) - 1) // (K.q - 1)
-        if count > bound:
-            raise VarietyBudgetError(f"{count} candidate lines exceed budget {bound}")
         return sorted((v,) for v in la.line_representatives(K, comp))
+    out = []
     if d == 2:
-        nlines = (K.q ** len(comp) - 1) // (K.q - 1)
-        per_line = K.q ** max(len(kdm1) - 1, 0)
-        if nlines * per_line > bound:
-            raise VarietyBudgetError(f"{nlines * per_line} candidates exceed budget {bound}")
         for c in la.line_representatives(K, comp):
             xc = la.mat_vec(K, x, c)
             # shifts by ker x modulo the span of x c cover each W once
@@ -111,9 +120,6 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
                 out.append(la.echelon_basis(K, (v, xc)))
         return sorted(out)
     # generic fallback: full generator sweep with dedup
-    count = K.q ** len(comp) * K.q ** len(kdm1)
-    if count > bound:
-        raise VarietyBudgetError(f"{count} candidates exceed budget {bound}")
     seen = set()
     for c in la.span_vectors(K, comp):
         if not any(c):
@@ -234,8 +240,11 @@ def enumerate_flags_sl(
     of laps, marked with types.
 
     Target types of the wrong size are dropped, and none left gives an
-    empty list; instances above the candidate budget, or with more than
-    bound flags of one W'/W type, raise VarietyBudgetError.
+    empty list.  Instances above the candidate budget raise
+    VarietyBudgetError, and so do those whose W' candidates, summed over
+    the W with a wanted type, exceed bound.  That sum is known before any
+    W' is built: x on V/W has type nu, so dim ker x^k there is
+    sum_i min(nu_i, k).
     """
     K = data.field
     x = data.nilpotent
@@ -244,17 +253,21 @@ def enumerate_flags_sl(
     if not laps:
         return []
     pows = power_images(K, x)
-    flags = []
-    produced = Counter()
+    kept = []
     for w in cyclic_subspaces(K, x, d, bound):
         nu = quotient_type(K, x, w, pows)
         wanted = laps & horizontal_strip_drops(nu, d)
-        if not wanted:
-            continue
+        if wanted:
+            kept.append((w, nu, wanted))
+    dual_count = 0
+    for _, nu, _ in kept:
+        kd, kdm1 = (sum(min(part, k) for part in nu) for k in (d, d - 1))
+        dual_count += candidate_count(K.q, kd, kdm1, d)
+    if dual_count > bound:
+        raise VarietyBudgetError(f"flag count exceeds budget {bound}")
+    flags = []
+    for w, nu, wanted in kept:
         for wp, lap in _completions(K, x, pows, w, d, wanted, bound):
-            produced[lap] += 1
-            if produced[lap] > bound:
-                raise VarietyBudgetError(f"flag count exceeds budget {bound}")
             flags.append(
                 Flag(
                     W=w,

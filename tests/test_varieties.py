@@ -131,13 +131,22 @@ def test_all_lambda_prime_enumeration_matches_single_calls():
         assert {f.type_quotient for f in flags} <= set(laps)
 
 
-def test_flag_budget_is_per_lambda_prime():
-    # (1,1,2), d = 1 over F_9: 810 flags of type (2) and 181 of type (1,1)
+def test_flag_budget_counts_the_dual_candidates_up_front():
+    # (1,1,2), d = 1 over F_9: 810 flags of type (2) and 181 of type (1,1);
+    # the W' candidates summed over W are exactly the flags, so 991 is the
+    # least budget that passes, and the refusal comes before any W'
     data = sp.build_sl_split((1, 1, 2), 3)
     laps = [(1, 1), (2,)]
-    assert len(vr.enumerate_flags_sl(data, 1, laps, bound=810)) == 810 + 181
-    with pytest.raises(vr.VarietyBudgetError):
-        vr.enumerate_flags_sl(data, 1, laps, bound=809)
+    assert len(vr.enumerate_flags_sl(data, 1, laps, bound=991)) == 810 + 181
+    with pytest.raises(vr.VarietyBudgetError, match="flag count exceeds budget 990"):
+        vr.enumerate_flags_sl(data, 1, laps, bound=990)
+    for lam, d in (((1, 3), 1), ((2, 2), 1), ((2, 4), 2)):
+        data = sp.build_sl_split(lam, 3)
+        laps = list(pt.partitions_of(sum(lam) - 2 * d))
+        count = len(vr.enumerate_flags_sl(data, d, laps))
+        assert len(vr.enumerate_flags_sl(data, d, laps, bound=count)) == count, lam
+        with pytest.raises(vr.VarietyBudgetError):
+            vr.enumerate_flags_sl(data, d, laps, bound=count - 1)
 
 
 def test_stratum_analysis_matches_enumeration():
