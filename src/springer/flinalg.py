@@ -114,19 +114,20 @@ def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
     return rank(K, basis + (v,)) == len(basis)
 
 
-def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = None) -> Iterator[Vector]:
-    """Every combination of the rows with coefficients from coeffs (all
-    of K by default), the coefficient of row 0 varying fastest.  An
-    empty basis spans only the empty vector.  The partial sums
-    sum_{j >= i} c_j row_j sit on an odometer, so a vector costs one
+def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence[int]]] = None) -> Iterator[Vector]:
+    """Every combination of the rows, row i taking its coefficient from
+    coeffs[i] (all of K by default), the coefficient of row 0 varying
+    fastest.  An empty basis spans only the empty vector.  The partial
+    sums sum_{j >= i} c_j row_j sit on an odometer, so a vector costs one
     vector sum (plus one per carried digit); none is stored."""
     if not basis:
         yield ()
         return
-    cs = list(K.elements() if coeffs is None else coeffs)
-    if not cs:
+    if coeffs is None:
+        coeffs = [K.elements()] * len(basis)
+    multiples = [[tuple(K.mul(c, a) for a in row) for c in cs] for row, cs in zip(basis, coeffs)]
+    if not all(multiples):
         return
-    multiples = [[tuple(K.mul(c, a) for a in row) for c in cs] for row in basis]
     digits = [0] * len(basis)
     partial = [(0,) * len(basis[0])] * (len(basis) + 1)  # partial[i] = sum_{j >= i} c_j row_j
     i = len(basis) - 1
@@ -135,7 +136,7 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = 
             partial[j] = tuple(map(K.add, partial[j + 1], multiples[j][digits[j]]))
         yield partial[0]
         i = 0
-        while digits[i] == len(cs) - 1:
+        while digits[i] == len(multiples[i]) - 1:
             digits[i] = 0
             i += 1
             if i == len(digits):
@@ -144,10 +145,12 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[int]] = 
 
 
 def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:
-    """One vector per line of the span: its leading coefficient is 1."""
+    """One vector per line of the span: its leading coefficient is 1.
+    The lead row is the slowest digit of the odometer, so it is summed
+    once per lead rather than once per vector."""
     for lead in range(len(basis)):
-        for w in span_vectors(K, basis[lead + 1 :]):
-            yield tuple(K.add(a, b) for a, b in zip(basis[lead], w)) if w else basis[lead]
+        tail = basis[lead + 1 :]
+        yield from span_vectors(K, tail + (basis[lead],), [K.elements()] * len(tail) + [(1,)])
 
 
 def extend_basis(K: FieldSpec, small: Matrix, big: Matrix) -> Matrix:

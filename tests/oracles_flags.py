@@ -251,7 +251,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     kd = vr._kernel_of_power(K, x, d)
     best = None
     seen = set()
-    for v in la.span_vectors(K, la.mat(kd), sub):
+    for v in la.span_vectors(K, la.mat(kd), [sub] * len(kd)):
         if not any(v):
             continue
         w = vr._cyclic_span(K, x, v, d)
@@ -434,19 +434,23 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 #
 # `varieties` and `flinalg` skip work the algebra makes redundant: no
 # span is rebuilt for d <= 2, quotient ranks come from reducing W
-# against the echelon rows of the power images, and span vectors are
-# running sums.  These are the plain forms they replaced, kept as the
-# references the shortcuts must reproduce exactly (order included).
+# against the echelon rows of the power images, and span vectors (line
+# representatives included) are running sums.  These are the plain forms
+# they replaced, kept as the references the shortcuts must reproduce
+# exactly (order included).
 
 
 def span_vectors_by_product(K, basis: la.Matrix, coeffs=None):
-    """Every combination of the rows, the coefficient of row 0 varying
+    """Every combination of the rows, row i taking its coefficient from
+    coeffs[i] (all of K by default) and the coefficient of row 0 varying
     fastest, each vector summed row by row from scratch."""
     if not basis:
         yield ()
         return
     n = len(basis[0])
-    for cs in product(K.elements() if coeffs is None else coeffs, repeat=len(basis)):
+    if coeffs is None:
+        coeffs = [K.elements()] * len(basis)
+    for cs in product(*reversed(coeffs)):
         v = [0] * n
         for cf, row in zip(reversed(cs), basis):
             if cf:
@@ -454,6 +458,14 @@ def span_vectors_by_product(K, basis: la.Matrix, coeffs=None):
                     if rv:
                         v[j] = K.add(v[j], K.mul(cf, rv))
         yield tuple(v)
+
+
+def line_representatives_by_sum(K, basis: la.Matrix):
+    """One vector per line of the span, lead row plus each vector of the
+    span of the rows below it, added entry by entry."""
+    for lead in range(len(basis)):
+        for w in span_vectors_by_product(K, basis[lead + 1 :]):
+            yield tuple(K.add(a, b) for a, b in zip(basis[lead], w)) if w else basis[lead]
 
 
 def power_images_by_rref(K, x: la.Matrix) -> list:

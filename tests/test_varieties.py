@@ -414,7 +414,9 @@ def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
 
 
 def test_span_vectors_match_product_form():
-    # the same vectors in the same order, with and without coeffs
+    # the same vectors in the same order, with and without coefficient
+    # lists, equal or different from row to row; and one line
+    # representative per line, in the order of the plain lead-plus-tail sum
     for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
         K = make_field(p, k)
         g = K.primitive
@@ -427,7 +429,11 @@ def test_span_vectors_match_product_form():
             ((1, 1), (0, 0)),
         ]
         for basis in bases:
-            for coeffs in (None, K.subfield_elements(1), [1, 0], [g], []):
-                got = list(la.span_vectors(K, la.mat(basis), coeffs))
-                want = list(ofl.span_vectors_by_product(K, la.mat(basis), coeffs))
-                assert got == want, (p, k, basis, coeffs)
+            rows = len(basis)
+            for per_row in (K.subfield_elements(1), [1, 0], [g], []):
+                for coeffs in (None, [per_row] * rows, [K.elements()] * max(rows - 1, 0) + [per_row]):
+                    got = list(la.span_vectors(K, la.mat(basis), coeffs))
+                    want = list(ofl.span_vectors_by_product(K, la.mat(basis), coeffs))
+                    assert got == want, (p, k, basis, coeffs)
+            got = list(la.line_representatives(K, la.mat(basis)))
+            assert got == list(ofl.line_representatives_by_sum(K, la.mat(basis))), (p, k, basis)
