@@ -73,12 +73,14 @@ def cmd_series(args) -> int:
     if args.group == "spin":
         if args.N is None:
             args.parser.error("--group spin needs --N")
+        _unused(args, "--group spin", "q", "n")
         lines.append("d\tlevi_type\tweyl_rank")
         for c in sr.enumerate_spin_series(args.N):
             lines.append(f"{c.d}\t{c.levi_type}\t{c.weyl_rank}")
     else:
         if args.n is None or args.q is None:
             args.parser.error("--group sl needs --n and --q")
+        _unused(args, "--group sl", "N")
         p, _ = _prime_of(args.q)
         lines.append("d\tf_rational")
         for c in sr.enumerate_sl_series(args.n, p, q=args.q):
@@ -140,7 +142,7 @@ def _flag_row(idx: int, lap, sub, sup, invariant, orbit, stable: bool) -> str:
 
 
 def cmd_flags(args) -> int:
-    _at_least_one(args, "d")
+    _at_least(args, 1, "d")
     lam = _parse_partition(args.lam)
     if args.group == "sl" and 2 * args.d > sum(lam):
         args.parser.error(f"--lambda {args.lam} has size {sum(lam)}, smaller than twice --d {args.d}")
@@ -176,16 +178,27 @@ def cmd_flags(args) -> int:
     return 0
 
 
-def _at_least_one(args, *names: str) -> None:
-    """Usage error unless each named integer option is at least 1."""
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _at_least(args, least: int, *names: str) -> None:
+    """Usage error unless each named integer option is at least least."""
     for name in names:
-        if getattr(args, name) < 1:
-            args.parser.error(f"--{name.replace('_', '-')} must be at least 1, not {getattr(args, name)}")
+        if getattr(args, name) < least:
+            args.parser.error(f"{_option(name)} must be at least {least}, not {getattr(args, name)}")
+
+
+def _unused(args, context: str, *names: str) -> None:
+    """Usage error if any named option, which context ignores, was given."""
+    for name in names:
+        if getattr(args, name) is not None:
+            args.parser.error(f"{context} takes no {_option(name)}")
 
 
 def cmd_restrict(args) -> int:
     lines = ["lambda\tlambda_prime\tcase\tmultiplicity"]
-    _at_least_one(args, "d")
+    _at_least(args, 1, "d")
     n, d = args.n, args.d
     if n - 2 * d < 0:
         args.parser.error(f"--n {n} is smaller than twice --d {d}")
@@ -195,19 +208,9 @@ def cmd_restrict(args) -> int:
         for lap in pt.partitions_of(n - 2 * d):
             if any(x % d for x in lap):
                 continue
-            mu, mup = pt.divide(la, d), pt.divide(lap, d) if lap else ()
-            case = pt.classify_pair_sl(mu, mup)
-            mult = rs.branch_two_step(mu, mup).multiplicity
-            lines.append(
-                "\t".join(
-                    [
-                        json.dumps(list(la)),
-                        json.dumps(list(lap)),
-                        case.tag if case else "-",
-                        str(mult),
-                    ]
-                )
-            )
+            branch = rs.branch_two_step(pt.divide(la, d), pt.divide(lap, d) if lap else ())
+            cells = [json.dumps(list(la)), json.dumps(list(lap)), branch.case_tag or "-", str(branch.multiplicity)]
+            lines.append("\t".join(cells))
     _emit(lines, args.output)
     return 0
 
@@ -217,13 +220,17 @@ def cmd_tables(args) -> int:
     if args.group == "sl":
         if args.n is None or args.xi_order is None:
             args.parser.error("--group sl needs --n and --xi-order")
-        _at_least_one(args, "n", "xi_order")
+        _unused(args, "--group sl", "N", "omega", "extension")
+        _at_least(args, 1, "n", "xi_order")
         rows = tb.y0_table_sl(args.n, args.xi_order, p, k)
         series = args.xi_order
     else:
         if args.N is None:
             args.parser.error("--group spin needs --N")
-        _at_least_one(args, "N")
+        _unused(args, "--group spin", "n", "xi_order")
+        _at_least(args, 1, "N")
+        if args.N % 2 and args.omega is not None:
+            args.parser.error(f"--omega acts only at even --N, not {args.N}")
         rows = tb.y0_table_spin(args.N, p, k, omega_value=args.omega, extension=args.extension)
         series = "by-defect"
     if args.format == "json":
@@ -258,6 +265,9 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     report: dict = {"suite": args.suite, "results": [], "ok": True}
     if args.suite == "spin-series":
+        _unused(args, "--suite spin-series", "n_max")
+        args.N_max = 20 if args.N_max is None else args.N_max
+        _at_least(args, 3, "N_max")
         for N in range(3, args.N_max + 1):
             r = sr.verify_series_cardinality(N)
             entry = {
@@ -270,6 +280,9 @@ def cmd_verify(args) -> int:
             report["results"].append(entry)
             report["ok"] = report["ok"] and r.ok
     elif args.suite == "restriction":
+        _unused(args, "--suite restriction", "N_max")
+        args.n_max = 6 if args.n_max is None else args.n_max
+        _at_least(args, 2, "n_max")
         for n in range(2, args.n_max + 1):
             for d in (1, 2):
                 if n - 2 * d < 0:
@@ -362,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite; exit 1 on failure")
     p.add_argument("--suite", choices=("spin-series", "restriction"), required=True)
-    p.add_argument("--N-max", dest="N_max", type=int, default=20)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
+    p.add_argument("--N-max", dest="N_max", type=int, help="spin-series: largest N (default 20)")
+    p.add_argument("--n-max", dest="n_max", type=int, help="restriction: largest n (default 6)")
     add_output(p)
     p.set_defaults(func=cmd_verify, parser=p)
 

@@ -23,17 +23,13 @@ def one_box_removals(mu: Partition) -> list[Partition]:
     """Shapes obtained by removing one corner box."""
     desc = sorted(mu, reverse=True)
     out = []
+    # a corner row is the last row of its length, so two of them give two shapes
     for i in range(len(desc)):
         if i == len(desc) - 1 or desc[i] > desc[i + 1]:
             cand = list(desc)
             cand[i] -= 1
             out.append(normalize(cand))
-    # distinct parts give distinct shapes; keep deterministic order
-    seen = []
-    for s in out:
-        if s not in seen:
-            seen.append(s)
-    return seen
+    return out
 
 
 @dataclass(frozen=True)

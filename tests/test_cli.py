@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -157,11 +158,35 @@ def test_usage_error_exit_2(capsys):
         ["flags", "--group", "sl", "--lambda", "1", "--d", "1", "--q", "3", "--orbits"],
         ["flags", "--group", "so", "--lambda", "1,2,2", "--d", "2", "--q", "3"],  # printed the --d 1 rows
         ["flags", "--group", "so", "--lambda", "1,2,2", "--q", "3", "--orbits"],  # printed - for every orbit
+        # options the chosen group or suite ignored
+        ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "2", "--N", "4"],
+        ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "2", "--omega", "1"],
+        ["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "2", "--extension", "plus"],
+        ["tables", "--group", "spin", "--N", "8", "--q", "3", "--n", "8"],
+        ["tables", "--group", "spin", "--N", "8", "--q", "3", "--xi-order", "2"],
+        ["tables", "--group", "spin", "--N", "9", "--q", "3", "--omega", "1"],
+        ["series", "--group", "spin", "--N", "14", "--q", "3"],
+        ["series", "--group", "spin", "--N", "14", "--n", "4"],
+        ["series", "--group", "sl", "--n", "6", "--q", "5", "--N", "6"],
+        ["verify", "--suite", "restriction", "--N-max", "20"],
+        ["verify", "--suite", "spin-series", "--n-max", "6"],
+        # bounds that checked nothing and printed "ok": true
+        ["verify", "--suite", "restriction", "--n-max", "1"],
+        ["verify", "--suite", "spin-series", "--N-max", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err, argv
+
+
+def test_flag_budget_refuses_before_building_flags(capsys):
+    # (1^5), d = 1 over F_9: 7,381 lines W, each under 820 candidate W'
+    start = time.perf_counter()
+    code, out, err = run_cli(["flags", "--group", "sl", "--lambda", "1,1,1,1,1", "--d", "1", "--q", "3"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "VarietyBudgetError", "message": "flag count exceeds budget 1000000"}
 
 
 def test_negative_omega_usage_error_names_the_attached_form(capsys):
@@ -208,8 +233,9 @@ PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 def table_argvs(draw):
     q = draw(st.sampled_from(PRIME_POWERS))
     if draw(st.booleans()):
-        argv = ["tables", "--group", "spin", "--N", str(draw(st.integers(1, 20))), "--q", str(q)]
-        omega = draw(st.sampled_from((None, "1", "-1", "i", "-i")))
+        N = draw(st.integers(1, 20))
+        argv = ["tables", "--group", "spin", "--N", str(N), "--q", str(q)]
+        omega = draw(st.sampled_from((None, "1", "-1", "i", "-i") if N % 2 == 0 else (None,)))
         if omega is not None:
             argv.append(f"--omega={omega}")
         extension = draw(st.sampled_from((None, "plus", "minus", "trivial")))
