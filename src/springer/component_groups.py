@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyc, CycRing
@@ -258,12 +258,7 @@ def p_prime_part(n: int, p: int) -> int:
 
 def sl_component_order(la_parts: Partition, n: int, p: int) -> int:
     """gcd of the p'-parts of the distinct part sizes and of n'."""
-    vals = [p_prime_part(i, p) for i in sorted(set(la_parts))]
-    vals.append(p_prime_part(n, p))
-    out = 0
-    for v in vals:
-        out = gcd(out, v)
-    return out
+    return gcd(*(p_prime_part(i, p) for i in set(la_parts)), p_prime_part(n, p))
 
 
 def build_sl_component(la_parts: Partition, p: int, q: Optional[int] = None) -> CyclicGroup:
@@ -450,13 +445,9 @@ def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int) -> list[IrrChar]:
     if xi_order < 1 or G.m % xi_order != 0:
         return []
     j = (G.m // xi_order) % G.m
-    ring = CycRing(_lcm(4, G.m))
+    ring = CycRing(lcm(4, G.m))
     values = {a: ring.root_of_unity(G.m, j * a) for a in G.elements}
     return [IrrChar(label=f"chi{j}", dim=1, ring=ring, values=values)]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +525,7 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
         raise AssertionError("the word intertwiner does not square to 1")
     if any(word_mul(T, rep.word(x)) != word_mul(rep.word(G.tau(x)), T) for x in G.generators()):
         raise AssertionError("the word intertwiner does not conjugate rho to rho after tau")
-    ring = CycRing(_lcm(8, chi.ring.n))
+    ring = CycRing(lcm(8, chi.ring.n))
     out = [
         ExtendedChar(label=label, coset_values={g: rep.trace(G.mul(g, w), ring, s + shift) for g in G.elements})
         for label, shift in (("plus", 0), ("minus", 2))

@@ -145,9 +145,8 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence
 
 
 def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:
-    """One vector per line of the span: its leading coefficient is 1.
-    The lead row is the slowest digit of the odometer, so it is summed
-    once per lead rather than once per vector."""
+    """One vector per line of the span: its leading coefficient is 1.  The
+    lead row is the odometer's slowest digit, so it is summed once per lead."""
     for lead in range(len(basis)):
         tail = basis[lead + 1 :]
         yield from span_vectors(K, tail + (basis[lead],), [K.elements()] * len(tail) + [(1,)])

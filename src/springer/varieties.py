@@ -73,7 +73,7 @@ def _cyclic_span(K: FieldSpec, x: la.Matrix, v: la.Vector, d: int) -> Optional[l
     return basis
 
 
-def candidate_count(Q: int, kd: int, kdm1: int, d: int) -> int:
+def _candidate_count(Q: int, kd: int, kdm1: int, d: int) -> int:
     """Generators that cyclic_subspaces enumerates for an x over F_Q with
     dim ker x^d = kd and dim ker x^(d-1) = kdm1: for d <= 2 one per
     subspace, for larger d every vector of ker x^d."""
@@ -103,7 +103,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
     comp = la.extend_basis(K, la.mat(kdm1), kd)
     if not comp:
         return []
-    count = candidate_count(K.q, len(kd), len(kdm1), d)
+    count = _candidate_count(K.q, len(kd), len(kdm1), d)
     if count > bound:
         what = "candidate lines" if d == 1 else "candidates"
         raise VarietyBudgetError(f"{count} {what} exceed budget {bound}")
@@ -242,9 +242,8 @@ def enumerate_flags_sl(
     Target types of the wrong size are dropped, and none left gives an
     empty list.  Instances above the candidate budget raise
     VarietyBudgetError, and so do those whose W' candidates, summed over
-    the W with a wanted type, exceed bound.  That sum is known before any
-    W' is built: x on V/W has type nu, so dim ker x^k there is
-    sum_i min(nu_i, k).
+    the W with a wanted type, exceed bound, before any W' is built: x on
+    V/W has type nu, so dim ker x^k there is sum_i min(nu_i, k).
     """
     K = data.field
     x = data.nilpotent
@@ -253,16 +252,13 @@ def enumerate_flags_sl(
     if not laps:
         return []
     pows = power_images(K, x)
-    kept = []
+    kept, dual_count = [], 0
     for w in cyclic_subspaces(K, x, d, bound):
         nu = quotient_type(K, x, w, pows)
-        wanted = laps & horizontal_strip_drops(nu, d)
-        if wanted:
+        if wanted := laps & horizontal_strip_drops(nu, d):
             kept.append((w, nu, wanted))
-    dual_count = 0
-    for _, nu, _ in kept:
-        kd, kdm1 = (sum(min(part, k) for part in nu) for k in (d, d - 1))
-        dual_count += candidate_count(K.q, kd, kdm1, d)
+            kd, kdm1 = (sum(min(part, k) for part in nu) for k in (d, d - 1))
+            dual_count += _candidate_count(K.q, kd, kdm1, d)
     if dual_count > bound:
         raise VarietyBudgetError(f"flag count exceeds budget {bound}")
     flags = []
