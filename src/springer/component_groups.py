@@ -177,12 +177,9 @@ class SpinGamma:
         return (1, 0)
 
     def generators(self) -> list[Element]:
-        """epsilon and every product x_i x_j (i < j) of two generators."""
-        gens = [self.epsilon()]
-        for i in range(self.r):
-            for j in range(i + 1, self.r):
-                gens.append((0, (1 << i) | (1 << j)))
-        return gens
+        """epsilon and the products x_i x_(i+1): x_i x_j is the product of
+        those from i to j - 1 times a power of epsilon, so they generate."""
+        return [self.epsilon()] + [(0, 3 << i) for i in range(self.r - 1)]
 
     def _merge_sign(self, s_mask: int, t_mask: int) -> int:
         """Exponent of epsilon produced when sorting x_S x_T: one per

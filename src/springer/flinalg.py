@@ -58,13 +58,6 @@ def mat_vec(K: FieldSpec, a: Matrix, v: Vector) -> Vector:
     return tuple(out)
 
 
-def mat_pow(K: FieldSpec, a: Matrix, e: int) -> Matrix:
-    out = identity(K, len(a))
-    for _ in range(e):
-        out = mat_mul(K, out, a)
-    return out
-
-
 def rref(K: FieldSpec, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
     rows = [list(r) for r in a]
@@ -231,19 +224,15 @@ def inverse(K: FieldSpec, a: Matrix) -> Matrix:
     return tuple(r[n:] for r in red)
 
 
-def is_nilpotent(K: FieldSpec, a: Matrix) -> bool:
-    return all(x == 0 for row in mat_pow(K, a, len(a)) for x in row)
-
-
 def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix, as ascending block sizes, from
-    the rank sequence of its powers."""
-    if not is_nilpotent(K, a):
-        raise ValueError("matrix is not nilpotent")
+    the rank sequence of its powers; a matrix whose n-th power has
+    nonzero rank is not nilpotent."""
     n = len(a)
-    ranks = [n]
-    power = identity(K, n)
-    for _ in range(n):
+    ranks, power = [n, rank(K, a)], a
+    while ranks[-1]:
+        if len(ranks) > n:
+            raise ValueError("matrix is not nilpotent")
         power = mat_mul(K, power, a)
         ranks.append(rank(K, power))
     return partition_from_ranks(ranks)

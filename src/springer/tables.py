@@ -92,16 +92,9 @@ def exponents_sl(la: Partition, d: int) -> ExponentData:
 
 
 def spin_cuspidal_class(d: int) -> Partition:
-    """The unique member of X_{d(2d-1)} with defect d (the series core)."""
-    D = d * (2 * d - 1)
-    if D == 0:
-        return ()
-    from .partitions import enumerate_XN
-
-    members = [la for la in enumerate_XN(D) if defect(la) == d]
-    if len(members) != 1:
-        raise AssertionError(f"expected a unique cuspidal type for d = {d}, got {members}")
-    return members[0]
+    """The unique member of X_{d(2d-1)} with defect d (the series core):
+    (1, 5, ..., 4d - 3) for d > 0, (3, 7, ..., 4|d| - 1) for d < 0."""
+    return tuple(range(1 if d > 0 else 3, 4 * abs(d), 4))
 
 
 def exponents_spin(la: Partition) -> ExponentData:

@@ -10,10 +10,11 @@ Subspaces are canonical reduced echelon bases.  The d-dimensional
 x-stable subspaces with regular restriction are exactly the x-cyclic
 spans <x^{d-1} v, ..., v>, so the generator v is what gets enumerated,
 stratified along the kernel filtration and quotiented by the exact
-redundancy (scalars and shifts by x W); nothing scans the full
-Grassmannian, and for d <= 2 no span is rebuilt or checked.  An
-instance whose candidate count would exceed the budget raises rather
-than crawling.
+redundancy (scalars and shifts by x W): every d yields each subspace
+once, nothing scans the full Grassmannian and nothing is deduplicated.
+The count is known in closed form before the walk, so an instance
+above the budget raises rather than crawling, and the walk is checked
+to yield exactly that many subspaces.
 
 The Jordan type of x on V/W is attached to every flag; its ranks come
 from W's rows reduced against the echelon rows of the power images of
@@ -53,84 +54,70 @@ class VarietyBudgetError(RuntimeError):
 # kernel filtration and cyclic subspaces
 
 
-def _kernel_of_power(K: FieldSpec, x: la.Matrix, k: int) -> la.Matrix:
-    return la.nullspace(K, la.mat_pow(K, x, k))
-
-
-def _cyclic_span(K: FieldSpec, x: la.Matrix, v: la.Vector, d: int) -> Optional[la.Matrix]:
-    """Echelon basis of <x^{d-1} v, ..., v>, or None unless it is
-    d-dimensional and killed by x^d."""
-    vecs = []
-    cur = v
-    for _ in range(d):
-        vecs.append(cur)
-        cur = la.mat_vec(K, x, cur)
-    if any(cur):
-        return None
-    basis = la.echelon_basis(K, vecs)
-    if len(basis) != d:
-        return None
-    return basis
-
-
-def _candidate_count(Q: int, kd: int, kdm1: int, d: int) -> int:
-    """Generators that cyclic_subspaces enumerates for an x over F_Q with
-    dim ker x^d = kd and dim ker x^(d-1) = kdm1: for d <= 2 one per
-    subspace, for larger d every vector of ker x^d."""
+def _subspace_count(Q: int, kd: int, kdm1: int, d: int) -> int:
+    """Number of d-dimensional x-cyclic subspaces for an x over F_Q with
+    dim ker x^d = kd and dim ker x^(d-1) = kdm1: a line of generators
+    modulo ker x^(d-1), times the shifts in ker x^(d-1) modulo x W."""
     lines = (Q ** (kd - kdm1) - 1) // (Q - 1)
-    if d == 1:
-        return lines
-    if d == 2:
-        return lines * Q ** max(kdm1 - 1, 0)
-    return Q**kd
+    return lines * Q ** max(kdm1 - d + 1, 0)
 
 
 def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BUDGET) -> list[la.Matrix]:
-    """All d-dimensional x-stable W with x|_W regular nilpotent.
+    """All d-dimensional x-stable W with x|_W regular nilpotent, each once.
 
-    These are the spans <x^{d-1} v, ..., v> over v in ker x^d outside
-    ker x^{d-1}; generators are enumerated modulo the exact redundancy
-    for d <= 2 and deduplicated by canonical form for larger d.  For
-    d <= 2 no span is rebuilt or checked: a line representative of the
-    echelon basis of ker x is its line's echelon basis, and W = <v, x c>
-    for v = c + w with w in ker x, x c formed once per line.
+    W is the span of the x-orbit of a generator v = c + w, with c a line
+    representative of the complement C of ker x^(d-1) in ker x^d and w in
+    ker x^(d-1); two generators give the same W exactly when their c
+    agree and their w differ by an element of x W.  Layer j of the kernel
+    filtration (rows extending ker x^(j-1) to ker x^j) holds x^(d-j) c
+    modulo ker x^(j-1), so dropping the row it replaces from each layer
+    leaves rows whose span meets x W in 0 and has the complementary
+    dimension: w runs over that span.  The generator's orbit is one
+    stacked vector (v | x v | ... | x^(d-1) v), a running sum of stacked
+    rows, so each W costs one vector sum and one echelon form; nothing is
+    deduplicated.  For d = 1, W is a line of ker x.
     """
     n = len(x)
     if d < 1 or d > n:
         return []
-    kd = _kernel_of_power(K, x, d)
-    kdm1 = _kernel_of_power(K, x, d - 1) if d > 1 else ()
-    comp = la.extend_basis(K, la.mat(kdm1), kd)
+    kernels, power = [(), la.nullspace(K, x)], x  # kernels[j] = ker x^j
+    while len(kernels) <= d:
+        power = la.mat_mul(K, power, x)
+        kernels.append(la.nullspace(K, power))
+    comp = la.extend_basis(K, kernels[d - 1], kernels[d])
     if not comp:
         return []
-    count = _candidate_count(K.q, len(kd), len(kdm1), d)
+    count = _subspace_count(K.q, len(kernels[d]), len(kernels[d - 1]), d)
     if count > bound:
         what = "candidate lines" if d == 1 else "candidates"
         raise VarietyBudgetError(f"{count} {what} exceed budget {bound}")
     if d == 1:
-        return sorted((v,) for v in la.line_representatives(K, comp))
-    out = []
-    if d == 2:
+        out = sorted((c,) for c in la.line_representatives(K, comp))
+    else:
+
+        def orbit(v: la.Vector) -> list[la.Vector]:
+            vs = [v]
+            while len(vs) < d:
+                vs.append(la.mat_vec(K, x, vs[-1]))
+            return vs
+
+        layers = [la.extend_basis(K, kernels[j - 1], kernels[j]) for j in range(1, d)]
+        stacks = {r: sum(orbit(r), ()) for layer in layers for r in layer}
+        out = []
         for c in la.line_representatives(K, comp):
-            xc = la.mat_vec(K, x, c)
-            # shifts by ker x modulo the span of x c cover each W once
-            kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
-            for w in la.span_vectors(K, kermod):
-                v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-                out.append(la.echelon_basis(K, (v, xc)))
-        return sorted(out)
-    # generic fallback: full generator sweep with dedup
-    seen = set()
-    for c in la.span_vectors(K, comp):
-        if not any(c):
-            continue
-        for w in la.span_vectors(K, la.mat(kdm1)):
-            v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-            sp = _cyclic_span(K, x, v, d)
-            if sp is not None and sp not in seen:
-                seen.add(sp)
-                out.append(sp)
-    return sorted(out)
+            c_orbit = orbit(c)
+            rows = tuple(
+                stacks[r]
+                for j, layer in enumerate(layers, 1)
+                for r in la.extend_basis(K, kernels[j - 1] + (c_orbit[d - j],), layer)
+            )
+            coeffs = [K.elements()] * len(rows) + [(1,)]
+            for s in la.span_vectors(K, rows + (sum(c_orbit, ()),), coeffs):
+                out.append(la.echelon_basis(K, [s[i : i + n] for i in range(0, n * d, n)]))
+        out.sort()
+    if len(out) != count:
+        raise AssertionError(f"{len(out)} cyclic subspaces where {count} exist")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +245,7 @@ def enumerate_flags_sl(
         if wanted := laps & horizontal_strip_drops(nu, d):
             kept.append((w, nu, wanted))
             kd, kdm1 = (sum(min(part, k) for part in nu) for k in (d, d - 1))
-            dual_count += _candidate_count(K.q, kd, kdm1, d)
+            dual_count += _subspace_count(K.q, kd, kdm1, d)
     if dual_count > bound:
         raise VarietyBudgetError(f"flag count exceeds budget {bound}")
     flags = []
@@ -385,11 +372,7 @@ def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[S
 
 def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
     """Split orthogonal data is untwisted: F is the coordinatewise q-power."""
-    K = data.field
-    e = K.p**data.qexp
-    # elements of F_q are fixed when the field is F_q itself
-    imgs = tuple(tuple(K.pow(c, e) for c in row) for row in flag.E)
-    return la.echelon_basis(K, imgs) == flag.E
+    return _fixed_by_frobenius(data.field, data.qexp, flag.E)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +518,12 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 # F-stability of SL flags
 
 
-def _frob0(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
-    K = data.field
-    q = K.p**data.qexp
-    return la.echelon_basis(K, tuple(tuple(K.pow(c, q) for c in row) for row in basis))
+def _fixed_by_frobenius(K: FieldSpec, qexp: int, *bases: la.Matrix) -> bool:
+    """Whether the q-power map, q = p^qexp, fixes the span of each
+    echelon basis.  The map keeps 0, 1 and so the pivot pattern: the image
+    of an echelon basis is the echelon basis of the image, and a span is
+    fixed exactly when every entry of its basis is."""
+    return all(K.frobenius(c, qexp) == c for basis in bases for row in basis for c in row)
 
 
 def is_sl_flag_f_stable(data: SplitSLData, flag: Flag) -> bool:
@@ -548,4 +533,4 @@ def is_sl_flag_f_stable(data: SplitSLData, flag: Flag) -> bool:
     through the Hermitian form; a flag of q-rational subspaces is
     carried to a flag of q-rational subspaces.
     """
-    return _frob0(data, flag.W) == flag.W and _frob0(data, flag.Wp) == flag.Wp
+    return _fixed_by_frobenius(data.field, data.qexp, flag.W, flag.Wp)

@@ -7,7 +7,9 @@ and re-check every defining condition (`verify_flag_sl`,
 enumerates.  The orthogonal cases are classified here
 (`classify_pair_spin`), since only these explicit planes consume them.
 `flag_frobenius_sl` is the duality-twisted Frobenius on SL flags, whose
-square is the plain q^2-power map.  The last section keeps the plain
+square is the plain q^2-power map; `frob0`, the echelon form of the
+q-power image, is the plain form of the entrywise F-stability check.
+The last section keeps the plain
 forms of the cyclic-subspace enumeration, quotient types and span
 vectors that `varieties` and `flinalg` shortcut.
 """
@@ -187,6 +189,13 @@ def _perp(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
     return la.echelon_basis(K, conj)
 
 
+def frob0(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
+    """Echelon basis of the image of the span under the q-power map."""
+    K = data.field
+    q = K.p**data.qexp
+    return la.echelon_basis(K, tuple(tuple(K.pow(c, q) for c in row) for row in basis))
+
+
 def flag_frobenius_sl(data: SplitSLData, flag: vr.Flag) -> tuple[la.Matrix, la.Matrix]:
     """The duality-twisted Frobenius on flags of type (d, n-d).
 
@@ -201,7 +210,7 @@ def flag_frobenius_sl(data: SplitSLData, flag: vr.Flag) -> tuple[la.Matrix, la.M
     Binv = la.inverse(K, Abar)
 
     def image(basis: la.Matrix, outdim: int) -> la.Matrix:
-        src = vr._frob0(data, basis)
+        src = frob0(data, basis)
         ann = la.nullspace(K, src) if src else la.identity(K, len(data.form))
         rows = tuple(la.mat_vec(K, Binv, v) for v in ann)
         out = la.echelon_basis(K, rows)
@@ -237,7 +246,7 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
     candidates = [wp for wp, _ in vr._completions(K, x, pows, w, d, {tuple(lap)})]
     if not candidates:
         raise AssertionError("no completion W' exists for the explicit flag")
-    rational = [c for c in candidates if vr._frob0(data, c) == c]
+    rational = [c for c in candidates if frob0(data, c) == c]
     pool = rational if rational else candidates
     return min(pool)
 
@@ -248,13 +257,13 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     x = data.nilpotent
     pows = vr.power_images(K, x)
     sub = K.subfield_elements(data.qexp)
-    kd = vr._kernel_of_power(K, x, d)
+    kd = kernel_of_power(K, x, d)
     best = None
     seen = set()
     for v in la.span_vectors(K, la.mat(kd), [sub] * len(kd)):
         if not any(v):
             continue
-        w = vr._cyclic_span(K, x, v, d)
+        w = cyclic_span(K, x, v, d)
         if w is None or w in seen:
             continue
         seen.add(w)
@@ -320,7 +329,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
         h = data.la[i - 1]
         # auxiliary form on <v_{i,h}, v_{i+1,h}>
         tops = [unit_vec(i, h), unit_vec(i + 1, h)]
-        xpow = la.mat_pow(K, x, h - 1)
+        xpow = mat_pow(K, x, h - 1)
         q = K.p**data.qexp
 
         def aux(vv, ww):
@@ -433,7 +442,7 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 # the enumeration before its per-subspace shortcuts
 #
 # `varieties` and `flinalg` skip work the algebra makes redundant: no
-# span is rebuilt for d <= 2, quotient ranks come from reducing W
+# span is rebuilt or deduplicated, quotient ranks come from reducing W
 # against the echelon rows of the power images, and span vectors (line
 # representatives included) are running sums.  These are the plain forms
 # they replaced, kept as the references the shortcuts must reproduce
@@ -497,29 +506,48 @@ def quotient_type_by_rref(K, x: la.Matrix, w_basis: la.Matrix, pow_images=None) 
     return la.partition_from_ranks(ranks)
 
 
+def mat_pow(K, a: la.Matrix, e: int) -> la.Matrix:
+    out = la.identity(K, len(a))
+    for _ in range(e):
+        out = la.mat_mul(K, out, a)
+    return out
+
+
+def kernel_of_power(K, x: la.Matrix, k: int) -> la.Matrix:
+    return la.nullspace(K, mat_pow(K, x, k))
+
+
+def cyclic_span(K, x: la.Matrix, v: la.Vector, d: int) -> Optional[la.Matrix]:
+    """Echelon basis of <x^{d-1} v, ..., v>, or None unless it is
+    d-dimensional and killed by x^d."""
+    vecs = []
+    cur = v
+    for _ in range(d):
+        vecs.append(cur)
+        cur = la.mat_vec(K, x, cur)
+    if any(cur):
+        return None
+    basis = la.echelon_basis(K, vecs)
+    if len(basis) != d:
+        return None
+    return basis
+
+
 def cyclic_subspaces_by_span(K, x: la.Matrix, d: int) -> list[la.Matrix]:
-    """The d in {1, 2} cyclic subspaces, each rebuilt and re-checked as
-    the span of its generator's x-orbit."""
-    assert d in (1, 2)
-    n = len(x)
-    if d > n:
+    """The d-dimensional cyclic subspaces, each rebuilt as the span of a
+    generator's x-orbit, over every generator c + w with c a line
+    representative of a complement of ker x^(d-1) in ker x^d and w in
+    ker x^(d-1); duplicates are removed by canonical form."""
+    if d < 1 or d > len(x):
         return []
-    kd = vr._kernel_of_power(K, x, d)
-    kdm1 = vr._kernel_of_power(K, x, d - 1) if d > 1 else ()
-    comp = la.extend_basis(K, la.mat(kdm1), kd)
-    out = []
-    if d == 1:
-        for v in la.line_representatives(K, comp):
-            w = vr._cyclic_span(K, x, v, 1)
-            if w is not None:
-                out.append(w)
-        return sorted(out)
-    for c in la.line_representatives(K, comp):
-        xc = la.mat_vec(K, x, c)
-        kermod = la.extend_basis(K, la.echelon_basis(K, [xc]), la.mat(kdm1))
-        for w in span_vectors_by_product(K, kermod):
+    kd = kernel_of_power(K, x, d)
+    kdm1 = kernel_of_power(K, x, d - 1)
+    out, seen = [], set()
+    for c in line_representatives_by_sum(K, la.extend_basis(K, kdm1, kd)):
+        for w in la.span_vectors(K, kdm1):
             v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
-            sp = vr._cyclic_span(K, x, v, 2)
-            if sp is not None:
+            sp = cyclic_span(K, x, v, d)
+            if sp is not None and sp not in seen:
+                seen.add(sp)
                 out.append(sp)
     return sorted(out)

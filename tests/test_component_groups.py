@@ -21,6 +21,23 @@ def test_spin_gamma_orders_examples():
     assert g.order == 8 and not og.is_abelian(g)
 
 
+def test_spin_gamma_generators_generate_the_group():
+    # epsilon and the r - 1 products x_i x_(i+1) close up to all of A,
+    # which the group-law and intertwiner checks rely on
+    for lam in ((5,), (1, 3), (1, 3, 5), (2, 2), (1, 2, 2), (1, 3, 5, 7), (1, 3, 5, 7, 9, 11)):
+        g = cg.build_spin_gamma(lam)
+        gens = g.generators()
+        assert len(gens) == max(g.r, 1), lam
+        group, frontier = {g.identity()}, [g.identity()]
+        while frontier:
+            a = frontier.pop()
+            for s in gens:
+                if (b := g.mul(a, s)) not in group:
+                    group.add(b)
+                    frontier.append(b)
+        assert group == set(g.elements), lam
+
+
 def test_spin_gamma_group_axioms():
     for lam in ((5,), (1, 3), (1, 3, 5), (2, 2), (1, 2, 2)):
         g = cg.build_spin_gamma(lam)

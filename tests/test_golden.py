@@ -120,6 +120,9 @@ GOLDEN = [
         "tables --group sl --n 12 --q 11 --xi-order 4 --format json",
         "d9b586399daaa8ce487cd2a92d7796138218859699cdffa04fa509163197ad13",
     ),
+    # an order-3 variety, recorded when the d >= 3 cyclic subspaces came
+    # from a deduplicated sweep of every generator in ker x^3
+    ("flags --group sl --lambda 3,3 --d 3 --q 3", "549219931038c4867c1a8490e05e3e2f0f6744e921e9beb3d44e1796a2fb5632"),
 ]
 
 

@@ -102,6 +102,10 @@ def test_jordan_type_edge_cases():
     assert la.jordan_partition(K, shift) == (4,)
     with pytest.raises(ValueError):
         la.jordan_partition(K, la.identity(K, 3))
+    # ranks 2, 1, 1, 1: the shift block dies, the unit block never does
+    with pytest.raises(ValueError, match="not nilpotent"):
+        la.jordan_partition(K, la.mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+    assert la.jordan_partition(K, ()) == ()
 
 
 def test_spin_frobenius_report_signs():

@@ -42,6 +42,10 @@ def test_spin_cuspidal_class():
     assert tb.spin_cuspidal_class(-1) == (3,)
     assert tb.spin_cuspidal_class(2) == (1, 5)
     assert tb.spin_cuspidal_class(0) == ()
+    # the closed form is the one member of X_{d(2d-1)} with defect d
+    for d in range(-5, 6):
+        members = [la for la in pt.enumerate_XN(d * (2 * d - 1)) if pt.defect(la) == d] if d else [()]
+        assert members == [tb.spin_cuspidal_class(d)], d
 
 
 def test_y0_sl_24_example():

@@ -28,33 +28,31 @@ def _so_flags(data, lap):
 
 
 def _all_subspaces(K, n, d):
-    """Brute-force d-dimensional subspaces as canonical echelon bases."""
-    vecs = [v for v in la.span_vectors(K, la.identity(K, n)) if any(v)]
-    seen = set()
-    for combo in itertools.combinations(vecs, d):
-        b = la.echelon_basis(K, combo)
-        if len(b) == d:
-            seen.add(b)
-    return seen
+    """Every d-dimensional subspace of K^n as its reduced echelon basis:
+    one per choice of pivot columns and of the entries right of each
+    pivot outside the other pivot columns."""
+    for pivots in itertools.combinations(range(n), d):
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for values in itertools.product(K.elements(), repeat=len(free)):
+            rows = [[int(c == p) for c in range(n)] for p in pivots]
+            for (i, c), a in zip(free, values):
+                rows[i][c] = a
+            yield la.mat(rows)
 
 
 def test_cyclic_subspaces_match_brute_force():
     K = make_field(3, 1)
-    for lam in ((1, 1, 2), (2, 2), (1, 3), (4,), (1, 1, 1)):
+    for lam in ((1, 1, 2), (2, 2), (1, 3), (4,), (1, 1, 1), (3,), (1, 1, 3), (2, 3), (5,)):
         x = _nilpotent_of_type(K, lam)
         n = sum(lam)
-        for d in (1, 2):
+        for d in range(1, min(n, 4) + 1):
             got = vr.cyclic_subspaces(K, x, d)
-            assert len(got) == len(set(got)), (lam, d)
-            got = set(got)
-            want = set()
+            want = []
             for w in _all_subspaces(K, n, d):
                 stable = all(la.in_span(K, w, la.mat_vec(K, x, v)) for v in w)
-                if not stable:
-                    continue
-                if la.jordan_partition(K, la.restrict_to_subspace(K, x, w)) == (d,):
-                    want.add(w)
-            assert got == want, (lam, d)
+                if stable and la.jordan_partition(K, la.restrict_to_subspace(K, x, w)) == (d,):
+                    want.append(w)
+            assert got == sorted(want), (lam, d)
 
 
 def test_one_row_rule_subspace_and_quotient():
@@ -273,8 +271,21 @@ def test_flag_frobenius_squares_to_plain_frobenius():
         w1, wp1 = ofl.flag_frobenius_sl(data, f)
         f2 = vr.Flag(W=w1, Wp=wp1, type_W=f.type_W, type_quotient=f.type_quotient, type_top=f.type_top, type_mod_W=f.type_mod_W)
         w2, wp2 = ofl.flag_frobenius_sl(data, f2)
-        assert w2 == vr._frob0(data, vr._frob0(data, f.W))
-        assert wp2 == vr._frob0(data, vr._frob0(data, f.Wp))
+        assert w2 == ofl.frob0(data, ofl.frob0(data, f.W))
+        assert wp2 == ofl.frob0(data, ofl.frob0(data, f.Wp))
+
+
+def test_f_stability_read_entrywise_matches_the_echelon_image():
+    # an echelon basis is q-rational exactly when the echelon form of its
+    # q-power image is itself, on flags with both answers
+    seen = set()
+    for lam, d in (((1, 2), 1), ((1, 1, 2), 1), ((2, 4), 2), ((1, 3), 1)):
+        data = sp.build_sl_split(lam, 3)
+        for f in vr.enumerate_flags_sl(data, d, pt.partitions_of(sum(lam) - 2 * d)):
+            plain = ofl.frob0(data, f.W) == f.W and ofl.frob0(data, f.Wp) == f.Wp
+            assert vr.is_sl_flag_f_stable(data, f) == plain, (lam, f.W, f.Wp)
+            seen.add(plain)
+    assert seen == {True, False}
 
 
 def test_frobenius_is_a_bijection_of_the_flag_set():
@@ -402,11 +413,12 @@ def _enumeration_cases():
 
 
 def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
-    # d <= 2 spans without the span rebuild, quotient ranks by reduction
-    # against the power images: same lists, same order, same types
+    # spans walked along the kernel filtration against the deduplicated
+    # generator sweep, quotient ranks by reduction against the power
+    # images: same lists, same order, same types
     for K, x in _enumeration_cases():
         pows, plain_pows = vr.power_images(K, x), ofl.power_images_by_rref(K, x)
-        for d in (1, 2):
+        for d in (1, 2, 3, 4):
             ws = vr.cyclic_subspaces(K, x, d)
             assert ws == ofl.cyclic_subspaces_by_span(K, x, d), (K, x, d)
             for w in ws:
