@@ -515,7 +515,7 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 
 
 # ---------------------------------------------------------------------------
-# F-stability of SL flags
+# F-stability of flags
 
 
 def _fixed_by_frobenius(K: FieldSpec, qexp: int, *bases: la.Matrix) -> bool:

@@ -9,9 +9,9 @@ enumerates.  The orthogonal cases are classified here
 `flag_frobenius_sl` is the duality-twisted Frobenius on SL flags, whose
 square is the plain q^2-power map; `frob0`, the echelon form of the
 q-power image, is the plain form of the entrywise F-stability check.
-The last section keeps the plain
-forms of the cyclic-subspace enumeration, quotient types and span
-vectors that `varieties` and `flinalg` shortcut.
+The last section keeps the plain forms of the cyclic-subspace
+enumeration, quotient types and span vectors that `varieties` and
+`flinalg` shortcut.
 """
 
 from __future__ import annotations

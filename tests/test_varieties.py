@@ -389,7 +389,8 @@ def test_budget_error_on_huge_instance():
 
 def _enumeration_cases():
     """(field, x) pairs for the shortcut-against-plain-form checks: the
-    split shift of every lambda |- n <= 5 over F_9, the transposed
+    split shift of every lambda |- n <= 5 over F_9, the Jordan shift of
+    every lambda |- n <= 6 over F_2, F_3 and F_4, the transposed
     quotient actions that `_completions` builds over the cyclic W of
     every lambda |- n <= 5 over F_4 (not shifts), and the split
     orthogonal nilpotents with N <= 6 at q = 3 and 5 (not shifts)."""
@@ -397,6 +398,11 @@ def _enumeration_cases():
         for lam in pt.partitions_of(n):
             data = sp.build_sl_split(lam, 3)
             yield data.field, data.nilpotent
+    for p, k in ((2, 1), (3, 1), (2, 2)):
+        K = make_field(p, k)
+        for n in range(1, 7):
+            for lam in pt.partitions_of(n):
+                yield K, _nilpotent_of_type(K, lam)
     for n in range(2, 6):
         for lam in pt.partitions_of(n):
             data = sp.build_sl_split(lam, 2)
@@ -418,7 +424,7 @@ def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
     # images: same lists, same order, same types
     for K, x in _enumeration_cases():
         pows, plain_pows = vr.power_images(K, x), ofl.power_images_by_rref(K, x)
-        for d in (1, 2, 3, 4):
+        for d in range(1, len(x) + 1):
             ws = vr.cyclic_subspaces(K, x, d)
             assert ws == ofl.cyclic_subspaces_by_span(K, x, d), (K, x, d)
             for w in ws:
