@@ -381,7 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (tb.EmptyFiberError, tb.NotFStableError, vr.VarietyBudgetError, ValueError) as exc:
+    except (ValueError, vr.VarietyBudgetError) as exc:
         code, failure = 1, exc
     except AssertionError as exc:
         code, failure = 3, exc

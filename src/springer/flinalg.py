@@ -4,6 +4,12 @@ Matrices are tuples of tuples of encoded field elements (row major),
 vectors are tuples.  Everything returns new immutable values; reduced
 row echelon form with leading ones is the canonical representative used
 to compare subspaces.
+
+One reduction, `reduce`, takes a vector's components along echelon rows
+away; span membership, basis extension and quotient coordinates all go
+through it.  One rank routine, `subquotient_type`, gives the Jordan type
+of a nilpotent map on any subquotient of stable spans (V itself, V/W,
+W'/W or E-perp/E) from the ranks of its powers there.
 """
 
 from __future__ import annotations
@@ -87,10 +93,6 @@ def rref(K: FieldSpec, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
-def rank(K: FieldSpec, a: Matrix) -> int:
-    return len(rref(K, a)[0])
-
-
 def echelon_basis(K: FieldSpec, vectors: Iterable[Vector]) -> Matrix:
     """Canonical basis of the span: RREF rows.  Equal spans give equal values."""
     vs = [v for v in vectors if any(v)]
@@ -99,12 +101,15 @@ def echelon_basis(K: FieldSpec, vectors: Iterable[Vector]) -> Matrix:
     return rref(K, mat(vs))[0]
 
 
-def in_span(K: FieldSpec, basis: Matrix, v: Vector) -> bool:
-    if not any(v):
-        return True
-    if not basis:
-        return False
-    return rank(K, basis + (v,)) == len(basis)
+def reduce(K: FieldSpec, v: Vector, rows: Sequence[Vector], pivots: Sequence[int]) -> Vector:
+    """v minus its components along the rows, taken in order.  Each row
+    must be 1 at its pivot and 0 at the pivots of the rows before it
+    (RREF rows are); the remainder is 0 at every pivot, and it is zero
+    exactly when v lies in the span of the rows."""
+    for row, c in zip(rows, pivots):
+        if f := v[c]:
+            v = tuple(K.sub(a, K.mul(f, b)) for a, b in zip(v, row))
+    return v
 
 
 def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence[int]]] = None) -> Iterator[Vector]:
@@ -147,12 +152,19 @@ def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:
 
 def extend_basis(K: FieldSpec, small: Matrix, big: Matrix) -> Matrix:
     """Rows of big, chosen greedily in order, extending small to a basis
-    of span(small + big)."""
-    cur = list(small)
+    of span(small + big).  Each candidate is reduced against the echelon
+    rows of small and the remainders of the rows already chosen; a
+    nonzero remainder, scaled to 1 at its first entry, joins them."""
+    red, pivots = rref(K, small)
+    rows, pivots = list(red), list(pivots)
     out = []
     for v in big:
-        if not in_span(K, mat(cur), v):
-            cur.append(v)
+        r = reduce(K, v, rows, pivots)
+        c = next((i for i, a in enumerate(r) if a), None)
+        if c is not None:
+            inv = K.inv(r[c])
+            rows.append(tuple(K.mul(inv, a) for a in r))
+            pivots.append(c)
             out.append(v)
     return mat(out)
 
@@ -224,18 +236,27 @@ def inverse(K: FieldSpec, a: Matrix) -> Matrix:
     return tuple(r[n:] for r in red)
 
 
-def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix, as ascending block sizes, from
-    the rank sequence of its powers; a matrix whose n-th power has
-    nonzero rank is not nilpotent."""
-    n = len(a)
-    ranks, power = [n, rank(K, a)], a
+def subquotient_type(K: FieldSpec, a: Matrix, big: Matrix, small: Matrix) -> tuple[int, ...]:
+    """Jordan type of a on span(big) / span(small), as ascending block
+    sizes, for a-stable spans with span(small) inside span(big), each
+    given by a basis.  The rank of a^k there is dim(a^k big + small) -
+    dim small; a^k big + small is the echelon basis of the images of the
+    previous one's rows together with small, and the ranks stop at the
+    first zero.  A map whose n-th power keeps nonzero rank is not
+    nilpotent."""
+    s = len(small)
+    ranks, span = [len(big) - s], big
     while ranks[-1]:
-        if len(ranks) > n:
+        if len(ranks) > len(a):
             raise ValueError("matrix is not nilpotent")
-        power = mat_mul(K, power, a)
-        ranks.append(rank(K, power))
+        span = echelon_basis(K, [mat_vec(K, a, v) for v in span] + list(small))
+        ranks.append(len(span) - s)
     return partition_from_ranks(ranks)
+
+
+def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
+    """Jordan type of a nilpotent matrix, as ascending block sizes."""
+    return subquotient_type(K, a, identity(K, len(a)), ())
 
 
 def partition_from_ranks(ranks: Sequence[int]) -> tuple[int, ...]:
@@ -273,38 +294,15 @@ def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> tuple[Matrix, list[
     its entries at those coordinates.
     """
     n = len(a)
-    red, pivots = rref(K, sub) if sub else ((), ())
+    red, pivots = rref(K, sub)
     pivset = set(pivots)
     compl = [c for c in range(n) if c not in pivset]
-
-    def project(v: Vector) -> Vector:
-        w = list(v)
-        for r, pc in enumerate(pivots):
-            f = w[pc]
-            if f:
-                w = [K.sub(x, K.mul(f, y)) for x, y in zip(w, red[r])]
-        return tuple(w[c] for c in compl)
-
     cols = []
     for c in compl:
         e = tuple(1 if i == c else 0 for i in range(n))
-        cols.append(project(mat_vec(K, a, e)))
+        w = reduce(K, mat_vec(K, a, e), red, pivots)
+        cols.append(tuple(w[i] for i in compl))
     return transpose(mat(cols)), compl
-
-
-def action_between(K: FieldSpec, a: Matrix, small: Matrix, big: Matrix) -> Matrix:
-    """Action of a on span(big)/span(small) for a-stable nested spans."""
-    chosen = extend_basis(K, small, big)
-    full = tuple(small) + chosen
-    k = len(small)
-    cols = []
-    for v in chosen:
-        w = mat_vec(K, a, v)
-        coords = solve(K, transpose(full), w)
-        if coords is None:
-            raise ValueError("big subspace is not stable under the matrix")
-        cols.append(coords[k:])
-    return transpose(mat(cols))
 
 
 def gram(K: FieldSpec, form: Matrix, u: Vector, v: Vector) -> int:

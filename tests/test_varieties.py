@@ -49,7 +49,7 @@ def test_cyclic_subspaces_match_brute_force():
             got = vr.cyclic_subspaces(K, x, d)
             want = []
             for w in _all_subspaces(K, n, d):
-                stable = all(la.in_span(K, w, la.mat_vec(K, x, v)) for v in w)
+                stable = all(ofl.in_span(K, w, la.mat_vec(K, x, v)) for v in w)
                 if stable and la.jordan_partition(K, la.restrict_to_subspace(K, x, w)) == (d,):
                     want.append(w)
             assert got == sorted(want), (lam, d)
@@ -147,13 +147,18 @@ def test_flag_budget_counts_the_dual_candidates_up_front():
             vr.enumerate_flags_sl(data, d, laps, bound=count - 1)
 
 
+def _fibre_types(report, lap):
+    """Strata of the report whose fibre over W is nonempty for lap."""
+    return {nu for nu, _ in report.strata if tuple(lap) in report.drops[nu]}
+
+
 def test_stratum_analysis_matches_enumeration():
     for lam, d, lap in (((1, 2), 1, (1,)), ((3,), 1, (1,)), ((1, 3), 1, (1, 1)), ((2, 4), 2, (2,))):
         data = sp.build_sl_split(lam, 3)
         flags = vr.enumerate_flags_sl(data, d, [lap])
         types_enum = {f.type_mod_W for f in flags}
         report = vr.sl_stratum_analysis(data, d)
-        assert set(report.types(lap)) == types_enum, (lam, d, lap)
+        assert _fibre_types(report, lap) == types_enum, (lam, d, lap)
 
 
 def test_mixed_stratum_golden_counts():
@@ -170,7 +175,7 @@ def test_mixed_stratum_golden_counts():
             counts[f.type_mod_W] = counts.get(f.type_mod_W, 0) + 1
         assert counts == expected
         report = vr.sl_stratum_analysis(data, 2)
-        assert set(report.types((2,))) == set(expected)
+        assert _fibre_types(report, (2,)) == set(expected)
         assert set(report.principal_types((2,))) == {(2, 2), (4,)}
 
 
@@ -231,7 +236,7 @@ def test_enumerate_flags_so_case_V_family():
 
 def test_split_flag_sl_case_I():
     data = sp.build_sl_split((1, 3), 3)
-    case = pt.classify_pair_sl((1, 3), (1, 1))
+    case = ofl.classify_pair_sl((1, 3), (1, 1))
     flags = ofl.split_flag_sl(data, 1, (1, 1), case)
     assert len(flags) == 1
     # W = <v_{2,1}>: coordinate 1 in the (1,3) layout
@@ -243,7 +248,7 @@ def test_split_flag_sl_case_I():
 
 def test_split_flag_sl_case_III_strata():
     data = sp.build_sl_split((1, 2), 3)
-    case = pt.classify_pair_sl((1, 2), (1,))
+    case = ofl.classify_pair_sl((1, 2), (1,))
     assert case.tag == "III"
     fl = ofl.split_flag_sl(data, 1, (1,), case)
     assert len(fl) == 2
@@ -255,7 +260,7 @@ def test_split_flag_sl_case_III_strata():
 
 def test_split_flag_sl_case_II():
     data = sp.build_sl_split((2, 2), 3)
-    case = pt.classify_pair_sl((2, 2), (1, 1))
+    case = ofl.classify_pair_sl((2, 2), (1, 1))
     assert case.tag == "II"
     fl = ofl.split_flag_sl(data, 1, (1, 1), case)
     assert len(fl) == 1
@@ -429,6 +434,49 @@ def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
             assert ws == ofl.cyclic_subspaces_by_span(K, x, d), (K, x, d)
             for w in ws:
                 assert vr.quotient_type(K, x, w, pows) == ofl.quotient_type_by_rref(K, x, w, plain_pows), (K, x, w)
+
+
+def _kernel_filtration(K, x):
+    """Echelon bases of ker x^j for j = 0, 1, ... up to V."""
+    kernels = [()]
+    while len(kernels[-1]) < len(x):
+        kernels.append(ofl.kernel_of_power(K, x, len(kernels)))
+    return kernels
+
+
+def test_subquotient_types_match_the_induced_matrix():
+    # ranks on the subquotient against the Jordan type of the matrix that
+    # x induces there: V itself; the first eight x-cyclic W of each
+    # d <= 2 inside each W' = W + ker x^j (W itself and V included); and
+    # every SO flag E inside E-perp, N <= 9 at q = 3 and N <= 7 at q = 5
+    for K, x in _enumeration_cases():
+        assert la.jordan_partition(K, x) == ofl.jordan_partition_by_powers(K, x)
+        kernels = _kernel_filtration(K, x)
+        for d in (1, 2):
+            for w in vr.cyclic_subspaces(K, x, d)[:8]:
+                assert la.subquotient_type(K, x, w, ()) == (d,)
+                for wp in sorted({la.echelon_basis(K, w + k) for k in kernels}):
+                    want = ofl.jordan_partition_by_powers(K, ofl.action_between(K, x, w, wp))
+                    assert la.subquotient_type(K, x, wp, w) == want, (K, x, w, wp)
+    for q, n_max in ((3, 9), (5, 7)):
+        for N in range(2, n_max + 1):
+            for lam in filter(pt.is_in_XN_tilde, pt.partitions_of(N)):
+                data = sp.build_so_split(lam, q)
+                K, x = data.field, data.nilpotent
+                for f in vr.enumerate_flags_so(data):
+                    want = ofl.jordan_partition_by_powers(K, ofl.action_between(K, x, f.E, f.Eperp))
+                    assert f.type_mid == want, (lam, q, f.E)
+
+
+def test_extend_basis_matches_the_greedy_span_form():
+    # along the kernel filtration: from each smaller kernel, alone and
+    # with one vector of the larger kernel outside it put after its rows
+    for K, x in _enumeration_cases():
+        kernels = _kernel_filtration(K, x)
+        for j, big in enumerate(kernels):
+            for small in kernels[:j]:
+                for sm in [small] + [small + (v,) for v in big if not ofl.in_span(K, small, v)]:
+                    assert la.extend_basis(K, sm, big) == ofl.extend_basis_by_span(K, sm, big), (K, x, sm, big)
 
 
 def test_span_vectors_match_product_form():
