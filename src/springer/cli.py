@@ -83,8 +83,8 @@ def cmd_series(args) -> int:
         _unused(args, "--group sl", "N")
         p, _ = _prime_of(args.q)
         lines.append("d\tf_rational")
-        for c in sr.enumerate_sl_series(args.n, p, q=args.q):
-            lines.append(f"{c.d}\t{str(bool(c.f_rational)).lower()}")
+        for c in sr.enumerate_sl_series(args.n, p, args.q):
+            lines.append(f"{c.d}\t{str(c.f_rational).lower()}")
     _emit(lines, args.output)
     return 0
 
@@ -121,7 +121,7 @@ def cmd_split(args) -> int:
         lines.append("check form_symmetric_nondegenerate: pass")
         lines.append("check x_skew_adjoint: pass")
         lines.append(f"check jordan_type: {list(fla.jordan_partition(K, data.nilpotent))}")
-        lines.append(f"frobenius_signs_on_generators: {list(sp.spin_frobenius_signs(data))}")
+        lines.append(f"frobenius_signs_on_generators: {list(tb.spin_tau_signs(data.la, args.q))}")
     _emit(lines, args.output)
     return 0
 

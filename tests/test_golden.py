@@ -24,6 +24,9 @@ tau nontrivial were recorded with twisted classes closed under every
 element of A; they held for the closure under generators and hold for
 the classes read off in closed form (one sign parity per element of
 the spin model, gcd cosets on Z/m).
+The SO split digests at q = 7, 9 and 27 were recorded while `split`
+still read its F-signs off orthonormal bases over F_{q^2}; they hold for
+the closed form `tables.spin_tau_signs`.
 """
 
 import hashlib
@@ -120,6 +123,10 @@ GOLDEN = [
         "tables --group sl --n 12 --q 11 --xi-order 4 --format json",
         "d9b586399daaa8ce487cd2a92d7796138218859699cdffa04fa509163197ad13",
     ),
+    # F-signs at q = 7 and 27 (-1 on every generator) and at q = 9 (all +1)
+    ("split --group so --lambda 3,5 --q 7", "afd5e388566c6f3d0801b8cb2a34ff83a5d7e8cd5ec61b8febb0b19f2e659314"),
+    ("split --group so --lambda 1,3,5 --q 9", "8cdba2b2a6624eee0efc19dca052bf063a3d94a588537f6e665653fa846e3dc9"),
+    ("split --group so --lambda 2,2,3 --q 27", "87ea1b1fdda7dacfc1aa37a80c7170908a1f7f89b9904258495c3ccea3f048a0"),
     # an order-3 variety, recorded when the d >= 3 cyclic subspaces came
     # from a deduplicated sweep of every generator in ker x^3
     ("flags --group sl --lambda 3,3 --d 3 --q 3", "549219931038c4867c1a8490e05e3e2f0f6744e921e9beb3d44e1796a2fb5632"),

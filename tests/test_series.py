@@ -88,7 +88,7 @@ def test_enumerate_sl_series():
     s = sr.enumerate_sl_series(6, 5, q=3)
     assert [(c.d, c.f_rational) for c in s] == [(1, True), (2, True), (3, False), (6, False)]
     # p | n removes p-part from the divisor list
-    s = sr.enumerate_sl_series(6, 3)
+    s = sr.enumerate_sl_series(6, 3, q=3)
     assert [c.d for c in s] == [1, 2]
 
 

@@ -1,3 +1,6 @@
+import json
+
+import oracles_clifford as cl
 import oracles_groups as og
 import pytest
 
@@ -6,6 +9,8 @@ from springer import flinalg as la
 from springer import partitions as pt
 from springer import split as sp
 from springer import tables as tb
+from springer.cli import main
+from springer.ffield import make_field
 
 
 def test_build_so_split_block_3():
@@ -93,8 +98,6 @@ def test_sl_jordan_roundtrip_and_form_invariance():
 
 
 def test_jordan_type_edge_cases():
-    from springer.ffield import make_field
-
     K = make_field(3, 1)
     zero = la.mat([[0] * 4] * 4)
     assert la.jordan_partition(K, zero) == (1, 1, 1, 1)
@@ -110,30 +113,59 @@ def test_jordan_type_edge_cases():
 
 def test_spin_frobenius_report_signs():
     # q = 1 mod 4: trivial action
-    signs = sp.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 5))
+    signs = cl.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 5))
     assert all(s == 1 for s in signs)
     # q = 3 mod 4, lambda = (1,2,2): single odd part, sign +1 per the formula
-    signs = sp.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 3))
+    signs = cl.spin_frobenius_signs(sp.build_so_split((1, 2, 2), 3))
     assert signs == (1,)
     assert og.tau_order(cg.build_spin_gamma((1, 2, 2), signs)) <= 2
 
 
 def test_spin_frobenius_report_matches_formula():
-    for q in (3, 7):
-        for N in range(3, 12):
+    # the closed form against the orthonormal-basis oracle, at prime and
+    # prime-power q on both sides of q mod 4
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)):
+        q = p**k
+        for N in range(1, 14):
             for lam in pt.enumerate_XN(N):
-                signs = sp.spin_frobenius_signs(sp.build_so_split(lam, q))
-                expect = tuple(
-                    (-1) ** (((lam[j - 1] - 1) // 2 + 1 + j) % 2) for j in pt.odd_part_positions(lam)
-                )
-                assert signs == expect, (q, lam)
-                assert signs == tb.spin_tau_signs(lam, q), (q, lam)
+                signs = cl.spin_frobenius_signs(sp.build_so_split(lam, p, k))
+                assert tb.spin_tau_signs(lam, q) == signs, (q, lam)
+                if q % 4 == 1:
+                    assert all(s == 1 for s in signs), (q, lam)
+                else:
+                    expect = tuple(
+                        (-1) ** (((lam[j - 1] - 1) // 2 + 1 + j) % 2) for j in pt.odd_part_positions(lam)
+                    )
+                    assert signs == expect, (q, lam)
                 # tau squares to the identity on the component group
                 assert og.tau_order(cg.build_spin_gamma(lam, signs)) <= 2, (q, lam)
-    for N in range(3, 12):
-        for lam in pt.enumerate_XN(N):
-            signs = sp.spin_frobenius_signs(sp.build_so_split(lam, 5))
-            assert all(s == 1 for s in signs)
+
+
+def test_split_form_odd_blocks_match_the_oracle_block_form():
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        K = make_field(p, k)
+        for N in range(1, 14):
+            for lam in pt.enumerate_XN(N, tilde=True):
+                form, blocks = sp.split_so_form(lam, K)
+                for b in blocks:
+                    if b.kind == "odd":
+                        s, h = b.start, b.size
+                        block = la.mat(row[s : s + h] for row in form[s : s + h])
+                        assert block == cl.block_form(h, b.delta, K), (K.q, lam, b)
+
+
+def test_spin_tau_signs_refuses_partitions_outside_XN(capsys):
+    # the closed form refuses exactly as `split --group so` does
+    refused = [lam for N in range(1, 9) for lam in pt.enumerate_XN(N, tilde=True) if not pt.is_in_XN(lam)]
+    assert (1, 1) in refused and (3, 3) in refused
+    for lam in refused:
+        for q in (3, 5):
+            with pytest.raises(ValueError) as exc:
+                tb.spin_tau_signs(lam, q)
+            assert str(exc.value) == f"{lam} is not in X_N"
+            assert main(["split", "--group", "so", "--lambda", ",".join(map(str, lam)), "--q", str(q)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert json.loads(err) == {"error": "ValueError", "message": str(exc.value)}
 
 
 def test_sl_frobenius_report():
