@@ -3,17 +3,20 @@
 Matrices are tuples of tuples of encoded field elements (row major),
 vectors are tuples.  Everything returns new immutable values; reduced
 row echelon form with leading ones is the canonical representative used
-to compare subspaces.
+to compare subspaces.  Row operations touch the nonzero entries of the
+row they add only, so a sparse row costs its support, not its length.
 
 One reduction, `reduce`, takes a vector's components along echelon rows
-away; span membership, basis extension and quotient coordinates all go
+away; span membership, basis extension and the quotient action all go
 through it.  One rank routine, `subquotient_type`, gives the Jordan type
 of a nilpotent map on any subquotient of stable spans (V itself, V/W,
-W'/W or E-perp/E) from the ranks of its powers there.
+W'/W or E-perp/E) from the ranks of its powers there.  The line
+representatives of a reduced echelon basis come in lexicographic order.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .ffield import FieldSpec
@@ -80,12 +83,14 @@ def rref(K: FieldSpec, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = K.inv(rows[r][c])
-        rows[r] = [K.mul(inv, x) for x in rows[r]]
+        if (inv := K.inv(rows[r][c])) != 1:
+            rows[r] = [K.mul(inv, x) if x else 0 for x in rows[r]]
+        support = [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            if i != r and (f := rows[i][c]):
+                row = rows[i]
+                for j, y in support:
+                    row[j] = K.sub(row[j], K.mul(f, y))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -106,10 +111,13 @@ def reduce(K: FieldSpec, v: Vector, rows: Sequence[Vector], pivots: Sequence[int
     must be 1 at its pivot and 0 at the pivots of the rows before it
     (RREF rows are); the remainder is 0 at every pivot, and it is zero
     exactly when v lies in the span of the rows."""
+    v = list(v)
     for row, c in zip(rows, pivots):
         if f := v[c]:
-            v = tuple(K.sub(a, K.mul(f, b)) for a, b in zip(v, row))
-    return v
+            for j, b in enumerate(row):
+                if b:
+                    v[j] = K.sub(v[j], K.mul(f, b))
+    return tuple(v)
 
 
 def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence[int]]] = None) -> Iterator[Vector]:
@@ -117,13 +125,18 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence
     coeffs[i] (all of K by default), the coefficient of row 0 varying
     fastest.  An empty basis spans only the empty vector.  The partial
     sums sum_{j >= i} c_j row_j sit on an odometer, so a vector costs one
-    vector sum (plus one per carried digit); none is stored."""
+    row addition (plus one per carried digit); none is stored.  A row
+    multiple is kept on the row's support only, so adding it touches
+    the row's nonzero entries, and a zero multiple is no addition."""
     if not basis:
         yield ()
         return
     if coeffs is None:
         coeffs = [K.elements()] * len(basis)
-    multiples = [[tuple(K.mul(c, a) for a in row) for c in cs] for row, cs in zip(basis, coeffs)]
+    multiples = [
+        [[(t, a if c == 1 else K.mul(c, a)) for t, a in enumerate(row) if a] if c else [] for c in cs]
+        for row, cs in zip(basis, coeffs)
+    ]
     if not all(multiples):
         return
     digits = [0] * len(basis)
@@ -131,7 +144,13 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence
     i = len(basis) - 1
     while True:
         for j in range(i, -1, -1):
-            partial[j] = tuple(map(K.add, partial[j + 1], multiples[j][digits[j]]))
+            if multiple := multiples[j][digits[j]]:
+                v = list(partial[j + 1])
+                for t, b in multiple:
+                    v[t] = K.add(a, b) if (a := v[t]) else b
+                partial[j] = tuple(v)
+            else:
+                partial[j] = partial[j + 1]
         yield partial[0]
         i = 0
         while digits[i] == len(multiples[i]) - 1:
@@ -144,9 +163,13 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence
 
 def line_representatives(K: FieldSpec, basis: Matrix) -> Iterator[Vector]:
     """One vector per line of the span: its leading coefficient is 1.  The
-    lead row is the odometer's slowest digit, so it is summed once per lead."""
-    for lead in range(len(basis)):
-        tail = basis[lead + 1 :]
+    leads run from the last row to the first, and under each lead the
+    rows after it vary with the last row fastest.  For a reduced echelon
+    basis a vector's entry at the pivot of row j is its coefficient of
+    row j, so that is increasing lexicographic order.  The lead row is
+    the odometer's slowest digit, so it is summed once per lead."""
+    for lead in range(len(basis) - 1, -1, -1):
+        tail = basis[:lead:-1]
         yield from span_vectors(K, tail + (basis[lead],), [K.elements()] * len(tail) + [(1,)])
 
 
@@ -251,7 +274,7 @@ def subquotient_type(K: FieldSpec, a: Matrix, big: Matrix, small: Matrix) -> tup
             raise ValueError("matrix is not nilpotent")
         span = echelon_basis(K, [mat_vec(K, a, v) for v in span] + list(small))
         ranks.append(len(span) - s)
-    return partition_from_ranks(ranks)
+    return partition_from_ranks(tuple(ranks))
 
 
 def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
@@ -259,10 +282,12 @@ def jordan_partition(K: FieldSpec, a: Matrix) -> tuple[int, ...]:
     return subquotient_type(K, a, identity(K, len(a)), ())
 
 
-def partition_from_ranks(ranks: Sequence[int]) -> tuple[int, ...]:
+@cache
+def partition_from_ranks(ranks: tuple[int, ...]) -> tuple[int, ...]:
     """Ascending Jordan block sizes from r_k = rank(a^k), k = 0..len - 1,
     for a nilpotent a: there are r_{k-1} - 2 r_k + r_{k+1} blocks of size
-    exactly k, with ranks past the end read as 0."""
+    exactly k, with ranks past the end read as 0.  Memoised: few rank
+    tuples occur, and many subspaces share each."""
     r = list(ranks) + [0]
     parts = []
     for k in range(1, len(ranks)):

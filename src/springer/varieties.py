@@ -17,14 +17,15 @@ above the budget raises rather than crawling, and the walk is checked
 to yield exactly that many subspaces.
 
 The Jordan type of x on V/W is attached to every flag; its ranks come
-from W's rows reduced against the echelon rows of the power images of
-x, which are computed once per x.  Its level sets are the strata that
-mirror the centralizer orbits.  Stratum counting is also available
-without materializing the W' side: the fibre over W is nonempty exactly
-when the target type is a horizontal d-strip drop of the type of V/W
-(the horizontal-strip rule, itself verified against brute force in the
-test suite).  That tally is taken once per (lambda, d) and serves every
-target type lambda'.
+from W's rows in the quotient coordinates of V/im x^k, read off the
+power images of x, which are computed once per x.  For the split shift
+the images are coordinate subspaces and those coordinates a projection.
+Its level sets are the strata that mirror the centralizer orbits.
+Stratum counting is also available without materializing the W' side:
+the fibre over W is nonempty exactly when the target type is a
+horizontal d-strip drop of the type of V/W (the horizontal-strip rule,
+itself verified against brute force in the test suite).  That tally is
+taken once per (lambda, d) and serves every target type lambda'.
 
 The centralizer of x acts on each flag list.  Its orbits are closures
 under a small generating set of the unit group, read off the Jordan
@@ -127,30 +128,50 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
 def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Optional[list] = None) -> Partition:
     """Jordan type of x on V / span(w_basis), from rank arithmetic.
 
-    The rank of x^k on V/W is dim(im x^k + W) - dim W: the number of
-    echelon rows of im x^k plus the rank of W's rows once reduced
-    against them at their pivot columns.  No echelon form of the sum is
-    built, and the ranks stop at the first zero image.
+    The rank of x^k on V/W is dim(im x^k + W) - dim W: dim im x^k plus
+    the rank of W's rows in V/im x^k.  A row's coordinates there sit at
+    the non-pivot columns of im x^k: its entries at those columns, less
+    its pivot entries times the echelon rows' off-pivot entries.  When
+    the image is a coordinate subspace that is a projection, with no
+    field operation.  Ranks of 0 or 1 are counted without elimination,
+    and the ranks stop at the first zero.
     """
     d = len(w_basis)
     if pow_images is None:
         pow_images = power_images(K, x)
     ranks = [len(x) - d]
-    for img, pivots in pow_images:
-        reduced = [la.reduce(K, v, img, pivots) for v in w_basis]
-        ranks.append(len(img) + len(la.echelon_basis(K, reduced)) - d)
-    return la.partition_from_ranks(ranks + [0])
+    for dim, free, off_pivot in pow_images:
+        rows = []
+        for v in w_basis:
+            u = [v[c] for c in free]
+            for c, entries in off_pivot:
+                if f := v[c]:
+                    for t, e in entries:
+                        u[t] = K.sub(u[t], K.mul(f, e))
+            if any(u):
+                rows.append(u)
+        rank = min(len(rows), 1) if len(rows) < 2 or len(free) < 2 else len(la.rref(K, rows)[0])
+        ranks.append(dim + rank - d)
+        if not ranks[-1]:
+            break
+    return la.partition_from_ranks(tuple(ranks) + (0,))
 
 
 def power_images(K: FieldSpec, x: la.Matrix) -> list:
-    """(echelon basis, pivot columns) of each nonzero im(x^k), k >= 1."""
+    """For each nonzero im(x^k), k >= 1: its dimension, its non-pivot
+    columns, and the pivot of each echelon row that has nonzero entries
+    at those columns, with those entries as (index into the non-pivot
+    columns, entry) pairs."""
     out = []
     cur = x
     for _ in range(len(x)):
-        img = la.rref(K, la.transpose(cur))
-        if not img[0]:
+        img, pivots = la.rref(K, la.transpose(cur))
+        if not img:
             break
-        out.append(img)
+        free = tuple(c for c in range(len(x)) if c not in pivots)
+        rows = ((c, tuple((t, row[j]) for t, j in enumerate(free) if row[j])) for row, c in zip(img, pivots))
+        off_pivot = tuple((c, entries) for c, entries in rows if entries)
+        out.append((len(img), free, off_pivot))
         cur = la.mat_mul(K, cur, x)
     return out
 

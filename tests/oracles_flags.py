@@ -502,13 +502,36 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 # the enumeration before its per-subspace shortcuts
 #
 # `varieties` and `flinalg` skip work the algebra makes redundant: no
-# span is rebuilt or deduplicated, quotient ranks come from reducing W
-# against the echelon rows of the power images, span vectors (line
-# representatives included) are running sums, a basis is extended by
-# one reduction per candidate, and a subquotient's Jordan type is read
-# off ranks without building the induced matrix.  These are the plain
-# forms they replaced, kept as the references the shortcuts must
-# reproduce exactly (order included).
+# span is rebuilt or deduplicated, quotient ranks come from W's rows in
+# the quotient coordinates of the power images, row operations touch
+# nonzero entries only, span vectors (line representatives included)
+# are running sums, a basis is extended by one reduction per candidate,
+# and a subquotient's Jordan type is read off ranks without building
+# the induced matrix.  These are the plain forms they replaced, kept as
+# the references the shortcuts must reproduce exactly (order included).
+
+
+def rref_plain(K, a: la.Matrix) -> tuple[la.Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns by Gauss-Jordan on
+    whole rows: the pivot row is scaled and every other row has its
+    multiple taken away entry by entry, zeros included; zero rows are
+    dropped."""
+    rows = [list(r) for r in a]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = K.inv(rows[r][c])
+        rows[r] = [K.mul(inv, y) for y in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [K.sub(y, K.mul(f, z)) for y, z in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return la.mat(rows[: len(pivots)]), tuple(pivots)
 
 
 def rank(K, a: la.Matrix) -> int:
@@ -545,7 +568,7 @@ def jordan_partition_by_powers(K, a: la.Matrix) -> Partition:
             raise ValueError("matrix is not nilpotent")
         power = la.mat_mul(K, power, a)
         ranks.append(rank(K, power))
-    return la.partition_from_ranks(ranks)
+    return la.partition_from_ranks(tuple(ranks))
 
 
 def action_between(K, a: la.Matrix, small: la.Matrix, big: la.Matrix) -> la.Matrix:
@@ -586,9 +609,11 @@ def span_vectors_by_product(K, basis: la.Matrix, coeffs=None):
 
 def line_representatives_by_sum(K, basis: la.Matrix):
     """One vector per line of the span, lead row plus each vector of the
-    span of the rows below it, added entry by entry."""
-    for lead in range(len(basis)):
-        for w in span_vectors_by_product(K, basis[lead + 1 :]):
+    span of the rows below it, added entry by entry; leads from the last
+    row to the first, and the rows below a lead varying with the last row
+    fastest."""
+    for lead in range(len(basis) - 1, -1, -1):
+        for w in span_vectors_by_product(K, basis[:lead:-1]):
             yield tuple(K.add(a, b) for a, b in zip(basis[lead], w)) if w else basis[lead]
 
 
@@ -618,7 +643,7 @@ def quotient_type_by_rref(K, x: la.Matrix, w_basis: la.Matrix, pow_images=None) 
     ranks = [n - d]
     for img in pow_images[1 : n + 1]:
         ranks.append(len(la.echelon_basis(K, img + w_basis)) - d if img else 0)
-    return la.partition_from_ranks(ranks)
+    return la.partition_from_ranks(tuple(ranks))
 
 
 def mat_pow(K, a: la.Matrix, e: int) -> la.Matrix:

@@ -3,6 +3,8 @@ import itertools
 import oracles as orc
 import oracles_flags as ofl
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles_groups import centralizer_algebra_dimension
 
 from springer import flinalg as la
@@ -182,15 +184,14 @@ def test_mixed_stratum_golden_counts():
 def test_stratum_tally_matches_hall_numbers():
     """Every x-cyclic W of dimension d, tallied by the type nu of V/W, is
     counted by the Hall number g^lam_{nu,(d)}(q^2), and the nonempty
-    strata are the horizontal-strip drops of lam."""
-    for q, n_max in ((3, 6), (5, 4)):
+    strata are the horizontal-strip drops of lam.  At q = 3, d = 3 runs
+    the two-layer walk, whose stacked orbits have the most zero slices."""
+    for q, n_max, d_max in ((3, 6, 3), (5, 4, 2)):
         Q = q * q
         for n in range(1, n_max + 1):
             for lam in pt.partitions_of(n):
                 data = sp.build_sl_split(lam, q)
-                for d in (1, 2):
-                    if d > n:
-                        continue
+                for d in range(1, min(d_max, n) + 1):
                     report = vr.sl_stratum_analysis(data, d)
                     hall = {nu: orc.hall_number_row(lam, nu, d, Q) for nu in pt.partitions_of(n - d)}
                     hall = {nu: g for nu, g in hall.items() if g}
@@ -436,6 +437,36 @@ def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
                 assert vr.quotient_type(K, x, w, pows) == ofl.quotient_type_by_rref(K, x, w, plain_pows), (K, x, w)
 
 
+@st.composite
+def conjugated_shifts(draw):
+    """g x g^-1 for a shift x of type lam, n <= 5, over a field of odd
+    characteristic, g = L U with L unit lower and U invertible upper
+    triangular: power images that are not coordinate subspaces, where
+    quotient coordinates take field operations."""
+    K = make_field(*draw(st.sampled_from(((3, 1), (5, 1), (3, 2)))))
+    lam = draw(st.sampled_from([lam for n in range(2, 6) for lam in pt.partitions_of(n)]))
+    n = sum(lam)
+    entry, unit = st.integers(0, K.q - 1), st.integers(1, K.q - 1)
+    low = la.mat([draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n))
+    up = la.mat([draw(unit) if j == i else draw(entry) if j > i else 0 for j in range(n)] for i in range(n))
+    g = la.mat_mul(K, low, up)
+    return K, la.mat_mul(K, la.mat_mul(K, g, _nilpotent_of_type(K, lam)), la.inverse(K, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_shifts())
+def test_quotient_types_off_coordinate_power_images(case):
+    # the first eight x-cyclic W of each d <= 2, and each W + ker x^j,
+    # against the echelon form of im x^k + W
+    K, x = case
+    pows, plain_pows = vr.power_images(K, x), ofl.power_images_by_rref(K, x)
+    kernels = _kernel_filtration(K, x)
+    for d in (1, 2):
+        for w in vr.cyclic_subspaces(K, x, d)[:8]:
+            for sub in {la.echelon_basis(K, w + k) for k in kernels}:
+                assert vr.quotient_type(K, x, sub, pows) == ofl.quotient_type_by_rref(K, x, sub, plain_pows)
+
+
 def _kernel_filtration(K, x):
     """Echelon bases of ker x^j for j = 0, 1, ... up to V."""
     kernels = [()]
@@ -482,10 +513,14 @@ def test_extend_basis_matches_the_greedy_span_form():
 def test_span_vectors_match_product_form():
     # the same vectors in the same order, with and without coefficient
     # lists, equal or different from row to row; and one line
-    # representative per line, in the order of the plain lead-plus-tail sum
+    # representative per line, in the order of the plain lead-plus-tail
+    # sum.  Besides dense rows, the shapes the walk builds: disjoint unit
+    # rows, overlapping sparse rows, zero rows, and stacked orbits
+    # (v | x v) whose second slice is zero for a kernel vector v
     for p, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
         K = make_field(p, k)
         g = K.primitive
+        x = _nilpotent_of_type(K, (1, 2))
         bases = [
             (),
             ((1, 0, 0),),
@@ -493,6 +528,10 @@ def test_span_vectors_match_product_form():
             la.identity(K, 3),
             ((1, g, 0, 1), (0, 0, 1, g), (g, 1, 1, 0)),
             ((1, 1), (0, 0)),
+            ((0, 1, 0, 0, 0), (0, 0, 0, g, 0), (1, 0, 0, 0, 0)),
+            ((1, 0, g, 0), (0, 0, 1, 1), (0, 1, 0, g)),
+            ((0, 1, 0), (0, 0, 0), (1, 0, g)),
+            tuple(v + la.mat_vec(K, x, v) for v in ((1, 0, 0), (0, 1, 0), (g, 0, 1))),
         ]
         for basis in bases:
             rows = len(basis)
