@@ -8,10 +8,10 @@ flag-enumeration budget is fixed (varieties.DEFAULT_BUDGET); orbit ids
 (flags --orbits) come from generators of the centralizer's unit group
 and need no budget of their own.
 
-Exit status: 0 on success, 1 on verification failure or refusal (with a
-machine-readable report), 2 on usage errors, 3 when an internal
-invariant fails (one JSON line on stderr naming AssertionError and its
-message).
+Exit status: 0 on success, 1 on verification failure, refusal or an
+--output path that cannot be written (with a machine-readable report),
+2 on usage errors, 3 when an internal invariant fails (one JSON line on
+stderr naming AssertionError and its message).
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, vr.VarietyBudgetError) as exc:
+    except (ValueError, OSError, vr.VarietyBudgetError) as exc:
         code, failure = 1, exc
     except AssertionError as exc:
         code, failure = 3, exc

@@ -120,19 +120,17 @@ def reduce(K: FieldSpec, v: Vector, rows: Sequence[Vector], pivots: Sequence[int
     return tuple(v)
 
 
-def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Optional[Sequence[Sequence[int]]] = None) -> Iterator[Vector]:
+def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Sequence[Sequence[int]]) -> Iterator[Vector]:
     """Every combination of the rows, row i taking its coefficient from
-    coeffs[i] (all of K by default), the coefficient of row 0 varying
-    fastest.  An empty basis spans only the empty vector.  The partial
-    sums sum_{j >= i} c_j row_j sit on an odometer, so a vector costs one
-    row addition (plus one per carried digit); none is stored.  A row
-    multiple is kept on the row's support only, so adding it touches
-    the row's nonzero entries, and a zero multiple is no addition."""
+    coeffs[i], the coefficient of row 0 varying fastest.  An empty basis
+    spans only the empty vector.  The partial sums sum_{j >= i} c_j row_j
+    sit on an odometer, so a vector costs one row addition (plus one per
+    carried digit); none is stored.  A row multiple is kept on the row's
+    support only, so adding it touches the row's nonzero entries, and a
+    zero multiple is no addition."""
     if not basis:
         yield ()
         return
-    if coeffs is None:
-        coeffs = [K.elements()] * len(basis)
     multiples = [
         [[(t, a if c == 1 else K.mul(c, a)) for t, a in enumerate(row) if a] if c else [] for c in cs]
         for row, cs in zip(basis, coeffs)

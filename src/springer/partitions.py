@@ -168,8 +168,6 @@ def divide(la: Partition, d: int) -> Partition:
 # ---------------------------------------------------------------------------
 # class dimensions
 
-GROUP_KINDS = ("GL", "SL", "SO", "Sp")
-
 
 def group_dimension(kind: str, n: int) -> int:
     if kind == "GL":

@@ -9,10 +9,10 @@ is the reference in tests/oracles_clifford.py.
 
 Special linear side: a Jordan-basis unipotent made rational for the
 twisted (unitary-type) Frobenius by a Hermitian sesquilinear form.  The
-form's antidiagonal carries the prescribed signs (-1)^{j + a_k}; the
-remaining entries are completed by solving the invariance and Hermitian
-conditions exactly, because a pure Jordan shift preserves no purely
-antidiagonal sesquilinear form once the block size exceeds 2.  For even
+form's antidiagonal carries the fixed signs (-1)^{j+1} in every block;
+the remaining entries are completed by solving the invariance and
+Hermitian conditions exactly, because a pure Jordan shift preserves no
+purely antidiagonal sesquilinear form once the block size exceeds 2.  For even
 block sizes the antidiagonal scalar must be trace-zero (conjugation
 negates it) for the form to be Hermitian; the completion picks the
 canonical such scalar.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import flinalg as la
 from .ffield import FieldSpec, make_field
@@ -154,7 +154,6 @@ class SplitSLData:
     form: la.Matrix  # Hermitian matrix A over F_{q^2}
     unipotent: la.Matrix
     nilpotent: la.Matrix  # u - 1
-    signs: tuple[int, ...]  # the a_k exponents used per part
 
     def conj(self, c: int) -> int:
         return self.field.frobenius(c, self.qexp)
@@ -185,13 +184,13 @@ def _subfield_coords(K2: FieldSpec, qexp: int):
 
 
 @lru_cache(maxsize=None)
-def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
+def _solve_block_form(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
     """The h x h Hermitian block preserved by the Jordan shift unipotent.
 
-    Prescribes B[j, h+1-j] = a_k * (-1)^{j+1} * c_h on the antidiagonal
-    (c_h = 1 for odd h, a canonical trace-zero scalar for even h, a_k a
-    +-1 block multiplier) and solves the invariance + Hermitian
-    conditions over F_q, free variables set to zero.
+    Prescribes B[j, h+1-j] = (-1)^{j+1} * c_h on the antidiagonal
+    (c_h = 1 for odd h, a canonical trace-zero scalar for even h) and
+    solves the invariance + Hermitian conditions over F_q, free variables
+    set to zero.
     """
     beta, table = _subfield_coords(K2, qexp)
     conj_beta = K2.frobenius(beta, qexp)
@@ -245,8 +244,6 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
         c_h = 1
     else:
         c_h = min(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
-    if a_k == -1:
-        c_h = K2.neg(c_h)
     for j in range(1, h + 1):
         sign = (-1) ** ((j + 1) % 2)
         val = c_h if sign == 1 else K2.neg(c_h)
@@ -268,23 +265,17 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int, a_k: int) -> la.Matrix:
     return la.mat(B)
 
 
-def build_sl_split(
-    la_parts: Partition, q_p: int, q_k: int = 1, signs: Optional[Sequence[int]] = None
-) -> SplitSLData:
+def build_sl_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSLData:
     """Split unipotent of Jordan type la for the twisted SL_n form.
 
-    signs are the a_k exponents, one per part, default all +1.  The
-    returned data has, machine-checked: A Hermitian, u of Jordan type
-    la, u preserving the sesquilinear form, which is the statement that
-    u is fixed by the twisted Frobenius built from A.
+    Every block's antidiagonal carries the fixed signs (-1)^{j+1}; no
+    per-part sign is chosen.  The returned data has, machine-checked: A
+    Hermitian, u of Jordan type la, u preserving the sesquilinear form,
+    which is the statement that u is fixed by the twisted Frobenius
+    built from A.
     """
     la_parts = check_partition(la_parts)
     n = sum(la_parts)
-    if signs is None:
-        signs = (1,) * len(la_parts)
-    signs = tuple(signs)
-    if len(signs) != len(la_parts) or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be one +-1 per part")
     K2 = make_field(q_p, 2 * q_k)
 
     # unipotent: (u - 1) v_{k,j} = v_{k,j-1}
@@ -297,9 +288,7 @@ def build_sl_split(
     x = la.mat(rows)
     u = la.mat_add(K2, x, la.identity(K2, n))
 
-    blocks = []
-    for k, h in enumerate(la_parts, start=1):
-        blocks.append(_solve_block_form(K2, q_k, h, signs[k - 1]))
+    blocks = [_solve_block_form(K2, q_k, h) for h in la_parts]
     A = [[0] * n for _ in range(n)]
     start = 0
     for b in blocks:
@@ -310,7 +299,7 @@ def build_sl_split(
         start += h
     A = la.mat(A)
 
-    data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, nilpotent=x, signs=signs)
+    data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, nilpotent=x)
     _verify_sl_split(data)
     return data
 

@@ -221,8 +221,6 @@ def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasi
     if not found:
         raise EmptyFiberError(f"no character of Z/{A.m} lifts the order-{xi_order} central character")
     rho = found[0]
-    if not is_tau_stable(A, rho):
-        raise NotFStableError("the local system attached to the pair is moved by F")
     ext = extend_character(rho, A)[0]
     return _checked_row("sl", q, la, xi_order, rho, ext, A, exponents_sl(la, xi_order))
 
@@ -253,12 +251,15 @@ def y0_row_spin(
 ) -> GreenBasisRow:
     """One table row for a spin class with central character -1 at eps.
 
-    For even N the central character also takes a value at omega, which
-    selects one of the two candidate local systems: pass omega_value as
-    one of "1", "-1", "i", "-i" (matched against the character value on
-    the full generator word).  When tau acts nontrivially on a local
-    system of dimension > 1 it has two extensions, and extension ("plus"
-    or "minus") names one; a class with one extension ignores it.
+    For even N the central character also takes a value at omega.  On a
+    class with an even, nonzero number of odd parts it selects one of the
+    two candidate local systems: omega_value is one of "1", "-1", "i",
+    "-i" (matched against the character value on the full generator
+    word), by default "i" when N = 2 (mod 4), where the center is Z/4
+    and omega squares to eps, so it acts by i or -i; otherwise "1".  A
+    class with one candidate ignores omega_value.  When tau acts nontrivially on a
+    local system of dimension > 1 it has two extensions, and extension
+    ("plus" or "minus") names one; a class with one extension ignores it.
     """
     la = check_partition(la)
     if not is_in_XN(la):
@@ -271,8 +272,7 @@ def y0_row_spin(
     A = build_spin_gamma(la, tau_signs=signs)
     chars = spin_irreducibles(A)
     if len(chars) > 1:
-        if omega_value is None:
-            raise ValueError("even generator count: pass omega_value to select the local system")
+        omega_value = omega_value or ("i" if N % 4 == 2 else "1")
         ring = chars[0].ring
         target = {"1": ring.one(), "-1": -ring.one(), "i": ring.i(), "-i": -ring.i()}[omega_value]
         w = A.full_word()
@@ -282,8 +282,6 @@ def y0_row_spin(
         rho = matching[0]
     else:
         rho = chars[0]
-        if omega_value is not None and N % 2 == 1:
-            raise ValueError("odd N has no omega in the center")
     if not is_tau_stable(A, rho):
         raise NotFStableError("the local system attached to the pair is moved by F")
     exts = extend_character(rho, A)
@@ -313,26 +311,20 @@ def y0_table_spin(
 ) -> list[GreenBasisRow]:
     """Rows for every class of X_N (split twist, central sign -1).
 
-    omega_value defaults to "i" when N = 2 (mod 4), where the center is
-    Z/4 and omega squares to eps, so it acts by i or -i; otherwise to "1".
+    omega_value passes through to y0_row_spin, which owns its default.
     Without extension, a class with two extensions gives its plus row,
     then its minus row (y0_row_spin ignores the name "plus" on a class
     with one extension).
     """
     from .partitions import enumerate_XN
 
-    if omega_value is None:
-        omega_value = "i" if N % 4 == 2 else "1"
     rows = []
     for la in enumerate_XN(N):
-        kwargs = {}
-        if len(odd_part_positions(la)) % 2 == 0 and len(odd_part_positions(la)) > 0:
-            kwargs["omega_value"] = omega_value
         try:
-            rows.append(y0_row_spin(la, q_p, q_k, extension=extension or "plus", **kwargs))
+            rows.append(y0_row_spin(la, q_p, q_k, omega_value, extension or "plus"))
         except NotFStableError:
             continue
         if extension is None and rows[-1].extension_label == "plus":
-            rows.append(y0_row_spin(la, q_p, q_k, extension="minus", **kwargs))
+            rows.append(y0_row_spin(la, q_p, q_k, omega_value, "minus"))
     return rows
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Iterator, Sequence
 
 from . import flinalg as la
 from .ffield import FieldSpec
@@ -125,7 +125,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
 # quotient Jordan types
 
 
-def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Optional[list] = None) -> Partition:
+def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: list) -> Partition:
     """Jordan type of x on V / span(w_basis), from rank arithmetic.
 
     The rank of x^k on V/W is dim(im x^k + W) - dim W: dim im x^k plus
@@ -137,8 +137,6 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: Op
     and the ranks stop at the first zero.
     """
     d = len(w_basis)
-    if pow_images is None:
-        pow_images = power_images(K, x)
     ranks = [len(x) - d]
     for dim, free, off_pivot in pow_images:
         rows = []
@@ -230,9 +228,7 @@ def horizontal_strip_drops(nu: Partition, d: int) -> set[Partition]:
 class Flag:
     W: la.Matrix
     Wp: la.Matrix
-    type_W: Partition
     type_quotient: Partition  # x on W'/W
-    type_top: Partition  # x on V/W'
     type_mod_W: Partition  # x on V/W (the stratum invariant)
 
 
@@ -266,23 +262,14 @@ def enumerate_flags_sl(
         raise VarietyBudgetError(f"flag count exceeds budget {bound}")
     flags = []
     for w, nu, wanted in kept:
-        for wp, lap in _completions(K, x, pows, w, d, wanted, bound):
-            flags.append(
-                Flag(
-                    W=w,
-                    Wp=wp,
-                    type_W=(d,),
-                    type_quotient=lap,
-                    type_top=(d,),
-                    type_mod_W=nu,
-                )
-            )
+        for wp, lap in _completions(K, x, pows, w, d, wanted):
+            flags.append(Flag(W=w, Wp=wp, type_quotient=lap, type_mod_W=nu))
     flags.sort(key=lambda f: (f.W, f.Wp))
     return flags
 
 
 def _completions(
-    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, laps: Collection[Partition], bound: int = DEFAULT_BUDGET
+    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, laps: Collection[Partition]
 ) -> Iterator[tuple[la.Matrix, Partition]]:
     """Every W' over W with x of a type in laps on W'/W and regular on
     V/W', paired with that type.
@@ -290,11 +277,13 @@ def _completions(
     Enumerated through the quotient V/W: W'/W must be x-stable of the
     target type with regular quotient, so it is the annihilator of a
     d-dimensional cyclic subspace for the transpose action; work in
-    quotient coordinates.
+    quotient coordinates.  The walk keeps the default budget, the CLI's:
+    enumerate_flags_sl has already refused any variety whose W'
+    candidates exceed its budget.
     """
     n = len(x)
     qact, compl = la.quotient_action(K, x, w)
-    for u_dual in cyclic_subspaces(K, la.transpose(qact), d, bound):
+    for u_dual in cyclic_subspaces(K, la.transpose(qact), d):
         wp_bar = la.nullspace(K, u_dual)
         mid = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
         if mid not in laps:

@@ -1039,7 +1039,7 @@ def centralizer_unit_scan(x, K, bound: int = vr.DEFAULT_BUDGET) -> vr.Centralize
     if K.q**dim > bound:
         raise vr.VarietyBudgetError(f"{K.q**dim} algebra elements exceed budget {bound}")
     units = []
-    for flat in la.span_vectors(K, basis_flat):
+    for flat in la.span_vectors(K, basis_flat, [K.elements()] * dim):
         mm = tuple(flat[i * n : (i + 1) * n] for i in range(n))
         if la.det(K, mm):
             units.append(mm)

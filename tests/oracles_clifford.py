@@ -356,7 +356,7 @@ def orthonormal_basis(space: QuadSpace) -> la.Matrix:
         s = sqrt(K, pairing(w, w))
         if s is None:
             raise ValueError("no square root in coefficient field for orthonormalization")
-        v = tuple(K.div(c, s) for c in w)
+        v = tuple(K.mul(c, K.inv(s)) for c in w)
         out.append(v)
         newbasis = []
         for b in basis:

@@ -333,14 +333,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
             wp = _completion_for_w(data, x, pows, w, d, lap)
         except AssertionError:
             continue
-        flag = vr.Flag(
-            W=w,
-            Wp=wp,
-            type_W=(d,),
-            type_quotient=tuple(lap),
-            type_top=(d,),
-            type_mod_W=tuple(target_nu),
-        )
+        flag = vr.Flag(W=w, Wp=wp, type_quotient=tuple(lap), type_mod_W=tuple(target_nu))
         if not verify_flag_sl(data, d, lap, flag):
             continue
         if vr.is_sl_flag_f_stable(data, flag):
@@ -371,12 +364,14 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
     def flag_from_w(wvecs) -> vr.Flag:
         w = la.echelon_basis(K, wvecs)
         wp = _completion_for_w(data, x, pows, w, d, lap)
+        type_w = la.jordan_partition(K, la.restrict_to_subspace(K, x, w))
+        type_top = vr.quotient_type(K, x, wp, pows)
+        if type_w != (d,) or type_top != (d,):
+            raise AssertionError(f"x is not regular on W ({type_w}) or on V/W' ({type_top})")
         return vr.Flag(
             W=w,
             Wp=wp,
-            type_W=la.jordan_partition(K, la.restrict_to_subspace(K, x, w)),
             type_quotient=la.jordan_partition(K, action_between(K, x, w, wp)),
-            type_top=vr.quotient_type(K, x, wp, pows),
             type_mod_W=vr.quotient_type(K, x, w, pows),
         )
 
@@ -684,7 +679,7 @@ def cyclic_subspaces_by_span(K, x: la.Matrix, d: int) -> list[la.Matrix]:
     kdm1 = kernel_of_power(K, x, d - 1)
     out, seen = [], set()
     for c in line_representatives_by_sum(K, extend_basis_by_span(K, kdm1, kd)):
-        for w in la.span_vectors(K, kdm1):
+        for w in la.span_vectors(K, kdm1, [K.elements()] * len(kdm1)):
             v = tuple(K.add(a, b) for a, b in zip(c, w)) if w else c
             sp = cyclic_span(K, x, v, d)
             if sp is not None and sp not in seen:

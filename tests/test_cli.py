@@ -124,6 +124,26 @@ def test_invariant_failure_exit_3(monkeypatch, capsys):
     assert report == {"error": "AssertionError", "message": "twisted classes do not cover the group"}
 
 
+def test_output_writes_the_bytes_stdout_gets(tmp_path, capsys):
+    argv = ["flags", "--group", "sl", "--lambda", "1,2", "--q", "3", "--orbits"]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    path = tmp_path / "out.tsv"
+    code, out, err = run_cli(argv + ["--output", str(path)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == stdout.encode()
+
+
+def test_unwritable_output_is_one_json_refusal(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(["xn", "--N", "5", "--output", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "FileNotFoundError" and str(path) in report["message"]
+
+
 def test_verify_spin_series(capsys):
     code, out, _ = run_cli(["verify", "--suite", "spin-series", "--N-max", "20"], capsys)
     assert code == 0

@@ -14,9 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "springer"
 
 # definitions kept although no CLI path names them
-ALLOWED = {
-    "ffield.FieldSpec.div": "field division, a FieldSpec arithmetic primitive beside mul and inv",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _names(nodes) -> set[str]:

@@ -72,9 +72,6 @@ def test_sl_split_antidiagonal_signs():
     assert d.form[0][2] == K.scalar(1)
     assert d.form[1][1] == K.scalar(-1)
     assert d.form[2][0] == K.scalar(1)
-    # a_k = -1 flips the block
-    dm = sp.build_sl_split((3,), 3, signs=(-1,))
-    assert dm.form[0][2] == K.scalar(-1)
 
 
 def test_sl_split_even_block_trace_zero_scalar():

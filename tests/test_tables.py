@@ -89,14 +89,36 @@ def test_y0_spin_dim2_row():
 
 def test_y0_spin_omega_selection():
     # lambda = (1,3), N = 4: Gamma = Z/2 x Z/2, two candidate local systems
-    with pytest.raises(ValueError):
-        tb.y0_row_spin((1, 3), 5)  # needs omega_value
+    assert tb.y0_row_spin((1, 3), 5) == tb.y0_row_spin((1, 3), 5, omega_value="1")
     rows = [tb.y0_row_spin((1, 3), 5, omega_value=v) for v in ("1", "-1")]
     assert rows[0].values != rows[1].values
     w = (0, 3)
     for row, expect in zip(rows, (1, -1)):
         vm = dict(zip([rep for rep, _ in row.classes], row.values))
         assert vm[w].as_int() == expect
+
+
+def test_y0_spin_omega_default_is_i_exactly_at_n_2_mod_4():
+    # on every class where omega selects the local system (an even,
+    # nonzero number of odd parts), the default row, or refusal, is the
+    # one for omega "i" when N = 2 (mod 4) and for "1" otherwise
+    def row_or_refusal(lam, q, **kwargs):
+        try:
+            return tb.y0_row_spin(lam, q, extension="plus", **kwargs)
+        except tb.NotFStableError as exc:
+            return str(exc)
+
+    rows = 0
+    for q in (3, 5):
+        for N in range(2, 15):
+            omega = "i" if N % 4 == 2 else "1"
+            for lam in pt.enumerate_XN(N):
+                r = sum(x % 2 for x in lam)
+                if r and r % 2 == 0:
+                    got = row_or_refusal(lam, q)
+                    assert got == row_or_refusal(lam, q, omega_value=omega), (lam, q)
+                    rows += isinstance(got, tb.GreenBasisRow)
+    assert rows == 33
 
 
 def test_y0_spin_tau_moved_local_system_refused():

@@ -68,8 +68,9 @@ def test_one_row_rule_subspace_and_quotient():
                 if d > n - 1:
                     continue
                 types = set()
+                pows = vr.power_images(K, x)
                 for w in vr.cyclic_subspaces(K, x, d):
-                    types.add(vr.quotient_type(K, x, w))
+                    types.add(vr.quotient_type(K, x, w, pows))
                 assert types == vr.horizontal_strip_drops(lam, d), (lam, d)
                 # dual: subspace types of corank-d with regular quotient
                 xt = la.transpose(x)
@@ -118,6 +119,20 @@ def test_enumerate_flags_sl_12_golden():
     assert len(by_type[(1, 1)]) == 10
     for f in flags:
         assert ofl.verify_flag_sl(data, 1, (1,), f)
+
+
+def test_every_enumerated_flag_meets_the_definition():
+    """verify_flag_sl re-checks, without the power images, that x is
+    regular on W and on V/W' and has the listed type on W'/W."""
+    cases = [(lam, 1, 3) for n in range(2, 5) for lam in pt.partitions_of(n) if lam != (1, 1, 1, 1)]
+    cases += [((2, 4), 2, 3), ((3, 3), 3, 2), ((1, 1, 3), 1, 2), ((2, 3), 1, 2)]
+    checked = 0
+    for lam, d, q in cases:
+        data = sp.build_sl_split(lam, q)
+        for f in vr.enumerate_flags_sl(data, d, pt.partitions_of(sum(lam) - 2 * d)):
+            assert ofl.verify_flag_sl(data, d, f.type_quotient, f), (lam, d, q, f.W, f.Wp)
+            checked += 1
+    assert checked == 2521
 
 
 def test_all_lambda_prime_enumeration_matches_single_calls():
@@ -275,7 +290,7 @@ def test_flag_frobenius_squares_to_plain_frobenius():
     flags = vr.enumerate_flags_sl(data, 1, [(1,)])
     for f in flags[:6]:
         w1, wp1 = ofl.flag_frobenius_sl(data, f)
-        f2 = vr.Flag(W=w1, Wp=wp1, type_W=f.type_W, type_quotient=f.type_quotient, type_top=f.type_top, type_mod_W=f.type_mod_W)
+        f2 = vr.Flag(W=w1, Wp=wp1, type_quotient=f.type_quotient, type_mod_W=f.type_mod_W)
         w2, wp2 = ofl.flag_frobenius_sl(data, f2)
         assert w2 == ofl.frob0(data, ofl.frob0(data, f.W))
         assert wp2 == ofl.frob0(data, ofl.frob0(data, f.Wp))
@@ -511,8 +526,8 @@ def test_extend_basis_matches_the_greedy_span_form():
 
 
 def test_span_vectors_match_product_form():
-    # the same vectors in the same order, with and without coefficient
-    # lists, equal or different from row to row; and one line
+    # the same vectors in the same order, for coefficient lists that are
+    # all of K, equal or different from row to row; and one line
     # representative per line, in the order of the plain lead-plus-tail
     # sum.  Besides dense rows, the shapes the walk builds: disjoint unit
     # rows, overlapping sparse rows, zero rows, and stacked orbits
@@ -536,7 +551,7 @@ def test_span_vectors_match_product_form():
         for basis in bases:
             rows = len(basis)
             for per_row in (K.subfield_elements(1), [1, 0], [g], []):
-                for coeffs in (None, [per_row] * rows, [K.elements()] * max(rows - 1, 0) + [per_row]):
+                for coeffs in ([K.elements()] * rows, [per_row] * rows, [K.elements()] * max(rows - 1, 0) + [per_row]):
                     got = list(la.span_vectors(K, la.mat(basis), coeffs))
                     want = list(ofl.span_vectors_by_product(K, la.mat(basis), coeffs))
                     assert got == want, (p, k, basis, coeffs)
