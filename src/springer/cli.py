@@ -30,10 +30,10 @@ from . import tables as tb
 from . import varieties as vr
 
 
-def _parse_partition(text: str) -> pt.Partition:
-    if not text:
-        return ()
-    return pt.check_partition(tuple(int(x) for x in text.split(",")))
+def partition(text: str) -> tuple[int, ...]:
+    """The --lambda type: comma-separated integers, "" for the empty partition.
+    Parts out of order or not positive are left to pt.check_partition's refusal."""
+    return tuple(int(x) for x in text.split(",")) if text else ()
 
 
 def _prime_of(q: int) -> tuple[int, int]:
@@ -97,7 +97,7 @@ def cmd_xn(args) -> int:
 
 
 def cmd_split(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = pt.check_partition(args.lam)
     p, k = _prime_of(args.q)
     lines = []
     if args.group == "sl":
@@ -129,7 +129,7 @@ def cmd_split(args) -> int:
 def _lambda_primes(args, size: int) -> list[pt.Partition]:
     """The --lambda-prime partition, else every partition of size."""
     if args.lam_prime is not None:
-        return [_parse_partition(args.lam_prime)]
+        return [pt.check_partition(args.lam_prime)]
     return list(pt.partitions_of(max(size, 0)))
 
 
@@ -143,9 +143,9 @@ def _flag_row(idx: int, lap, sub, sup, invariant, orbit, stable: bool) -> str:
 
 def cmd_flags(args) -> int:
     _at_least(args, 1, "d")
-    lam = _parse_partition(args.lam)
+    lam = pt.check_partition(args.lam)
     if args.group == "sl" and 2 * args.d > sum(lam):
-        args.parser.error(f"--lambda {args.lam} has size {sum(lam)}, smaller than twice --d {args.d}")
+        args.parser.error(f"--lambda {','.join(map(str, lam))} has size {sum(lam)}, smaller than twice --d {args.d}")
     if args.group == "so" and args.d != 1:
         args.parser.error(f"--group so enumerates planes and takes no --d, not {args.d}")
     if args.group == "so" and args.orbits:
@@ -157,7 +157,7 @@ def cmd_flags(args) -> int:
         K = data.field
         laps = _lambda_primes(args, sum(lam) - 2 * args.d)
         all_flags = vr.enumerate_flags_sl(data, args.d, laps)
-        units = vr.centralizer_units(data.nilpotent, K) if all_flags and args.orbits else None
+        units = vr.centralizer_units(data.la, K) if all_flags and args.orbits else None
         for lap in laps:
             flags = [f for f in all_flags if f.type_quotient == lap]
             orbit_of = {}
@@ -167,13 +167,13 @@ def cmd_flags(args) -> int:
                         orbit_of[key] = idx
             for idx, f in enumerate(flags):
                 orbit = orbit_of.get((f.W, f.Wp), "-")
-                lines.append(_flag_row(idx, lap, f.W, f.Wp, f.type_mod_W, orbit, vr.is_sl_flag_f_stable(data, f)))
+                lines.append(_flag_row(idx, lap, f.W, f.Wp, f.type_mod_W, orbit, vr.is_f_stable(data, f.W, f.Wp)))
     else:
         data = sp.build_so_split(lam, p, k)
         all_flags = vr.enumerate_flags_so(data)
         for lap in _lambda_primes(args, sum(lam) - 4):
             for idx, f in enumerate(f for f in all_flags if f.type_mid == lap):
-                lines.append(_flag_row(idx, lap, f.E, f.Eperp, f.type_mid, "-", vr.is_so_flag_f_stable(data, f)))
+                lines.append(_flag_row(idx, lap, f.E, f.Eperp, f.type_mid, "-", vr.is_f_stable(data, f.E)))
     _emit(lines, args.output)
     return 0
 
@@ -330,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="construct a split element and print its verification checklist")
     p.add_argument("--group", choices=("sl", "so"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="ascending parts, comma separated")
+    p.add_argument("--lambda", dest="lam", type=partition, required=True, help="ascending parts, comma separated")
     p.add_argument("--q", type=int, required=True)
     add_output(p)
     p.set_defaults(func=cmd_split, parser=p)
 
     p = sub.add_parser("flags", help="enumerate flag varieties over a small field")
     p.add_argument("--group", choices=("sl", "so"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--lambda-prime", dest="lam_prime", default=None)
+    p.add_argument("--lambda", dest="lam", type=partition, required=True)
+    p.add_argument("--lambda-prime", dest="lam_prime", type=partition, default=None)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--orbits", action="store_true", help="also compute centralizer-unit orbit ids")

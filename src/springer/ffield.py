@@ -5,8 +5,8 @@ of the code are the coefficients of the residue polynomial, lowest
 degree first.  A FieldSpec owns the modulus, its least primitive element
 and, for small fields, lookup tables for multiplication and inversion
 (built from discrete logarithms to that element) and, when k > 1, for
-addition and negation, so the hot loops in the Clifford and enumeration
-modules reduce to list indexing.
+addition and negation, so the hot loops of flinalg, varieties and split
+reduce to list indexing.
 
 Values are immutable ints and FieldSpec is never mutated after its
 tables are built, so everything here is safe to share between threads.

@@ -248,15 +248,6 @@ def det(K: FieldSpec, a: Matrix) -> int:
     return d
 
 
-def inverse(K: FieldSpec, a: Matrix) -> Matrix:
-    n = len(a)
-    aug = tuple(ra + tuple(1 if i == j else 0 for j in range(n)) for i, ra in enumerate(a))
-    red, pivots = rref(K, aug)
-    if len(red) != n or pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(r[n:] for r in red)
-
-
 def subquotient_type(K: FieldSpec, a: Matrix, big: Matrix, small: Matrix) -> tuple[int, ...]:
     """Jordan type of a on span(big) / span(small), as ascending block
     sizes, for a-stable spans with span(small) inside span(big), each

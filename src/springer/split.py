@@ -1,9 +1,13 @@
 """Explicit split elements: orthogonal nilpotents and twisted SL unipotents.
 
-Orthogonal side: the block forms and shift nilpotents assembled per
-partition, at the Lie-algebra level (no exponential is taken, so small
-characteristic needs no special cases).  The Frobenius signs on the
-odd-block generators of the component group are the closed form
+One Jordan basis e^j_a (chain j, position a) serves both sides and the
+centralizer units in `varieties`: `jordan_chains` places the chains and
+`jordan_shift` is the nilpotent e^j_a -> e^j_{a-1} of both builders.
+
+Orthogonal side: the block forms assembled per partition, at the
+Lie-algebra level (no exponential is taken, so small characteristic
+needs no special cases).  The Frobenius signs on the odd-block
+generators of the component group are the closed form
 tables.spin_tau_signs; the orthonormal-basis derivation they come from
 is the reference in tests/oracles_clifford.py.
 
@@ -22,11 +26,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from . import flinalg as la
 from .ffield import FieldSpec, make_field
 from .partitions import Partition, check_partition, delta_index, is_in_XN_tilde
+
+
+# ---------------------------------------------------------------------------
+# the Jordan basis
+
+
+def jordan_chains(la_parts: Partition) -> list[range]:
+    """Coordinates of each part's chain e^j_1, ..., e^j_h, bottom first,
+    parts in order: chain j takes the next la_j coordinates."""
+    return [range(s, s + h) for s, h in zip(accumulate(la_parts, initial=0), la_parts)]
+
+
+def jordan_shift(la_parts: Partition) -> la.Matrix:
+    """The shift x e^j_a = e^j_{a-1} (and x e^j_1 = 0) along every chain."""
+    n = sum(la_parts)
+    rows = [[0] * n for _ in range(n)]
+    for chain in jordan_chains(la_parts):
+        for a in chain[1:]:
+            rows[a - 1][a] = 1
+    return la.mat(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +67,6 @@ class SOBlock:
     size: int  # dimension of the block (h or 2h)
     start: int  # first global 0-based coordinate
     delta: Optional[int]  # the exponent index for odd blocks
-
-    def chain_starts(self) -> list[int]:
-        """First coordinate of the Jordan chain of each part of the block."""
-        h = self.size // len(self.positions)
-        return [self.start + c * h for c in range(len(self.positions))]
 
 
 def so_blocks(la_parts: Partition) -> list[SOBlock]:
@@ -107,17 +127,6 @@ class SplitSOData:
     qexp: int  # q = p^qexp
 
 
-def _so_shift(blocks: list[SOBlock], N: int) -> la.Matrix:
-    """The block shift x e^j_a = e^j_{a-1} along every Jordan chain of the layout."""
-    rows = [[0] * N for _ in range(N)]
-    for b in blocks:
-        h = b.size // len(b.positions)
-        for base in b.chain_starts():
-            for a in range(1, h):
-                rows[base + a - 1][base + a] = 1
-    return la.mat(rows)
-
-
 def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
     """Assembled split orthogonal data (V, f, x) for a partition in X~_N.
 
@@ -130,8 +139,8 @@ def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
     if q_p == 2:
         raise ValueError("orthogonal split data needs odd q")
     K = make_field(q_p, q_k)
-    form, blocks = split_so_form(la_parts, K)
-    x = _so_shift(blocks, len(form))
+    form, _ = split_so_form(la_parts, K)
+    x = jordan_shift(la_parts)
     if la.transpose(form) != form or la.det(K, form) == 0:
         raise AssertionError("assembled form is not symmetric non-degenerate")
     skew = la.mat_add(K, la.mat_mul(K, la.transpose(x), form), la.mat_mul(K, form, x))
@@ -160,15 +169,6 @@ class SplitSLData:
 
     def conj_mat(self, m: la.Matrix) -> la.Matrix:
         return tuple(tuple(self.conj(c) for c in row) for row in m)
-
-
-def jordan_positions(la_parts: Partition) -> list[tuple[int, int]]:
-    """Global coordinate order: (k, j) for part k (1-based), j = 1..la_k."""
-    out = []
-    for k, h in enumerate(la_parts, start=1):
-        for j in range(1, h + 1):
-            out.append((k, j))
-    return out
 
 
 def _subfield_coords(K2: FieldSpec, qexp: int):
@@ -278,25 +278,14 @@ def build_sl_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSLData:
     n = sum(la_parts)
     K2 = make_field(q_p, 2 * q_k)
 
-    # unipotent: (u - 1) v_{k,j} = v_{k,j-1}
-    rows = [[0] * n for _ in range(n)]
-    pos = jordan_positions(la_parts)
-    index = {kj: t for t, kj in enumerate(pos)}
-    for (k, j), t in index.items():
-        if j >= 2:
-            rows[index[(k, j - 1)]][t] = 1
-    x = la.mat(rows)
+    x = jordan_shift(la_parts)
     u = la.mat_add(K2, x, la.identity(K2, n))
-
-    blocks = [_solve_block_form(K2, q_k, h) for h in la_parts]
     A = [[0] * n for _ in range(n)]
-    start = 0
-    for b in blocks:
-        h = len(b)
-        for i in range(h):
-            for j in range(h):
-                A[start + i][start + j] = b[i][j]
-        start += h
+    for chain in jordan_chains(la_parts):
+        block = _solve_block_form(K2, q_k, len(chain))
+        for i, row in zip(chain, block):
+            for j, c in zip(chain, row):
+                A[i][j] = c
     A = la.mat(A)
 
     data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, nilpotent=x)
@@ -305,6 +294,10 @@ def build_sl_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSLData:
 
 
 def _verify_sl_split(data: SplitSLData) -> None:
+    """A non-degenerate Hermitian, u preserving it, x of type la.  For
+    F(g) = conj(A)^{-1} (conj(g)^T)^{-1} conj(A), F(u) = u is conj(u)^T
+    conj(A) u = conj(A), the conjugate of u^T A conj(u) = A: the
+    preservation check is the twisted-Frobenius fixed point."""
     K = data.field
     A, u = data.form, data.unipotent
     if la.det(K, A) == 0:
@@ -315,13 +308,3 @@ def _verify_sl_split(data: SplitSLData) -> None:
         raise AssertionError("u does not preserve the sesquilinear form")
     if la.jordan_partition(K, data.nilpotent) != data.la:
         raise AssertionError("Jordan type mismatch")
-    # twisted Frobenius built from A: F(g) = conj(A)^{-1} (conj(g)^T)^{-1} conj(A),
-    # whose fixed points are exactly the unitary group of A
-    Abar = data.conj_mat(A)
-    fu = la.mat_mul(
-        K,
-        la.mat_mul(K, la.inverse(K, Abar), la.inverse(K, la.transpose(data.conj_mat(u)))),
-        Abar,
-    )
-    if fu != u:
-        raise AssertionError("u is not fixed by the twisted Frobenius")

@@ -42,7 +42,7 @@ from typing import Collection, Iterator, Sequence
 from . import flinalg as la
 from .ffield import FieldSpec
 from .partitions import Partition, normalize
-from .split import SplitSLData, SplitSOData
+from .split import SplitSLData, SplitSOData, jordan_chains, jordan_shift
 
 DEFAULT_BUDGET = 10**6
 
@@ -373,11 +373,6 @@ def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[S
     return out
 
 
-def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
-    """Split orthogonal data is untwisted: F is the coordinatewise q-power."""
-    return _fixed_by_frobenius(data.field, data.qexp, flag.E)
-
-
 # ---------------------------------------------------------------------------
 # centralizer units and orbits
 
@@ -386,29 +381,6 @@ def is_so_flag_f_stable(data: SplitSOData, flag: SOFlag) -> bool:
 class CentralizerUnits:
     dimension: int  # of the commutant {m : m x = x m}
     units: tuple  # generators of its unit group
-
-
-def _shift_chains(x: la.Matrix) -> list[list[int]]:
-    """Coordinates of each Jordan chain of a shift in standard basis
-    (x e_i is 0 or some e_j), bottom first."""
-    n = len(x)
-    up = {}  # j -> i with x e_i = e_j
-    for i in range(n):
-        rows = [j for j in range(n) if x[j][i]]
-        if rows:
-            if len(rows) != 1 or x[rows[0]][i] != 1 or rows[0] in up:
-                raise ValueError("x is not a Jordan shift in standard basis")
-            up[rows[0]] = i
-    chains = []
-    for i in range(n):
-        if not any(x[j][i] for j in range(n)):
-            chain = [i]
-            while chain[-1] in up:
-                chain.append(up[chain[-1]])
-            chains.append(chain)
-    if sum(map(len, chains)) != n:
-        raise ValueError("x is not a Jordan shift in standard basis")
-    return chains
 
 
 def commutant_basis(x: la.Matrix, K: FieldSpec) -> la.Matrix:
@@ -427,8 +399,8 @@ def commutant_basis(x: la.Matrix, K: FieldSpec) -> la.Matrix:
     return la.nullspace(K, la.mat(rows))
 
 
-def centralizer_units(x: la.Matrix, K: FieldSpec) -> CentralizerUnits:
-    """A generating set of the unit group of the commutant C of the shift x.
+def centralizer_units(la_parts: Partition, K: FieldSpec) -> CentralizerUnits:
+    """Generators of the unit group of the commutant C of x = jordan_shift(la_parts).
 
     For chains a, b of lengths h_a, h_b and 1 <= i <= min(h_a, h_b), the
     map E(a, b, i) that sends the top of chain b to position i of chain a
@@ -440,8 +412,9 @@ def centralizer_units(x: la.Matrix, K: FieldSpec) -> CentralizerUnits:
     of K and by 1 + c E for every other E, with c in the F_p-basis
     1, g, ..., g^(k-1) of K.
     """
+    x = jordan_shift(la_parts)
     n = len(x)
-    chains = _shift_chains(x)
+    chains = jordan_chains(la_parts)
     powers = [1]
     for _ in range(1, K.k):
         powers.append(K.mul(powers[-1], K.primitive))
@@ -521,19 +494,11 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 # F-stability of flags
 
 
-def _fixed_by_frobenius(K: FieldSpec, qexp: int, *bases: la.Matrix) -> bool:
-    """Whether the q-power map, q = p^qexp, fixes the span of each
-    echelon basis.  The map keeps 0, 1 and so the pivot pattern: the image
-    of an echelon basis is the echelon basis of the image, and a span is
-    fixed exactly when every entry of its basis is."""
+def is_f_stable(data: SplitSLData | SplitSOData, *bases: la.Matrix) -> bool:
+    """Whether the q-power map, q = p^qexp, fixes the span of each echelon
+    basis: it keeps the pivot pattern, so exactly when it fixes every entry.
+    That is F on split orthogonal data; the twisted SL flag Frobenius
+    composes it with a duality through the Hermitian form, which carries a
+    flag of q-rational subspaces to a flag of q-rational subspaces."""
+    K, qexp = data.field, data.qexp
     return all(K.frobenius(c, qexp) == c for basis in bases for row in basis for c in row)
-
-
-def is_sl_flag_f_stable(data: SplitSLData, flag: Flag) -> bool:
-    """Coordinatewise check: both subspaces fixed by the q-power map.
-
-    The twisted group's flag Frobenius composes this with a duality
-    through the Hermitian form; a flag of q-rational subspaces is
-    carried to a flag of q-rational subspaces.
-    """
-    return _fixed_by_frobenius(data.field, data.qexp, flag.W, flag.Wp)

@@ -12,7 +12,8 @@ form of the q-power image, is the plain form of the entrywise
 F-stability check.
 The last section keeps the plain forms of the cyclic-subspace
 enumeration, quotient and subquotient types, basis extension and span
-vectors that `varieties` and `flinalg` shortcut.
+vectors that `varieties` and `flinalg` shortcut, with the matrix
+inverse and a Jordan-shift builder written apart from `split`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 from springer import flinalg as la
 from springer import varieties as vr
 from springer.partitions import Partition, check_partition, normalize
-from springer.split import SplitSLData, SplitSOData, jordan_positions, so_blocks
+from springer.split import SplitSLData, SplitSOData, jordan_chains
 
 # ---------------------------------------------------------------------------
 # pair cases
@@ -267,7 +268,7 @@ def flag_frobenius_sl(data: SplitSLData, flag: vr.Flag) -> tuple[la.Matrix, la.M
     """
     K = data.field
     Abar = data.conj_mat(data.form)
-    Binv = la.inverse(K, Abar)
+    Binv = inverse(K, Abar)
 
     def image(basis: la.Matrix, outdim: int) -> la.Matrix:
         src = frob0(data, basis)
@@ -336,7 +337,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
         flag = vr.Flag(W=w, Wp=wp, type_quotient=tuple(lap), type_mod_W=tuple(target_nu))
         if not verify_flag_sl(data, d, lap, flag):
             continue
-        if vr.is_sl_flag_f_stable(data, flag):
+        if vr.is_f_stable(data, flag.W, flag.Wp):
             if best is None or (flag.W, flag.Wp) < (best.W, best.Wp):
                 best = flag
     return best
@@ -354,11 +355,11 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
     K = data.field
     x = data.nilpotent
     n = len(x)
-    pos = {kj: t for t, kj in enumerate(jordan_positions(data.la))}
+    chains = jordan_chains(data.la)
     pows = vr.power_images(K, x)
 
     def unit_vec(k, j):
-        t = pos[(k, j)]
+        t = chains[k - 1][j - 1]
         return tuple(1 if i == t else 0 for i in range(n))
 
     def flag_from_w(wvecs) -> vr.Flag:
@@ -406,7 +407,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
         # x^{h-1} v, ..., x^{h-d} v
         wvecs = chain[h - d : h][::-1] if d > 0 else []
         flag = flag_from_w(wvecs)
-        if not (vr.is_sl_flag_f_stable(data, flag)):
+        if not vr.is_f_stable(data, flag.W, flag.Wp):
             rat = _rational_flag_same_stratum(data, d, lap, flag.type_mod_W)
             if rat is not None:
                 flag = rat
@@ -440,9 +441,7 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
     x = data.nilpotent
     n = len(x)
     # part index -> (first coordinate of its chain, part); pair blocks hold two chains
-    starts = {
-        j: (s, data.la[j - 1]) for b in so_blocks(data.la) for j, s in zip(b.positions, b.chain_starts())
-    }
+    starts = {j: (c[0], len(c)) for j, c in enumerate(jordan_chains(data.la), start=1)}
 
     def unit(start, a):
         # a is 1-based within the chain
@@ -646,6 +645,29 @@ def mat_pow(K, a: la.Matrix, e: int) -> la.Matrix:
     for _ in range(e):
         out = la.mat_mul(K, out, a)
     return out
+
+
+def inverse(K, a: la.Matrix) -> la.Matrix:
+    """The inverse of a square matrix, by reducing [a | 1]."""
+    n = len(a)
+    aug = tuple(ra + tuple(1 if i == j else 0 for j in range(n)) for i, ra in enumerate(a))
+    red, pivots = la.rref(K, aug)
+    if len(red) != n or pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(r[n:] for r in red)
+
+
+def nilpotent_of_type(lam: Partition) -> la.Matrix:
+    """The shift of Jordan type lam with chain k on coordinates
+    lam_1 + ... + lam_{k-1} onwards, each sent one coordinate down."""
+    n = sum(lam)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for h in lam:
+        for a in range(1, h):
+            rows[start + a - 1][start + a] = 1
+        start += h
+    return la.mat(rows)
 
 
 def kernel_of_power(K, x: la.Matrix, k: int) -> la.Matrix:

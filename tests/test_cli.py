@@ -193,6 +193,9 @@ def test_usage_error_exit_2(capsys):
         # bounds that checked nothing and printed "ok": true
         ["verify", "--suite", "restriction", "--n-max", "1"],
         ["verify", "--suite", "spin-series", "--N-max", "2"],
+        # parts that are not integers
+        ["split", "--group", "sl", "--lambda", "a", "--q", "3"],
+        ["flags", "--group", "sl", "--lambda", "1,3", "--lambda-prime", "1,x", "--q", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

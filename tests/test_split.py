@@ -1,6 +1,7 @@
 import json
 
 import oracles_clifford as cl
+import oracles_flags as ofl
 import oracles_groups as og
 import pytest
 
@@ -92,6 +93,28 @@ def test_sl_jordan_roundtrip_and_form_invariance():
                 )
                 assert la.jordan_partition(K, x) == lam
                 assert data.nilpotent == x
+                # u^T A conj(u) = A, and F(u) = u for the twisted Frobenius
+                # F(g) = conj(A)^{-1} (conj(g)^T)^{-1} conj(A) built from A
+                A, u = data.form, data.unipotent
+                assert la.mat_mul(K, la.mat_mul(K, la.transpose(u), A), data.conj_mat(u)) == A, (lam, K.q)
+                Abar = data.conj_mat(A)
+                ubar_t_inv = ofl.inverse(K, la.transpose(data.conj_mat(u)))
+                assert la.mat_mul(K, la.mat_mul(K, ofl.inverse(K, Abar), ubar_t_inv), Abar) == u, (lam, K.q)
+
+
+def test_one_jordan_layout_for_both_builders():
+    # the SO nilpotent and the SL unipotent minus 1 are the one shift
+    for N in range(1, 13):
+        for lam in pt.enumerate_XN(N, tilde=True):
+            x = sp.jordan_shift(lam)
+            assert sp.build_so_split(lam, 3).nilpotent == sp.build_sl_split(lam, 3).nilpotent == x, lam
+    for n in range(9):
+        for lam in pt.partitions_of(n):
+            assert sp.jordan_shift(lam) == ofl.nilpotent_of_type(lam), lam
+            chains = sp.jordan_chains(lam)
+            starts = [sum(lam[:j]) for j in range(len(lam))]
+            assert chains == [range(s, s + h) for s, h in zip(starts, lam)], lam
+            assert [i for c in chains for i in c] == list(range(n)), lam
 
 
 def test_jordan_type_edge_cases():
