@@ -15,8 +15,10 @@ so every word has one nonzero entry per row, a fourth root of unity,
 and is stored as a column index and a phase mod 4 per row.  Each such
 character keeps its model.  On SpinGamma, tau is conjugation by an even
 word, so the intertwiner of a twisted extension is that word's matrix
-times a fourth root of unity.  The group law and irreducibility are
-verified exactly for every table built.
+times a fourth root of unity.  The models depend only on the epsilon
+exponents of the generators, so a process builds one checked model set
+per epsilon-signature and shares it across partitions and tau-signs;
+the group law and irreducibility are verified exactly for each set.
 
 Both groups keep their arithmetic in closed form: SpinGamma multiplies
 bitmasks by popcounts, and the twisted classes of either group are read
@@ -326,6 +328,13 @@ class SpinRepresentation:
     The generator matrices are converted once to (columns, phases); each
     word x_S is then a product of index lookups, and its trace counts the
     phases on the fixed points of the columns.
+
+    G is the group the model was first built for.  spin_irreducibles
+    shares the model with every SpinGamma of the same exponents, whatever
+    its partition and tau-signs.  That is sound because the model and its
+    checks read only G.r and G.exponents (the elements, the product and
+    the generators), and tau enters only through the G that
+    extend_character is given.
     """
 
     def __init__(self, G: SpinGamma, ring: CycRing, gen_mats: list):
@@ -405,8 +414,18 @@ def _spin_negative_representations(G: SpinGamma, ring: CycRing) -> list[SpinRepr
     return reps
 
 
+# G.exponents -> the checked irreducibles with xi(eps) = -1
+_SPIN_MODELS: dict[tuple[int, ...], list[IrrChar]] = {}
+
+
 def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
-    """The irreducible characters with xi(eps) = -1, each with its model."""
+    """The irreducible characters with xi(eps) = -1, each with its model.
+
+    Built and checked once per process for each G.exponents, the only
+    data they depend on (see SpinRepresentation).
+    """
+    if G.exponents in _SPIN_MODELS:
+        return list(_SPIN_MODELS[G.exponents])
     ring = CycRing(4)
     models = []
     # checking the group law on (generator, anything) pairs suffices:
@@ -428,10 +447,11 @@ def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
         w = G.full_word()
         models.sort(key=lambda m: tuple(str(c) for c in m[1][w].coeffs))
         labels = [f"neg[xI={chi[w]!r}]" for _, chi in models]
-    return [
+    _SPIN_MODELS[G.exponents] = [
         IrrChar(label=label, dim=chi[G.identity()].as_int(), ring=ring, values=chi, rep=rep)
         for label, (rep, chi) in zip(labels, models)
     ]
+    return list(_SPIN_MODELS[G.exponents])
 
 
 def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int) -> list[IrrChar]:

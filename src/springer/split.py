@@ -92,7 +92,7 @@ def so_blocks(la_parts: Partition) -> list[SOBlock]:
     return blocks
 
 
-def split_so_form(la_parts: Partition, K: FieldSpec) -> tuple[la.Matrix, list[SOBlock]]:
+def split_so_form(la_parts: Partition, K: FieldSpec) -> la.Matrix:
     """The assembled symmetric form of the split orthogonal data."""
     blocks = so_blocks(la_parts)
     N = sum(la_parts)
@@ -111,7 +111,7 @@ def split_so_form(la_parts: Partition, K: FieldSpec) -> tuple[la.Matrix, list[SO
                 cidx = b.start + h + (a - 1)  # e^{j+1}_a
                 rows[r][cidx] = val
                 rows[cidx][r] = val
-    return la.mat(rows), blocks
+    return la.mat(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
     if q_p == 2:
         raise ValueError("orthogonal split data needs odd q")
     K = make_field(q_p, q_k)
-    form, _ = split_so_form(la_parts, K)
+    form = split_so_form(la_parts, K)
     x = jordan_shift(la_parts)
     if la.transpose(form) != form or la.det(K, form) == 0:
         raise AssertionError("assembled form is not symmetric non-degenerate")

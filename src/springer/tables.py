@@ -296,14 +296,17 @@ def y0_row_spin(
 
 
 def y0_table_sl(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:
-    """All rows of the order-d series of twisted SL_n."""
+    """All rows of the order-d series of twisted SL_n, la in lexicographic order.
+
+    The classes of the series are the la whose parts d divides: none when
+    d does not divide n, else d * mu for mu a partition of n / d.  Scaling
+    by d keeps the lexicographic order of partitions_of(n // d).
+    """
     from .partitions import partitions_of
 
-    rows = []
-    for la in partitions_of(n):
-        if all(x % xi_order == 0 for x in la):
-            rows.append(y0_row_sl(la, xi_order, q_p, q_k))
-    return rows
+    if n % xi_order:
+        return []
+    return [y0_row_sl(tuple(xi_order * x for x in mu), xi_order, q_p, q_k) for mu in partitions_of(n // xi_order)]
 
 
 def y0_table_spin(

@@ -543,7 +543,7 @@ def spin_frobenius_signs(data: SplitSOData) -> tuple[int, ...]:
 def split_so_quadspace(la_parts: Partition, q_p: int, q_k: int = 1) -> tuple[QuadSpace, list[SOBlock]]:
     """Quadratic space carrying the split form of the partition, over F_{q^2}."""
     K = make_field(q_p, 2 * q_k)
-    form, blocks = split_so_form(la_parts, K)
+    form, blocks = split_so_form(la_parts, K), so_blocks(la_parts)
     sp = QuadSpace(N=sum(la_parts), field=K, qexp=q_k, form=form, twist="split")
     return sp, blocks
 

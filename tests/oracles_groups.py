@@ -20,6 +20,12 @@ matrix units over the group on dense matrices and normalized by a
 rational square root, rather than read off as a Clifford word.  The
 Clifford sign rule and tau, which the model computes by popcounts, are
 also counted here one generator index at a time.
+
+Two table paths that the package shortcuts are kept here in full: the
+checked spin model construction run afresh for one group, where the
+package builds it once per epsilon-signature and shares it, and the SL
+table read off every partition of n with a part not divisible by d
+dropped, where the package scales the partitions of n/d.
 """
 
 from __future__ import annotations
@@ -35,13 +41,16 @@ from springer.component_groups import (
     ExtendedChar,
     IrrChar,
     SpinGamma,
+    _spin_negative_representations,
     char_inner,
     cmat_mul,
     cmat_scale,
     spin_irreducibles,
+    word_mul,
 )
 from springer.cyclotomic import CycRing
-from springer.partitions import Partition, check_partition
+from springer.partitions import Partition, check_partition, partitions_of
+from springer.tables import GreenBasisRow, y0_row_sl
 
 # ---------------------------------------------------------------------------
 # group structure by running over every element
@@ -461,3 +470,40 @@ def extend_by_search(chi: IrrChar, G: SpinGamma) -> list[ExtendedChar]:
         out.append(ExtendedChar(label=label, coset_values=values))
     out.sort(key=lambda e: tuple(tuple(str(c) for c in v.coeffs) for v in e.coset_values.values()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# table paths without the package's shortcuts
+
+
+def spin_irreducibles_uncached(G: SpinGamma) -> list[IrrChar]:
+    """The checked model construction of spin_irreducibles, run for G
+    itself instead of read from the models shared per G.exponents."""
+    ring = CycRing(4)
+    models = []
+    for rep in _spin_negative_representations(G, ring):
+        for s in G.generators():
+            ws = rep.word(s)
+            for h in G.elements:
+                if word_mul(ws, rep.word(h)) != rep.word(G.mul(s, h)):
+                    raise AssertionError("matrix model violates the group law")
+        chi = rep.character()
+        if char_inner(G, chi, chi) != 1:
+            raise AssertionError("negative-central character is not irreducible")
+        models.append((rep, chi))
+    if len(models) == 1:
+        labels = ["neg"]
+    else:
+        w = G.full_word()
+        models.sort(key=lambda m: tuple(str(c) for c in m[1][w].coeffs))
+        labels = [f"neg[xI={chi[w]!r}]" for _, chi in models]
+    return [
+        IrrChar(label=label, dim=chi[G.identity()].as_int(), ring=ring, values=chi, rep=rep)
+        for label, (rep, chi) in zip(labels, models)
+    ]
+
+
+def y0_table_sl_by_filter(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:
+    """The order-d SL table from every partition of n, keeping those whose
+    parts d divides."""
+    return [y0_row_sl(la, xi_order, q_p, q_k) for la in partitions_of(n) if all(x % xi_order == 0 for x in la)]

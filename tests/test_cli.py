@@ -91,6 +91,16 @@ def test_tables_command_tsv_and_json(capsys):
     assert {tuple(r["lambda"]) for r in doc["rows"]} == {(2, 4), (2, 2, 2), (6,)}
 
 
+def test_sl_table_of_an_order_not_dividing_n_is_the_header(capsys):
+    # no partition of 97 has only even parts; the table is known empty
+    # without walking the p(97) > 10^8 partitions of 97
+    start = time.perf_counter()
+    code, out, err = run_cli(["tables", "--group", "sl", "--n", "97", "--q", "5", "--xi-order", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out == "lambda\trho\textension\tdim\tclass_rep\tclass_size\tvalue\n"
+
+
 def test_tables_refusal_exit_code(capsys):
     code, out, err = run_cli(["tables", "--group", "sl", "--n", "6", "--q", "3", "--xi-order", "6"], capsys)
     assert code == 1

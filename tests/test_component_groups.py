@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import oracles_clifford as cl
@@ -404,3 +405,34 @@ def test_word_intertwiner_matches_the_matrix_unit_search():
                 assert {v.ring for v in a.coset_values.values()} == {v.ring for v in b.coset_values.values()}
             pairs += 1
     assert pairs == 119
+
+
+def _same_irreducibles(a, b, G) -> bool:
+    """Equal labels, dimensions, rings and values, and models with the
+    same word at every element of G."""
+    return [(c.label, c.dim, c.ring, list(c.values.items())) for c in a] == [
+        (c.label, c.dim, c.ring, list(c.values.items())) for c in b
+    ] and all(x.rep.word(g) == y.rep.word(g) for x, y in zip(a, b) for g in G.elements)
+
+
+def test_memoised_spin_irreducibles_match_a_fresh_build():
+    # every epsilon-signature with r <= 6 (odd parts 4k + 1 + 2e), under
+    # the tau-signs of q = 5 (all +1) and q = 7: one model set serves both
+    # groups, and it equals the checked construction run for each, and so
+    # do its extensions to the coset
+    for r in range(7):
+        for exps in product((0, 1), repeat=r):
+            lam = tuple(4 * k + 1 + 2 * e for k, e in enumerate(exps))
+            groups = [cg.build_spin_gamma(lam, tau_signs=tb.spin_tau_signs(lam, q)) for q in (5, 7)]
+            assert all(g.exponents == exps for g in groups)
+            shared = cg.spin_irreducibles(groups[0])
+            for g in groups:
+                memo, fresh = cg.spin_irreducibles(g), og.spin_irreducibles_uncached(g)
+                assert all(x.rep is y.rep for x, y in zip(memo, shared)), (exps, g.la_parts)
+                assert _same_irreducibles(memo, fresh, g), (exps, g.la_parts, g.tau_signs)
+                for x, y in zip(memo, fresh):
+                    if cg.is_tau_stable(g, x):
+                        ext_memo, ext_fresh = cg.extend_character(x, g), cg.extend_character(y, g)
+                        assert [(e.label, list(e.coset_values.items())) for e in ext_memo] == [
+                            (e.label, list(e.coset_values.items())) for e in ext_fresh
+                        ], (exps, g.la_parts, g.tau_signs)

@@ -130,6 +130,19 @@ GOLDEN = [
     # an order-3 variety, recorded when the d >= 3 cyclic subspaces came
     # from a deduplicated sweep of every generator in ker x^3
     ("flags --group sl --lambda 3,3 --d 3 --q 3", "549219931038c4867c1a8490e05e3e2f0f6744e921e9beb3d44e1796a2fb5632"),
+    # recorded while X_N was listed to be counted by defect, the SL table
+    # filtered every partition of n, and the spin models were built anew
+    # for each class; the spin table prints 75 classes of X_27 from 6
+    # shared model sets, with tau nontrivial (plus and minus rows)
+    (
+        "verify --suite spin-series --N-max 60",
+        "25d81d7b101d979feda9a5afd6974d8c39b04e016fde5c067ef9ccd7a3465011",
+    ),
+    (
+        "tables --group sl --n 36 --q 5 --xi-order 3",
+        "c246c6b29effb55b99970c284a340f0a1d27d03ca000b213971121743e76d236",
+    ),
+    ("tables --group spin --N 27 --q 3", "b178809e02827ad5166c9bb6fde09756ad4a7e86d9578f2857a75a9d505161f3"),
 ]
 
 

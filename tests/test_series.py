@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from springer import partitions as pt
@@ -55,6 +57,12 @@ def test_series_cardinality_small_examples():
     assert e0.class_count == 2 and e0.bipartition_count == 2
     r9 = sr.verify_series_cardinality(9)
     assert r9.ok
+
+
+def test_defect_counts_match_the_listing_of_XN():
+    # the one-pass count by (size, defect) against X_N listed in full
+    for N in range(41):
+        assert sr.xn_defect_counts(N) == Counter(pt.defect(la) for la in pt.enumerate_XN(N)), N
 
 
 def test_series_cardinality_through_20():

@@ -166,8 +166,8 @@ def test_split_form_odd_blocks_match_the_oracle_block_form():
         K = make_field(p, k)
         for N in range(1, 14):
             for lam in pt.enumerate_XN(N, tilde=True):
-                form, blocks = sp.split_so_form(lam, K)
-                for b in blocks:
+                form = sp.split_so_form(lam, K)
+                for b in sp.so_blocks(lam):
                     if b.kind == "odd":
                         s, h = b.start, b.size
                         block = la.mat(row[s : s + h] for row in form[s : s + h])

@@ -148,6 +148,23 @@ def test_y0_table_builders():
         assert r.values[0].as_int() == r.dim
 
 
+def _table_or_refusal(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_sl_table_from_partitions_of_n_over_d_matches_the_filtered_walk():
+    # rows (or the refusal) of the scaled partitions of n/d equal those of
+    # every partition of n filtered by divisibility
+    for n in range(1, 13):
+        for d in range(1, n + 1):
+            for q_p, q_k in ((3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
+                new = _table_or_refusal(tb.y0_table_sl, n, d, q_p, q_k)
+                assert new == _table_or_refusal(og.y0_table_sl_by_filter, n, d, q_p, q_k), (n, d, q_p**q_k)
+
+
 def test_row_json_roundtrip():
     row = tb.y0_row_sl((2, 4), 2, 5)
     import json
