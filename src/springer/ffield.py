@@ -278,14 +278,6 @@ class FieldSpec:
             return a
         return self.pow(a, self.p**e)
 
-    # -- subfields (F_{p^d} inside F_{p^k} for d | k)
-
-    def subfield_elements(self, d: int) -> list[int]:
-        if self.k % d != 0:
-            raise ValueError(f"F_{self.p}^{d} is not a subfield of F_{self.p}^{self.k}")
-        pe = pow(self.p, d)
-        return [a for a in range(self.q) if self.pow(a, pe) == a]
-
     # -- plumbing
 
     def __eq__(self, other: object) -> bool:

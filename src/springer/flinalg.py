@@ -8,9 +8,11 @@ row they add only, so a sparse row costs its support, not its length.
 
 One reduction, `reduce`, takes a vector's components along echelon rows
 away; span membership, basis extension and the quotient action all go
-through it.  One rank routine, `subquotient_type`, gives the Jordan type
-of a nilpotent map on any subquotient of stable spans (V itself, V/W,
-W'/W or E-perp/E) from the ranks of its powers there.  The line
+through it.  One pivot step, `pivot`, serves `rref` and the extension of
+an echelon basis by a vector reduced against it.  One rank routine,
+`subquotient_type`, gives the Jordan type of a nilpotent map on any
+subquotient of stable spans (V itself, V/W, W'/W or E-perp/E) from the
+ranks of its powers there.  The line
 representatives of a reduced echelon basis come in lexicographic order.
 """
 
@@ -67,6 +69,19 @@ def mat_vec(K: FieldSpec, a: Matrix, v: Vector) -> Vector:
     return tuple(out)
 
 
+def pivot(K: FieldSpec, rows: list[list[int]], r: int, c: int) -> None:
+    """The pivot step of elimination, in place: scale rows[r] to 1 at
+    column c, then clear column c from the other rows by subtracting
+    multiples of it, on its nonzero entries only."""
+    if (inv := K.inv(rows[r][c])) != 1:
+        rows[r] = [K.mul(inv, x) if x else 0 for x in rows[r]]
+    support = [(j, y) for j, y in enumerate(rows[r]) if y]
+    for i, row in enumerate(rows):
+        if i != r and (f := row[c]):
+            for j, y in support:
+                row[j] = K.sub(row[j], K.mul(f, y))
+
+
 def rref(K: FieldSpec, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows dropped."""
     rows = [list(r) for r in a]
@@ -83,14 +98,7 @@ def rref(K: FieldSpec, a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if (inv := K.inv(rows[r][c])) != 1:
-            rows[r] = [K.mul(inv, x) if x else 0 for x in rows[r]]
-        support = [(j, y) for j, y in enumerate(rows[r]) if y]
-        for i in range(nrows):
-            if i != r and (f := rows[i][c]):
-                row = rows[i]
-                for j, y in support:
-                    row[j] = K.sub(row[j], K.mul(f, y))
+        pivot(K, rows, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -124,10 +132,12 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Sequence[Sequence[int]]) -
     """Every combination of the rows, row i taking its coefficient from
     coeffs[i], the coefficient of row 0 varying fastest.  An empty basis
     spans only the empty vector.  The partial sums sum_{j >= i} c_j row_j
-    sit on an odometer, so a vector costs one row addition (plus one per
-    carried digit); none is stored.  A row multiple is kept on the row's
-    support only, so adding it touches the row's nonzero entries, and a
-    zero multiple is no addition."""
+    of the slower rows sit on an odometer, and the fastest digit runs as
+    an inner loop adding each multiple of row 0 to partial[1]; so a
+    vector costs one row addition (plus one per carried digit), and none
+    is stored.  A row multiple is kept on the row's support only, so
+    adding it touches the row's nonzero entries, and a zero multiple is
+    no addition."""
     if not basis:
         yield ()
         return
@@ -137,25 +147,36 @@ def span_vectors(K: FieldSpec, basis: Matrix, coeffs: Sequence[Sequence[int]]) -
     ]
     if not all(multiples):
         return
+
+    def plus(u: Vector, multiple: list[tuple[int, int]]) -> Vector:
+        if not multiple:
+            return u
+        v = list(u)
+        for t, b in multiple:
+            v[t] = K.add(a, b) if (a := v[t]) else b
+        return tuple(v)
+
     digits = [0] * len(basis)
     partial = [(0,) * len(basis[0])] * (len(basis) + 1)  # partial[i] = sum_{j >= i} c_j row_j
     i = len(basis) - 1
     while True:
-        for j in range(i, -1, -1):
-            if multiple := multiples[j][digits[j]]:
-                v = list(partial[j + 1])
+        for j in range(i, 0, -1):
+            partial[j] = plus(partial[j + 1], multiples[j][digits[j]])
+        base = partial[1]
+        for multiple in multiples[0]:  # plus(base, multiple), inlined: the innermost loop
+            if multiple:
+                v = list(base)
                 for t, b in multiple:
                     v[t] = K.add(a, b) if (a := v[t]) else b
-                partial[j] = tuple(v)
+                yield tuple(v)
             else:
-                partial[j] = partial[j + 1]
-        yield partial[0]
-        i = 0
-        while digits[i] == len(multiples[i]) - 1:
+                yield base
+        i = 1
+        while i < len(digits) and digits[i] == len(multiples[i]) - 1:
             digits[i] = 0
             i += 1
-            if i == len(digits):
-                return
+        if i == len(digits):
+            return
         digits[i] += 1
 
 

@@ -171,16 +171,22 @@ class SplitSLData:
         return tuple(tuple(self.conj(c) for c in row) for row in m)
 
 
+@lru_cache(maxsize=None)
 def _subfield_coords(K2: FieldSpec, qexp: int):
-    """F_q-coordinates on F_{q^2}: returns (beta, decompose)."""
-    sub = K2.subfield_elements(qexp)
-    subset = set(sub)
-    beta = next(a for a in K2.elements() if a not in subset)
-    table = {}
-    for c0 in sub:
-        for c1 in sub:
-            table[K2.add(c0, K2.mul(c1, beta))] = (c0, c1)
-    return beta, table
+    """F_q-coordinates on F_{q^2}: returns (beta, coords).  beta is the
+    least element with beta^q != beta, so 1, beta is an F_q-basis, and
+    coords(c) = (c0, c1) with c = c0 + c1 beta.  Both coordinates are
+    fixed by a -> a^q, so c - c^q = c1 (beta - beta^q): c1 is that
+    quotient and c0 = c - c1 beta, one Frobenius per element instead of
+    a scan of F_{q^2}."""
+    beta = next(a for a in K2.elements() if K2.frobenius(a, qexp) != a)
+    scale = K2.inv(K2.sub(beta, K2.frobenius(beta, qexp)))
+
+    def coords(c: int) -> tuple[int, int]:
+        c1 = K2.mul(K2.sub(c, K2.frobenius(c, qexp)), scale)
+        return K2.sub(c, K2.mul(c1, beta)), c1
+
+    return beta, coords
 
 
 @lru_cache(maxsize=None)
@@ -192,9 +198,8 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
     solves the invariance + Hermitian conditions over F_q, free variables
     set to zero.
     """
-    beta, table = _subfield_coords(K2, qexp)
-    conj_beta = K2.frobenius(beta, qexp)
-    cb0, cb1 = table[conj_beta]
+    beta, coords = _subfield_coords(K2, qexp)
+    cb0, cb1 = coords(K2.frobenius(beta, qexp))
 
     nvar = 2 * h * h  # (i, j, component)
 
@@ -243,11 +248,11 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
     if h % 2 == 1 or K2.p == 2:
         c_h = 1
     else:
-        c_h = min(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
+        c_h = next(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
     for j in range(1, h + 1):
         sign = (-1) ** ((j + 1) % 2)
         val = c_h if sign == 1 else K2.neg(c_h)
-        v0, v1 = table[val]
+        v0, v1 = coords(val)
         add_eq({var(j - 1, h - j, 0): 1}, v0)
         add_eq({var(j - 1, h - j, 1): 1}, v1)
 

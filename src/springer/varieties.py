@@ -12,6 +12,9 @@ spans <x^{d-1} v, ..., v>, so the generator v is what gets enumerated,
 stratified along the kernel filtration and quotiented by the exact
 redundancy (scalars and shifts by x W): every d yields each subspace
 once, nothing scans the full Grassmannian and nothing is deduplicated.
+Generators that differ by an element of ker x share x W, so x W is put
+in echelon form once per such block, and each W of the block is one
+pivot step on top of it.
 The count is known in closed form before the walk, so an instance
 above the budget raises rather than crawling, and the walk is checked
 to yield exactly that many subspaces.
@@ -35,6 +38,7 @@ no budget.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterator, Sequence
@@ -64,7 +68,8 @@ def _subspace_count(Q: int, kd: int, kdm1: int, d: int) -> int:
 
 
 def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BUDGET) -> list[la.Matrix]:
-    """All d-dimensional x-stable W with x|_W regular nilpotent, each once.
+    """All d-dimensional x-stable W with x|_W regular nilpotent, each once,
+    as a sorted list of echelon bases.
 
     W is the span of the x-orbit of a generator v = c + w, with c a line
     representative of the complement C of ker x^(d-1) in ker x^d and w in
@@ -73,10 +78,19 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
     filtration (rows extending ker x^(j-1) to ker x^j) holds x^(d-j) c
     modulo ker x^(j-1), so dropping the row it replaces from each layer
     leaves rows whose span meets x W in 0 and has the complementary
-    dimension: w runs over that span.  The generator's orbit is one
-    stacked vector (v | x v | ... | x^(d-1) v), a running sum of stacked
-    rows, so each W costs one vector sum and one echelon form; nothing is
-    deduplicated.  For d = 1, W is a line of ker x.
+    dimension: w runs over that span.
+
+    The kept layer-1 rows lie in ker x, so x W = <x v, ..., x^(d-1) v>
+    depends only on the slow part v0 of v (c plus the rows of layers 2
+    and up) and is fixed across the block of generators v0 + (layer-1
+    combination).  Per block, x W is put in echelon form once, and v0
+    and the layer-1 rows are reduced against it once; the reduction v'
+    of each generator is then a running sum of those remainders, 0 at
+    every pivot of x W.  W's echelon basis is x W's rows with v' scaled
+    to 1 at its first nonzero entry, that column cleared from them, and
+    v' in pivot order: one pivot step per W, no elimination.  Nothing is
+    deduplicated.  For d = 1, W is a line of ker x, and the line
+    representatives of its echelon basis come in increasing order.
     """
     n = len(x)
     if d < 1 or d > n:
@@ -93,7 +107,7 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
         what = "candidate lines" if d == 1 else "candidates"
         raise VarietyBudgetError(f"{count} {what} exceed budget {bound}")
     if d == 1:
-        out = sorted((c,) for c in la.line_representatives(K, comp))
+        out = [(c,) for c in la.line_representatives(K, comp)]
     else:
 
         def orbit(v: la.Vector) -> list[la.Vector]:
@@ -103,18 +117,20 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
             return vs
 
         layers = [la.extend_basis(K, kernels[j - 1], kernels[j]) for j in range(1, d)]
-        stacks = {r: sum(orbit(r), ()) for layer in layers for r in layer}
         out = []
         for c in la.line_representatives(K, comp):
             c_orbit = orbit(c)
-            rows = tuple(
-                stacks[r]
-                for j, layer in enumerate(layers, 1)
-                for r in la.extend_basis(K, kernels[j - 1] + (c_orbit[d - j],), layer)
-            )
-            coeffs = [K.elements()] * len(rows) + [(1,)]
-            for s in la.span_vectors(K, rows + (sum(c_orbit, ()),), coeffs):
-                out.append(la.echelon_basis(K, [s[i : i + n] for i in range(0, n * d, n)]))
+            kept = [la.extend_basis(K, kernels[j - 1] + (c_orbit[d - j],), layer) for j, layer in enumerate(layers, 1)]
+            slow = sum(kept[1:], ())
+            for v0 in la.span_vectors(K, slow + (c,), [K.elements()] * len(slow) + [(1,)]):
+                xw, pivots = la.rref(K, orbit(v0)[1:])
+                rows = tuple(la.reduce(K, w, xw, pivots) for w in kept[0]) + (la.reduce(K, v0, xw, pivots),)
+                for v in la.span_vectors(K, rows, [K.elements()] * len(kept[0]) + [(1,)]):
+                    lead = next(t for t, a in enumerate(v) if a)
+                    r = bisect(pivots, lead)
+                    basis = [list(row) for row in xw[:r] + (v,) + xw[r:]]
+                    la.pivot(K, basis, r, lead)
+                    out.append(la.mat(basis))
         out.sort()
     if len(out) != count:
         raise AssertionError(f"{len(out)} cyclic subspaces where {count} exist")

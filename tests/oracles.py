@@ -16,6 +16,10 @@ only prime fields appear.
 The Hall numbers are the closed form (Macdonald, ch. II §4) that the
 enumerated stratum tallies of the flag varieties are checked against.
 
+The stacked-orbit walk is the former enumeration of cyclic subspaces,
+one echelon form per subspace; it is the reference for the walk that
+clears x W once per generator block.
+
 The last section works over any F_q in the package's own arithmetic: a
 scan of the whole commutant for its units, and orbits taken as the
 images of a seed under every unit.  It is the reference for the
@@ -1024,6 +1028,50 @@ def hall_number_row(lam: tuple[int, ...], nu: tuple[int, ...], d: int, Q: int) -
     for i in columns:
         g *= 1 - Fraction(1, Q ** mult[i])
     return g
+
+
+# ---------------------------------------------------------------------------
+# cyclic subspaces by stacked orbits
+
+
+def cyclic_subspaces_by_stacks(K, x, d: int) -> list:
+    """The d-dimensional x-cyclic subspaces along the kernel filtration,
+    as `varieties.cyclic_subspaces` walked them before x W was cleared
+    once per generator block: the generator's orbit (v | x v | ... |
+    x^(d-1) v) is a running sum of stacked rows, and each W is the
+    echelon form of its d slices; the list is sorted at the end, for
+    d = 1 too."""
+    n = len(x)
+    if d < 1 or d > n:
+        return []
+    kernels, power = [(), la.nullspace(K, x)], x
+    while len(kernels) <= d:
+        power = la.mat_mul(K, power, x)
+        kernels.append(la.nullspace(K, power))
+    comp = la.extend_basis(K, kernels[d - 1], kernels[d])
+    if d == 1:
+        return sorted((c,) for c in la.line_representatives(K, comp))
+
+    def orbit(v):
+        vs = [v]
+        while len(vs) < d:
+            vs.append(la.mat_vec(K, x, vs[-1]))
+        return vs
+
+    layers = [la.extend_basis(K, kernels[j - 1], kernels[j]) for j in range(1, d)]
+    stacks = {r: sum(orbit(r), ()) for layer in layers for r in layer}
+    out = []
+    for c in la.line_representatives(K, comp):
+        c_orbit = orbit(c)
+        rows = tuple(
+            stacks[r]
+            for j, layer in enumerate(layers, 1)
+            for r in la.extend_basis(K, kernels[j - 1] + (c_orbit[d - j],), layer)
+        )
+        coeffs = [K.elements()] * len(rows) + [(1,)]
+        for s in la.span_vectors(K, rows + (sum(c_orbit, ()),), coeffs):
+            out.append(la.echelon_basis(K, [s[i : i + n] for i in range(0, n * d, n)]))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

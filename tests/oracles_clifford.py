@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from oracles_flags import gram
+from oracles_flags import gram, subfield_elements
 
 from springer import flinalg as la
 from springer.ffield import FieldSpec, make_field
@@ -42,7 +42,7 @@ MAX_N = 13
 def least_nonsquare_in_subfield(K: FieldSpec, d: int) -> int:
     """Least encoded element of F_{p^d} inside K that is not a square there."""
     e = (K.p**d - 1) // 2
-    for a in K.subfield_elements(d):
+    for a in subfield_elements(K, d):
         if a and K.pow(a, e) != 1:
             return a
     raise ValueError("no non-square in subfield (p = 2?)")

@@ -11,9 +11,10 @@ flags, whose square is the plain q^2-power map; `frob0`, the echelon
 form of the q-power image, is the plain form of the entrywise
 F-stability check.
 The last section keeps the plain forms of the cyclic-subspace
-enumeration, quotient and subquotient types, basis extension and span
-vectors that `varieties` and `flinalg` shortcut, with the matrix
-inverse and a Jordan-shift builder written apart from `split`.
+enumeration, quotient and subquotient types, basis extension, span
+vectors and the subfield F_q of F_{q^2} that the library shortcuts,
+with the matrix inverse and a Jordan-shift builder written apart from
+`split`.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     K = data.field
     x = data.nilpotent
     pows = vr.power_images(K, x)
-    sub = K.subfield_elements(data.qexp)
+    sub = subfield_elements(K, data.qexp)
     kd = kernel_of_power(K, x, d)
     best = None
     seen = set()
@@ -500,9 +501,19 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 # the quotient coordinates of the power images, row operations touch
 # nonzero entries only, span vectors (line representatives included)
 # are running sums, a basis is extended by one reduction per candidate,
-# and a subquotient's Jordan type is read off ranks without building
-# the induced matrix.  These are the plain forms they replaced, kept as
-# the references the shortcuts must reproduce exactly (order included).
+# a subquotient's Jordan type is read off ranks without building the
+# induced matrix, and F_q-coordinates on F_{q^2} come in closed form.
+# These are the plain forms they replaced, kept as the references the
+# shortcuts must reproduce exactly (order included).
+
+
+def subfield_elements(K, d: int) -> list[int]:
+    """F_{p^d} inside F_{p^k}, d | k, by testing a^(p^d) = a on every
+    element: the scan that `split` replaced by subfield coordinates in
+    closed form."""
+    if K.k % d:
+        raise ValueError(f"F_{K.p}^{d} is not a subfield of F_{K.p}^{K.k}")
+    return [a for a in K.elements() if K.pow(a, K.p**d) == a]
 
 
 def rref_plain(K, a: la.Matrix) -> tuple[la.Matrix, tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import pytest
 from oracles_clifford import least_nonsquare_in_subfield, sqrt, zeta4
+from oracles_flags import subfield_elements
 
 from springer.ffield import _poly_mod, _poly_mul, is_prime, make_field
 
@@ -120,7 +121,7 @@ def test_zeta4_fixed_by_q_power_iff_q_1_mod_4():
 
 def test_subfield_and_nonsquare():
     F81 = make_field(3, 4)
-    sub = F81.subfield_elements(2)
+    sub = subfield_elements(F81, 2)
     assert len(sub) == 9
     d = least_nonsquare_in_subfield(F81, 2)
     assert d in sub

@@ -1,6 +1,8 @@
 """Sparse row operations and ordered line representatives against the
 plain forms: every entry touched, every line listed."""
 
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles_flags import rref_plain
@@ -62,3 +64,30 @@ def test_line_representatives_of_an_echelon_basis_come_sorted(case):
     assert all(next(c for c in v if c) == 1 for v in lines)
     assert all(len(rref_plain(K, basis + (v,))[0]) == r for v in lines)
     assert len({rref_plain(K, (v,))[0] for v in lines}) == len(lines)
+
+
+def _span_by_product(K, basis, coeffs):
+    """Each combination of the rows summed from scratch, the coefficient
+    tuples taken from itertools.product with row 0 varying fastest."""
+    n = len(basis[0]) if basis else 0
+    for cs in product(*reversed(coeffs)):
+        v = [0] * n
+        for c, row in zip(reversed(cs), basis):
+            for j, a in enumerate(row):
+                v[j] = K.add(v[j], K.mul(c, a))
+        yield tuple(v)
+
+
+def test_span_vectors_match_the_product_of_coefficient_sets():
+    # up to 4 rows over F_4 and F_5, a zero row among them, each row's
+    # coefficients from all of K, one element, only 0, a set holding 0,
+    # or nothing (no vector); the empty basis spans only ()
+    for K in (make_field(2, 2), make_field(5, 1)):
+        g = K.primitive
+        rows = ((1, g, 0, 1), (0, 0, 0, 0), (g, 1, 1, 0), (0, 0, 1, g))
+        sets = (K.elements(), (g,), (0,), (0, 1), (1, 0, g), ())
+        assert list(la.span_vectors(K, (), [])) == [()]
+        for r in range(1, len(rows) + 1):
+            for coeffs in product(sets, repeat=r):
+                got = list(la.span_vectors(K, rows[:r], coeffs))
+                assert got == list(_span_by_product(K, rows[:r], coeffs)), (K, r, coeffs)

@@ -143,6 +143,20 @@ GOLDEN = [
         "c246c6b29effb55b99970c284a340f0a1d27d03ca000b213971121743e76d236",
     ),
     ("tables --group spin --N 27 --q 3", "b178809e02827ad5166c9bb6fde09756ad4a7e86d9578f2857a75a9d505161f3"),
+    # d = 2 walks, recorded while every cyclic subspace took its own
+    # echelon form of a stacked orbit: SL with orbits over F_4, SL over
+    # F_16, and the isotropic planes of two SO types
+    (
+        "flags --group sl --lambda 1,2,2 --d 2 --q 2 --orbits",
+        "f5bfc0296c29ef41974a7f031c7c775990f2568e130b884838b73bd3bdf9f4f6",
+    ),
+    ("flags --group sl --lambda 2,2 --d 2 --q 4", "f81555398c69ce4be3c7134b5ff06a4d9990454c1288ac5330b1f90d358f417b"),
+    ("flags --group so --lambda 1,1,3,3 --q 5", "c6c472633c4a19c6b13fe8972dd794dbfdfeb3947de8f007a9e56c1c8a4b56d9"),
+    ("flags --group so --lambda 1,2,2,2,2 --q 3", "bb69c4b7d6a4de03dd07534e016995a75a6d98cd2f0d1f213de32860ed215a53"),
+    # large fields, recorded while F_q inside F_{q^2} was found by testing
+    # every element and its coordinates tabulated (34 s and 233 s then)
+    ("split --group sl --lambda 1,2,3 --q 307", "614e589859431fc424380d423bbd71a1e327580e07ab062cb4345a87147e91b4"),
+    ("split --group sl --lambda 2 --q 997", "6adfbc22e4bc45711e38819cac6f239ea2ce605bf045dfc48509ab3650306781"),
 ]
 
 

@@ -202,3 +202,16 @@ def test_sl_split_determinism():
     a = sp.build_sl_split((1, 2, 3), 3)
     b = sp.build_sl_split((1, 2, 3), 3)
     assert a.form == b.form and a.unipotent == b.unipotent
+
+
+def test_subfield_coordinates_match_the_scan_of_F_q2():
+    # beta is the least element outside F_q, and (c0, c1) with
+    # c = c0 + c1 beta is the entry of the table built from every pair
+    # of F_q elements
+    for p, qexp in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)):
+        K2 = make_field(p, 2 * qexp)
+        sub = ofl.subfield_elements(K2, qexp)
+        beta, coords = sp._subfield_coords(K2, qexp)
+        assert beta == next(a for a in K2.elements() if a not in sub)
+        table = {K2.add(c0, K2.mul(c1, beta)): (c0, c1) for c0 in sub for c1 in sub}
+        assert {c: coords(c) for c in K2.elements()} == table, (p, qexp)

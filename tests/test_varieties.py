@@ -441,13 +441,33 @@ def test_cyclic_subspaces_and_quotient_types_match_plain_forms():
                 assert vr.quotient_type(K, x, w, pows) == ofl.quotient_type_by_rref(K, x, w, plain_pows), (K, x, w)
 
 
+def _assert_stacked_walk(K, x):
+    # every d: the list of the stacked-orbit walk, one echelon form per
+    # subspace; for d = 1 the unsorted line representatives increase
+    for d in range(1, len(x) + 1):
+        ws = vr.cyclic_subspaces(K, x, d)
+        assert ws == orc.cyclic_subspaces_by_stacks(K, x, d), (K, x, d)
+        if d == 1:
+            assert all(s < t for s, t in zip(ws, ws[1:]))
+
+
+def test_cyclic_subspaces_match_the_stacked_walk():
+    # every type of size n <= 5 over F_{q^2} for q = 2, 3, 4, 5, and of
+    # size 6 for q = 2, 3
+    for (p, k), n_max in (((2, 2), 6), ((3, 2), 6), ((2, 4), 5), ((5, 2), 5)):
+        K = make_field(p, k)
+        for n in range(1, n_max + 1):
+            for lam in pt.partitions_of(n):
+                _assert_stacked_walk(K, ofl.nilpotent_of_type(lam))
+
+
 @st.composite
-def conjugated_shifts(draw):
+def conjugated_shifts(draw, fields=((3, 1), (5, 1), (3, 2))):
     """g x g^-1 for a shift x of type lam, n <= 5, over a field of odd
     characteristic, g = L U with L unit lower and U invertible upper
     triangular: power images that are not coordinate subspaces, where
     quotient coordinates take field operations."""
-    K = make_field(*draw(st.sampled_from(((3, 1), (5, 1), (3, 2)))))
+    K = make_field(*draw(st.sampled_from(fields)))
     lam = draw(st.sampled_from([lam for n in range(2, 6) for lam in pt.partitions_of(n)]))
     n = sum(lam)
     entry, unit = st.integers(0, K.q - 1), st.integers(1, K.q - 1)
@@ -469,6 +489,13 @@ def test_quotient_types_off_coordinate_power_images(case):
         for w in vr.cyclic_subspaces(K, x, d)[:8]:
             for sub in {la.echelon_basis(K, w + k) for k in kernels}:
                 assert vr.quotient_type(K, x, sub, pows) == ofl.quotient_type_by_rref(K, x, sub, plain_pows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_shifts(fields=((3, 1),)))
+def test_cyclic_subspaces_of_conjugated_shifts_match_the_stacked_walk(case):
+    # kernel layers and x W that are not coordinate subspaces
+    _assert_stacked_walk(*case)
 
 
 def _kernel_filtration(K, x):
@@ -539,7 +566,7 @@ def test_span_vectors_match_product_form():
         ]
         for basis in bases:
             rows = len(basis)
-            for per_row in (K.subfield_elements(1), [1, 0], [g], []):
+            for per_row in (ofl.subfield_elements(K, 1), [1, 0], [g], []):
                 for coeffs in ([K.elements()] * rows, [per_row] * rows, [K.elements()] * max(rows - 1, 0) + [per_row]):
                     got = list(la.span_vectors(K, la.mat(basis), coeffs))
                     want = list(ofl.span_vectors_by_product(K, la.mat(basis), coeffs))
