@@ -88,7 +88,8 @@ def _pauli(R: CycRing):
 
 
 def anticommuting_matrices(signs: Sequence[int], R: CycRing) -> list:
-    """Matrices X_1..X_r, pairwise anticommuting, X_k^2 = signs[k] * I.
+    """Matrices X_1..X_r, pairwise anticommuting, X_k^2 = signs[k] * I, for
+    r >= 1 signs of +-1 (both callers build them so).
 
     Jordan-Wigner pairs on floor(r/2) qubits; an odd r gets its last
     matrix as the scaled product of the others (so a single generator is
@@ -96,10 +97,6 @@ def anticommuting_matrices(signs: Sequence[int], R: CycRing) -> list:
     even r and 2^((r-1)/2) for odd r.
     """
     r = len(signs)
-    if r == 0:
-        return []
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +-1")
     sx, sy, sz = _pauli(R)
     nq = r // 2 if r % 2 == 0 else (r - 1) // 2
 
@@ -147,7 +144,7 @@ class SpinGamma:
     the in-algebra construction.
     """
 
-    def __init__(self, la_parts: Partition, tau_signs: Optional[Sequence[int]] = None):
+    def __init__(self, la_parts: Partition, tau_signs: Sequence[int]):
         la_parts = check_partition(la_parts)
         if not is_in_XN(la_parts):
             raise ValueError(f"{la_parts} is not in X_N")
@@ -156,8 +153,6 @@ class SpinGamma:
         self.parts = tuple(la_parts[j - 1] for j in self.positions)
         self.r = len(self.parts)
         self.exponents = tuple((h * (h - 1) // 2) % 2 for h in self.parts)
-        if tau_signs is None:
-            tau_signs = (1,) * self.r
         if len(tau_signs) != self.r or any(s not in (1, -1) for s in tau_signs):
             raise ValueError("tau_signs must be a +-1 vector, one per odd part")
         self.tau_signs = tuple(tau_signs)
@@ -240,7 +235,7 @@ class CyclicGroup:
         return (self.tau_mult * a) % self.m
 
 
-def build_spin_gamma(la_parts: Partition, tau_signs: Optional[Sequence[int]] = None) -> SpinGamma:
+def build_spin_gamma(la_parts: Partition, tau_signs: Sequence[int]) -> SpinGamma:
     """The component-group model attached to a partition in X_N."""
     return SpinGamma(la_parts, tau_signs)
 
@@ -260,15 +255,13 @@ def sl_component_order(la_parts: Partition, n: int, p: int) -> int:
     return gcd(*(p_prime_part(i, p) for i in set(la_parts)), p_prime_part(n, p))
 
 
-def build_sl_component(la_parts: Partition, p: int, q: Optional[int] = None) -> CyclicGroup:
-    """Cyclic component group of a unipotent of type la in SL_n.
-
-    tau is a -> a^{-q} (the twisted Frobenius); without q it is trivial.
-    """
+def build_sl_component(la_parts: Partition, p: int, q: int) -> CyclicGroup:
+    """Cyclic component group of a unipotent of type la in SL_n, with tau
+    the twisted Frobenius a -> a^{-q}."""
     la_parts = check_partition(la_parts)
     n = sum(la_parts)
     m = sl_component_order(la_parts, n, p)
-    return CyclicGroup(m, tau_mult=1 if q is None else -q, n_prime=p_prime_part(n, p))
+    return CyclicGroup(m, tau_mult=-q, n_prime=p_prime_part(n, p))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ row they add only, so a sparse row costs its support, not its length.
 
 One reduction, `reduce`, takes a vector's components along echelon rows
 away; span membership, basis extension and the quotient action all go
-through it.  One pivot step, `pivot`, serves `rref` and the extension of
-an echelon basis by a vector reduced against it.  One rank routine,
-`subquotient_type`, gives the Jordan type of a nilpotent map on any
-subquotient of stable spans (V itself, V/W, W'/W or E-perp/E) from the
-ranks of its powers there.  The line
-representatives of a reduced echelon basis come in lexicographic order.
+through it.  One pivot step, `pivot`, serves `rref`, `det` and the
+extension of an echelon basis by a vector reduced against it.  One rank
+routine, `subquotient_type`, gives the Jordan type of a nilpotent map on
+any subquotient of stable spans (V itself, V/W, W'/W or E-perp/E) from
+the ranks of its powers there.  The line representatives of a reduced
+echelon basis come in lexicographic order.
 """
 
 from __future__ import annotations
@@ -246,26 +246,22 @@ def solve(K: FieldSpec, a: Matrix, b: Vector) -> Optional[Vector]:
 
 
 def det(K: FieldSpec, a: Matrix) -> int:
+    """Determinant by elimination: a row swap negates it, and each pivot
+    step multiplies it by the pivot entry before `pivot` scales that row
+    to 1 and clears its column from the rows still to be pivoted; the
+    pivot row is then set aside."""
     rows = [list(r) for r in a]
-    n = len(rows)
     d = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
+    for c in range(len(a)):
+        pr = next((i for i, row in enumerate(rows) if row[c]), None)
         if pr is None:
             return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
+        if pr:
+            rows[0], rows[pr] = rows[pr], rows[0]
             d = K.neg(d)
-        d = K.mul(d, rows[c][c])
-        inv = K.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = K.mul(inv, rows[i][c])
-                rows[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[i], rows[c])]
+        d = K.mul(d, rows[0][c])
+        pivot(K, rows, 0, c)
+        rows.pop(0)
     return d
 
 

@@ -78,11 +78,10 @@ class CrosscheckReport:
         return self.lhs_strata == self.rhs_multiplicity
 
 
-def restriction_crosscheck_sl(
-    la: Partition, laps: Iterable[Partition], d: int, q_p: int, q_k: int = 1
-) -> list[CrosscheckReport]:
+def restriction_crosscheck_sl(la: Partition, laps: Iterable[Partition], d: int, q: int) -> list[CrosscheckReport]:
     """Principal stratum count of the flag variety versus the branching
-    number, one report per lambda' in laps, in the order given.
+    number, one report per lambda' in laps, in the order given, for a
+    prime q.
 
     The isotypic piece lives on the top-dimensional components, which are
     the strata labeled by single-row drops of the ambient type; strata
@@ -93,7 +92,6 @@ def restriction_crosscheck_sl(
     lambda'.
     """
     la = check_partition(la)
-    q = q_p**q_k
     report = None
     out = []
     for lap in map(check_partition, laps):
@@ -104,6 +102,6 @@ def restriction_crosscheck_sl(
             continue
         rhs = branch_two_step(divide(la, d), divide(lap, d) if lap else ()).multiplicity
         if report is None:
-            report = sl_stratum_analysis(build_sl_split(la, q_p, q_k), d)
+            report = sl_stratum_analysis(build_sl_split(la, q), d)
         out.append(CrosscheckReport(la, lap, d, q, lhs_strata=len(report.principal_types(lap)), rhs_multiplicity=rhs))
     return out

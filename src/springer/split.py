@@ -4,12 +4,13 @@ One Jordan basis e^j_a (chain j, position a) serves both sides and the
 centralizer units in `varieties`: `jordan_chains` places the chains and
 `jordan_shift` is the nilpotent e^j_a -> e^j_{a-1} of both builders.
 
-Orthogonal side: the block forms assembled per partition, at the
-Lie-algebra level (no exponential is taken, so small characteristic
-needs no special cases).  The Frobenius signs on the odd-block
-generators of the component group are the closed form
-tables.spin_tau_signs; the orthonormal-basis derivation they come from
-is the reference in tests/oracles_clifford.py.
+Orthogonal side: the symmetric form is filled straight over
+`jordan_chains`, each odd chain pairing with itself and each pair of
+equal even chains with each other, at the Lie-algebra level (no
+exponential is taken, so small characteristic needs no special cases).
+The Frobenius signs on the odd-block generators of the component group
+are the closed form tables.spin_tau_signs; the orthonormal-basis
+derivation they come from is the reference in tests/oracles_clifford.py.
 
 Special linear side: a Jordan-basis unipotent made rational for the
 twisted (unitary-type) Frobenius by a Hermitian sesquilinear form.  The
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
 
 from . import flinalg as la
 from .ffield import FieldSpec, make_field
@@ -55,62 +55,29 @@ def jordan_shift(la_parts: Partition) -> la.Matrix:
 
 
 # ---------------------------------------------------------------------------
-# orthogonal side: block layout and forms
-
-
-@dataclass(frozen=True)
-class SOBlock:
-    """One constituent of the split orthogonal space for a partition."""
-
-    kind: str  # "odd" or "even_pair"
-    positions: tuple[int, ...]  # 1-based part indices in the partition
-    size: int  # dimension of the block (h or 2h)
-    start: int  # first global 0-based coordinate
-    delta: Optional[int]  # the exponent index for odd blocks
-
-
-def so_blocks(la_parts: Partition) -> list[SOBlock]:
-    """The coordinate layout: each odd part is a block of its own, each
-    pair of equal even parts one block holding both chains."""
-    la_parts = check_partition(la_parts)
-    blocks = []
-    start = 0
-    j = 1
-    k = len(la_parts)
-    while j <= k:
-        h = la_parts[j - 1]
-        if h % 2 == 1:
-            blocks.append(SOBlock("odd", (j,), h, start, delta_index(la_parts, j)))
-            start += h
-            j += 1
-        else:
-            if j + 1 > k or la_parts[j] != h:
-                raise ValueError(f"even part {h} at index {j} has no partner")
-            blocks.append(SOBlock("even_pair", (j, j + 1), 2 * h, start, None))
-            start += 2 * h
-            j += 2
-    return blocks
+# orthogonal side: the form
 
 
 def split_so_form(la_parts: Partition, K: FieldSpec) -> la.Matrix:
-    """The assembled symmetric form of the split orthogonal data."""
-    blocks = so_blocks(la_parts)
+    """The assembled symmetric form of the split orthogonal data, over the
+    chains of jordan_chains.  On the chain of an odd part h at position j,
+    (e^j_{h+1-a}, e^j_a) = (-1)^(delta_j - a); an even part h at position j
+    pairs with the equal part after it, (e^j_{h+1-a}, e^{j+1}_a) =
+    (-1)^(a-1) both ways.  la_parts must lie in X~_N."""
     N = sum(la_parts)
     rows = [[0] * N for _ in range(N)]
-    for b in blocks:
-        if b.kind == "odd":
-            h = b.size
+    chains = enumerate(jordan_chains(la_parts), 1)
+    for j, chain in chains:
+        h = len(chain)
+        if h % 2:
+            delta = delta_index(la_parts, j)
             for a in range(1, h + 1):
-                val = K.scalar((-1) ** ((b.delta - a) % 2))
-                rows[b.start + (h - a)][b.start + (a - 1)] = val
+                rows[chain[h - a]][chain[a - 1]] = K.scalar((-1) ** ((delta - a) % 2))
         else:
-            h = b.size // 2
+            _, partner = next(chains)
             for a in range(1, h + 1):
-                val = K.scalar((-1) ** ((a - 1) % 2))
-                r = b.start + (h - a)  # e^j_{h-a+1}
-                cidx = b.start + h + (a - 1)  # e^{j+1}_a
-                rows[r][cidx] = val
-                rows[cidx][r] = val
+                r, c = chain[h - a], partner[a - 1]
+                rows[r][c] = rows[c][r] = K.scalar((-1) ** ((a - 1) % 2))
     return la.mat(rows)
 
 

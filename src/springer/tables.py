@@ -33,6 +33,7 @@ from .partitions import (
     check_partition,
     class_dimension,
     defect,
+    delta_index,
     group_dimension,
     is_in_XN,
     odd_part_positions,
@@ -227,8 +228,8 @@ def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasi
 
 def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
     """F-signs on the odd-block generators x_j = v^j_1 ... v^j_h, in
-    position order: all +1 when q = 1 mod 4, else (-1)^{(h-1)/2 + 1 + j}
-    for the odd part h at position j.
+    position order: all +1 when q = 1 mod 4, else (-1)^{delta_j + 1} for
+    the odd part at position j, delta_j = partitions.delta_index.
 
     The package's only source for these signs.  tests/oracles_clifford.py
     derives them from an orthonormal basis of each odd block over F_{q^2}
@@ -239,7 +240,7 @@ def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
         raise ValueError(f"{la} is not in X_N")
     if q % 4 == 1:
         return tuple(1 for _ in odd_part_positions(la))
-    return tuple((-1) ** (((la[j - 1] - 1) // 2 + 1 + j) % 2) for j in odd_part_positions(la))
+    return tuple((-1) ** ((delta_index(la, j) + 1) % 2) for j in odd_part_positions(la))
 
 
 def y0_row_spin(

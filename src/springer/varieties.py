@@ -20,10 +20,11 @@ above the budget raises rather than crawling, and the walk is checked
 to yield exactly that many subspaces.
 
 The Jordan type of x on V/W is attached to every flag; its ranks come
-from W's rows in the quotient coordinates of V/im x^k, read off the
-power images of x, which are computed once per x.  For the split shift
-the images are coordinate subspaces and those coordinates a projection.
-Its level sets are the strata that mirror the centralizer orbits.
+from W's rows in the quotient coordinates of V/im x^k.  The images of
+the split shift are coordinate subspaces, read off its Jordan chains
+once per partition with no elimination, so those coordinates are a
+projection.  The level sets of that type are the strata that mirror the
+centralizer orbits.
 Stratum counting is also available without materializing the W' side:
 the fibre over W is nonempty exactly when the target type is a
 horizontal d-strip drop of the type of V/W (the horizontal-strip rule,
@@ -145,23 +146,18 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: li
     """Jordan type of x on V / span(w_basis), from rank arithmetic.
 
     The rank of x^k on V/W is dim(im x^k + W) - dim W: dim im x^k plus
-    the rank of W's rows in V/im x^k.  A row's coordinates there sit at
-    the non-pivot columns of im x^k: its entries at those columns, less
-    its pivot entries times the echelon rows' off-pivot entries.  When
-    the image is a coordinate subspace that is a projection, with no
-    field operation.  Ranks of 0 or 1 are counted without elimination,
+    the rank of W's rows in V/im x^k.  The images are coordinate
+    subspaces, read off the Jordan chains by power_images with no
+    elimination, so a row's coordinates there are its entries at the
+    coordinates outside im x^k: a projection, with no field operation.  Ranks of 0 or 1 are counted without elimination,
     and the ranks stop at the first zero.
     """
     d = len(w_basis)
     ranks = [len(x) - d]
-    for dim, free, off_pivot in pow_images:
+    for dim, free in pow_images:
         rows = []
         for v in w_basis:
             u = [v[c] for c in free]
-            for c, entries in off_pivot:
-                if f := v[c]:
-                    for t, e in entries:
-                        u[t] = K.sub(u[t], K.mul(f, e))
             if any(u):
                 rows.append(u)
         rank = min(len(rows), 1) if len(rows) < 2 or len(free) < 2 else len(la.rref(K, rows)[0])
@@ -171,22 +167,17 @@ def quotient_type(K: FieldSpec, x: la.Matrix, w_basis: la.Matrix, pow_images: li
     return la.partition_from_ranks(tuple(ranks) + (0,))
 
 
-def power_images(K: FieldSpec, x: la.Matrix) -> list:
-    """For each nonzero im(x^k), k >= 1: its dimension, its non-pivot
-    columns, and the pivot of each echelon row that has nonzero entries
-    at those columns, with those entries as (index into the non-pivot
-    columns, entry) pairs."""
+def power_images(la_parts: Partition) -> list:
+    """For each nonzero im(x^k), k >= 1, of x = jordan_shift(la_parts): its
+    dimension and the coordinates outside it, in increasing order.  x^k
+    sends e^j_a to e^j_{a-k}, so im x^k is spanned by the bottom h - k
+    vectors of each chain of length h, and the top k of each chain (all
+    of a shorter one) lie outside."""
+    chains = jordan_chains(la_parts)
     out = []
-    cur = x
-    for _ in range(len(x)):
-        img, pivots = la.rref(K, la.transpose(cur))
-        if not img:
-            break
-        free = tuple(c for c in range(len(x)) if c not in pivots)
-        rows = ((c, tuple((t, row[j]) for t, j in enumerate(free) if row[j])) for row, c in zip(img, pivots))
-        off_pivot = tuple((c, entries) for c, entries in rows if entries)
-        out.append((len(img), free, off_pivot))
-        cur = la.mat_mul(K, cur, x)
+    for k in range(1, max(la_parts, default=0)):
+        free = tuple(c for chain in chains for c in chain[-k:])
+        out.append((sum(la_parts) - len(free), free))
     return out
 
 
@@ -266,7 +257,7 @@ def enumerate_flags_sl(
     laps = {tuple(lap) for lap in laps if sum(lap) == n - 2 * d}
     if not laps:
         return []
-    pows = power_images(K, x)
+    pows = power_images(data.la)
     kept, dual_count = [], 0
     for w in cyclic_subspaces(K, x, d, bound):
         nu = quotient_type(K, x, w, pows)
@@ -347,7 +338,7 @@ def sl_stratum_analysis(data: SplitSLData, d: int, bound: int = DEFAULT_BUDGET) 
     """
     K = data.field
     x = data.nilpotent
-    pows = power_images(K, x)
+    pows = power_images(data.la)
     counts = Counter(quotient_type(K, x, w, pows) for w in cyclic_subspaces(K, x, d, bound))
     return StratumReport(
         la=data.la,

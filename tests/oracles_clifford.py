@@ -30,13 +30,73 @@ from oracles_flags import gram, subfield_elements
 
 from springer import flinalg as la
 from springer.ffield import FieldSpec, make_field
-from springer.partitions import Partition, check_partition, is_in_XN
-from springer.split import SOBlock, SplitSOData, so_blocks, split_so_form
+from springer.partitions import Partition, check_partition, delta_index, is_in_XN
+from springer.split import SplitSOData, split_so_form
 
 Word = tuple[int, ...]  # strictly increasing 0-based basis indices
 
 # algebra dimension 2^N; exhaustive operations stay below this
 MAX_N = 13
+
+
+# ---------------------------------------------------------------------------
+# the block layout of the split orthogonal space
+
+
+@dataclass(frozen=True)
+class SOBlock:
+    """One constituent of the split orthogonal space for a partition."""
+
+    kind: str  # "odd" or "even_pair"
+    positions: tuple[int, ...]  # 1-based part indices in the partition
+    size: int  # dimension of the block (h or 2h)
+    start: int  # first global 0-based coordinate
+    delta: Optional[int]  # the exponent index for odd blocks
+
+
+def so_blocks(la_parts: Partition) -> list[SOBlock]:
+    """The coordinate layout: each odd part is a block of its own, each
+    pair of equal even parts one block holding both chains."""
+    la_parts = check_partition(la_parts)
+    blocks = []
+    start = 0
+    j = 1
+    k = len(la_parts)
+    while j <= k:
+        h = la_parts[j - 1]
+        if h % 2 == 1:
+            blocks.append(SOBlock("odd", (j,), h, start, delta_index(la_parts, j)))
+            start += h
+            j += 1
+        else:
+            if j + 1 > k or la_parts[j] != h:
+                raise ValueError(f"even part {h} at index {j} has no partner")
+            blocks.append(SOBlock("even_pair", (j, j + 1), 2 * h, start, None))
+            start += 2 * h
+            j += 2
+    return blocks
+
+
+def split_so_form_by_blocks(la_parts: Partition, K: FieldSpec) -> la.Matrix:
+    """The split symmetric form assembled block by block over so_blocks:
+    (e_{h+1-a}, e_a) = (-1)^(delta - a) on an odd block, and
+    (e^j_{h+1-a}, e^{j+1}_a) = (-1)^(a-1) both ways on an even pair."""
+    N = sum(la_parts)
+    rows = [[0] * N for _ in range(N)]
+    for b in so_blocks(la_parts):
+        if b.kind == "odd":
+            h = b.size
+            for a in range(1, h + 1):
+                rows[b.start + (h - a)][b.start + (a - 1)] = K.scalar((-1) ** ((b.delta - a) % 2))
+        else:
+            h = b.size // 2
+            for a in range(1, h + 1):
+                val = K.scalar((-1) ** ((a - 1) % 2))
+                r = b.start + (h - a)  # e^j_{h-a+1}
+                cidx = b.start + h + (a - 1)  # e^{j+1}_a
+                rows[r][cidx] = val
+                rows[cidx][r] = val
+    return la.mat(rows)
 
 
 def least_nonsquare_in_subfield(K: FieldSpec, d: int) -> int:

@@ -317,7 +317,7 @@ def _rational_flag_same_stratum(data: SplitSLData, d: int, lap: Partition, targe
     """Least flag with q-rational subspaces in the given stratum, if any."""
     K = data.field
     x = data.nilpotent
-    pows = vr.power_images(K, x)
+    pows = vr.power_images(data.la)
     sub = subfield_elements(K, data.qexp)
     kd = kernel_of_power(K, x, d)
     best = None
@@ -357,7 +357,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
     x = data.nilpotent
     n = len(x)
     chains = jordan_chains(data.la)
-    pows = vr.power_images(K, x)
+    pows = vr.power_images(data.la)
 
     def unit_vec(k, j):
         t = chains[k - 1][j - 1]
@@ -537,6 +537,28 @@ def rref_plain(K, a: la.Matrix) -> tuple[la.Matrix, tuple[int, ...]]:
                 rows[i] = [K.sub(y, K.mul(f, z)) for y, z in zip(rows[i], rows[r])]
         pivots.append(c)
     return la.mat(rows[: len(pivots)]), tuple(pivots)
+
+
+def det_by_cofactors(K, a: la.Matrix) -> int:
+    """The determinant by Laplace expansion along the first remaining row,
+    with no elimination: det of rows i.. on the columns cols is the sum
+    over c in cols of (-1)^(index of c in cols) a[i][c] times det of rows
+    i + 1.. on cols without c.  Minors are memoised on their column sets,
+    so an n x n matrix costs n 2^n terms, not n!."""
+    memo = {(): 1}
+
+    def minor(cols: tuple[int, ...]) -> int:
+        if cols not in memo:
+            i = len(a) - len(cols)
+            total = 0
+            for t, c in enumerate(cols):
+                if f := a[i][c]:
+                    term = K.mul(f, minor(cols[:t] + cols[t + 1 :]))
+                    total = K.add(total, K.neg(term) if t % 2 else term)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(len(a))))
 
 
 def rank(K, a: la.Matrix) -> int:

@@ -13,12 +13,17 @@ from springer import tables as tb
 from springer.cyclotomic import CycRing
 
 
+def _untwisted(lam):
+    """The spin component-group model of lam with tau the identity."""
+    return cg.build_spin_gamma(lam, (1,) * len(pt.odd_part_positions(lam)))
+
+
 def test_spin_gamma_orders_examples():
-    g = cg.build_spin_gamma((5,))
+    g = _untwisted((5,))
     assert g.order == 2 and set(g.elements) == {(0, 0), (1, 0)}
-    g = cg.build_spin_gamma((1, 3))
+    g = _untwisted((1, 3))
     assert g.order == 4
-    g = cg.build_spin_gamma((1, 3, 5))
+    g = _untwisted((1, 3, 5))
     assert g.order == 8 and not og.is_abelian(g)
 
 
@@ -26,7 +31,7 @@ def test_spin_gamma_generators_generate_the_group():
     # epsilon and the r - 1 products x_i x_(i+1) close up to all of A,
     # which the group-law and intertwiner checks rely on
     for lam in ((5,), (1, 3), (1, 3, 5), (2, 2), (1, 2, 2), (1, 3, 5, 7), (1, 3, 5, 7, 9, 11)):
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         gens = g.generators()
         assert len(gens) == max(g.r, 1), lam
         group, frontier = {g.identity()}, [g.identity()]
@@ -41,7 +46,7 @@ def test_spin_gamma_generators_generate_the_group():
 
 def test_spin_gamma_group_axioms():
     for lam in ((5,), (1, 3), (1, 3, 5), (2, 2), (1, 2, 2)):
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         e = g.identity()
         for a in g.elements:
             assert g.mul(a, e) == a and g.mul(e, a) == a
@@ -57,7 +62,7 @@ def test_spin_gamma_matches_clifford_construction():
     """The abstract sign rule reproduces exact in-algebra multiplication."""
     for lam, q in (((1, 3), 3), ((1, 3, 5), 5), ((3, 5), 3), ((1, 2, 2), 3)):
         gens = cl.gamma_generators(lam, q)
-        G = cg.build_spin_gamma(lam)
+        G = _untwisted(lam)
         sp = gens.space
         eps = cl.CliffordElement.epsilon(sp)
         xs = [g.element for g in gens.generators]
@@ -79,7 +84,7 @@ def test_spin_gamma_matches_clifford_construction():
 
 def test_spin_gamma_quotient_elementary_abelian():
     for lam in ((1, 3), (1, 3, 5), (3, 5)):
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         eps = g.epsilon()
         # squares and commutators land in {1, eps}
         assert og.commutator_subgroup(g) <= {g.identity(), eps}
@@ -111,7 +116,7 @@ def test_prop_2_5_dimension_table():
         0: (2, 2),
     }
     for r, lam in sorted(cases.items()):
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         assert g.r == r
         neg = cg.spin_irreducibles(g)
         if r == 0:
@@ -147,7 +152,7 @@ def test_monomial_words_match_dense_products():
     R = CycRing(4)
     seen = set()
     for lam in MONOMIAL_TYPES:
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         seen.add((g.r, g.exponents[-1]))
         for k, rep in enumerate(cg._spin_negative_representations(g, R)):
             for a, mask in g.elements:
@@ -178,7 +183,7 @@ def test_monomial_conversion_rejects_non_monomial_matrices():
 
 def test_full_character_table_is_complete_and_orthonormal():
     for lam in ((5,), (1, 5), (1, 3, 5), (1, 3, 5, 7), (2, 2), (1, 3, 5, 7, 9), (1, 3, 5, 7, 9, 11)):
-        g = cg.build_spin_gamma(lam)
+        g = _untwisted(lam)
         rep = og.spin_character_table_report(g)
         assert rep.orthonormal
         assert rep.sum_dim_sq == rep.order
@@ -186,7 +191,7 @@ def test_full_character_table_is_complete_and_orthonormal():
 
 
 def test_identity_value_is_dim_and_eps_value():
-    g = cg.build_spin_gamma((1, 3, 5))
+    g = _untwisted((1, 3, 5))
     chi = cg.spin_irreducibles(g)[0]
     assert chi.values[g.identity()].as_int() == chi.dim
     assert chi.values[g.epsilon()].as_int() == -chi.dim
@@ -194,13 +199,13 @@ def test_identity_value_is_dim_and_eps_value():
 
 def test_sl_component_orders():
     # (n), p not dividing n -> order n
-    g = cg.build_sl_component((5,), 3)
+    g = cg.build_sl_component((5,), 3, q=3)
     assert g.m == 5
     # (2,4), n = 6, p = 5 -> gcd(2,4,6) = 2
-    g = cg.build_sl_component((2, 4), 5)
+    g = cg.build_sl_component((2, 4), 5, q=5)
     assert g.m == 2
     # any partition with a part 1 -> trivial
-    g = cg.build_sl_component((1, 4), 3)
+    g = cg.build_sl_component((1, 4), 3, q=3)
     assert g.m == 1
 
 
@@ -210,7 +215,7 @@ def test_sl_component_order_equals_gcd_of_parts_and_nprime():
     for p in (2, 3, 5, 7):
         for n in range(1, 11):
             for lam in pt.partitions_of(n):
-                g = cg.build_sl_component(lam, p)
+                g = cg.build_sl_component(lam, p, q=p)
                 acc = cg.p_prime_part(n, p)
                 for part in lam:
                     acc = gcd(acc, part)
@@ -225,7 +230,7 @@ def test_421_count_matches_exhaustive_character_search():
         for n in range(1, 11):
             nprime = cg.p_prime_part(n, p)
             for lam in pt.partitions_of(n):
-                G = cg.build_sl_component(lam, p)
+                G = cg.build_sl_component(lam, p, q=p)
                 for d in range(1, nprime + 1):
                     if nprime % d != 0:
                         continue
@@ -248,7 +253,7 @@ def test_twisted_classes_trivial_tau():
     table = cg.twisted_classes(g)
     assert len(table) == 2
     assert sum(og.class_sizes(table)) == g.order
-    ga = cg.build_spin_gamma((1, 3))
+    ga = _untwisted((1, 3))
     table = cg.twisted_classes(ga)
     assert len(table) == 4  # abelian, trivial tau: singletons
 
@@ -322,8 +327,8 @@ def test_char_orthogonality_cyclic():
 
 def test_dispatch():
     # each group kind has its own character routine
-    assert len(cg.spin_irreducibles(cg.build_spin_gamma((1, 3)))) == 2
-    assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5), 2)) == 1
+    assert len(cg.spin_irreducibles(_untwisted((1, 3)))) == 2
+    assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5, q=5), 2)) == 1
     assert len(og.elem_abelian_characters(og.ElemAbelian2(2))) == 4
 
 

@@ -1,11 +1,12 @@
 """Sparse row operations and ordered line representatives against the
 plain forms: every entry touched, every line listed."""
 
+import random
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles_flags import rref_plain
+from oracles_flags import det_by_cofactors, rref_plain
 
 from springer import flinalg as la
 from springer.ffield import make_field
@@ -91,3 +92,19 @@ def test_span_vectors_match_the_product_of_coefficient_sets():
             for coeffs in product(sets, repeat=r):
                 got = list(la.span_vectors(K, rows[:r], coeffs))
                 assert got == list(_span_by_product(K, rows[:r], coeffs)), (K, r, coeffs)
+
+
+def test_det_matches_cofactor_expansion():
+    # elimination through `pivot` against Laplace expansion, on random
+    # square matrices n <= 7 (n = 0 included) over five fields; over F_2
+    # and F_3 many are singular, and every fifth matrix has a repeated row
+    rng = random.Random(20)
+    for p, k in ((2, 1), (3, 1), (3, 2), (5, 1), (2, 3)):
+        K = make_field(p, k)
+        for t in range(400):
+            n = t % 8
+            rows = [[rng.randrange(K.q) for _ in range(n)] for _ in range(n)]
+            if t % 5 == 0 and n > 1:
+                rows[-1] = list(rows[0])
+            a = la.mat(rows)
+            assert la.det(K, a) == det_by_cofactors(K, a), (K.q, a)

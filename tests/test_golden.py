@@ -157,6 +157,12 @@ GOLDEN = [
     # every element and its coordinates tabulated (34 s and 233 s then)
     ("split --group sl --lambda 1,2,3 --q 307", "614e589859431fc424380d423bbd71a1e327580e07ab062cb4345a87147e91b4"),
     ("split --group sl --lambda 2 --q 997", "6adfbc22e4bc45711e38819cac6f239ea2ce605bf045dfc48509ab3650306781"),
+    # SO forms with repeated and mixed even pairs, recorded while the form
+    # was assembled over a block layout of its own rather than the chains
+    ("split --group so --lambda 2,2,2,2 --q 5", "185082a78c59238e43b89e54b50bf540be192c61b91dbbe53271bde3162ee9a5"),
+    ("split --group so --lambda 1,2,2,4,4 --q 3", "e924290fadcf3e3ad7301a14c396147e04f88574602ebe14226a82ac96148c85"),
+    ("split --group so --lambda 4,4,5 --q 9", "4eda6124f10abbae8c9d7e798b40678b2802e9f425cc9a10b805cf18ce5d498e"),
+    ("flags --group so --lambda 2,2,4,4 --q 3", "f85904a9e46a6eff8e21301de2b03c37039083fdf9f257ce76f3077b5884ddc0"),
 ]
 
 

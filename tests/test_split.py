@@ -167,11 +167,24 @@ def test_split_form_odd_blocks_match_the_oracle_block_form():
         for N in range(1, 14):
             for lam in pt.enumerate_XN(N, tilde=True):
                 form = sp.split_so_form(lam, K)
-                for b in sp.so_blocks(lam):
+                for b in cl.so_blocks(lam):
                     if b.kind == "odd":
                         s, h = b.start, b.size
                         block = la.mat(row[s : s + h] for row in form[s : s + h])
                         assert block == cl.block_form(h, b.delta, K), (K.q, lam, b)
+
+
+def test_split_so_form_matches_the_block_layout():
+    # the form filled over jordan_chains against the one assembled block
+    # by block over so_blocks: every lambda in X~_N, N <= 14, at five q
+    cases = 0
+    for p, k in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
+        K = make_field(p, k)
+        for N in range(1, 15):
+            for lam in pt.enumerate_XN(N, tilde=True):
+                assert sp.split_so_form(lam, K) == cl.split_so_form_by_blocks(lam, K), (K.q, lam)
+                cases += 1
+    assert cases == 945
 
 
 def test_spin_tau_signs_refuses_partitions_outside_XN(capsys):
