@@ -209,16 +209,16 @@ class SpinGamma:
 
 class CyclicGroup:
     """Z / m with the power automorphism a -> t a (t coprime to m), as a
-    quotient of the center Z / n_prime (n_prime defaults to m)."""
+    quotient of the center Z / n_prime."""
 
-    def __init__(self, m: int, tau_mult: int = 1, n_prime: Optional[int] = None):
+    def __init__(self, m: int, tau_mult: int, n_prime: int):
         if m < 1:
             raise ValueError("order must be positive")
         self.m = m
         self.tau_mult = tau_mult % m if m > 1 else 0
         if m > 1 and gcd(self.tau_mult, m) != 1:
             raise ValueError("tau multiplier must be invertible mod m")
-        self.n_prime = m if n_prime is None else n_prime
+        self.n_prime = n_prime
         self.elements = list(range(m))
 
     @property

@@ -6,7 +6,10 @@ shapes; it is 1 when the removed boxes share a row (case I) or a column
 (case II) and 2 when they share neither (case III).  The crosscheck
 compares that number against the count of Jordan-type strata in the
 corresponding flag enumeration over a small field; one stratum tally per
-(lambda, d) answers every lambda' of the right size.
+(lambda, d) answers every lambda' of the right size.  At d = 1 that
+tally types one line of ker x per centralizer orbit and sizes the orbit
+in closed form, so the check covers every line without listing them;
+at d = 2 every cyclic plane is walked and typed.
 """
 
 from __future__ import annotations

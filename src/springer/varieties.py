@@ -10,8 +10,9 @@ Subspaces are canonical reduced echelon bases.  The d-dimensional
 x-stable subspaces with regular restriction are exactly the x-cyclic
 spans <x^{d-1} v, ..., v>, so the generator v is what gets enumerated,
 stratified along the kernel filtration and quotiented by the exact
-redundancy (scalars and shifts by x W): every d yields each subspace
-once, nothing scans the full Grassmannian and nothing is deduplicated.
+redundancy (scalars and shifts by x W): the walk yields each subspace
+once for every d, nothing scans the full Grassmannian and nothing is
+deduplicated.
 Generators that differ by an element of ker x share x W, so x W is put
 in echelon form once per such block, and each W of the block is one
 pivot step on top of it.
@@ -29,7 +30,12 @@ Stratum counting is also available without materializing the W' side:
 the fibre over W is nonempty exactly when the target type is a
 horizontal d-strip drop of the type of V/W (the horizontal-strip rule,
 itself verified against brute force in the test suite).  That tally is
-taken once per (lambda, d) and serves every target type lambda'.
+taken once per (lambda, d) and serves every target type lambda'.  For
+d = 1 it walks no subspace: W is a line of ker x, its type is constant
+on each orbit of the centralizer units (the Hall number
+g^lambda_{nu,(1)}(Q) counts the lines of type nu; Macdonald, ch. II
+section 4), so each orbit is typed once, at a chain bottom, and sized in
+closed form.  For d >= 2 every W is walked.
 
 The centralizer of x acts on each flag list.  Its orbits are closures
 under a small generating set of the unit group, read off the Jordan
@@ -329,17 +335,36 @@ class StratumReport:
         return tuple(nu for nu, _ in self.strata if lap in self.drops[nu] and nu in allowed)
 
 
-def sl_stratum_analysis(data: SplitSLData, d: int, bound: int = DEFAULT_BUDGET) -> StratumReport:
+def sl_stratum_analysis(data: SplitSLData, d: int) -> StratumReport:
     """Level sets of the V/W Jordan type over the W side of the variety.
 
     Counts, per type nu, the cyclic subspaces W with V/W of type nu;
     the report answers every W'/W type through the horizontal-strip
     rule, computed once per distinct nu.
+
+    For d = 1, W is a line <c> of ker x, which the chain bottoms span,
+    and its type depends only on the shortest chain m in c's support:
+    the lines with a given m form one orbit of the centralizer units,
+    (Q^r_m - Q^r_(m+1)) / (Q - 1) of them with r_m = #{parts >= m}, so
+    each orbit is typed once, at the bottom of a chain of length m, and
+    the orbit sizes must add up to the number of lines.  For d >= 2
+    every W is walked.
     """
     K = data.field
     x = data.nilpotent
     pows = power_images(data.la)
-    counts = Counter(quotient_type(K, x, w, pows) for w in cyclic_subspaces(K, x, d, bound))
+    if d == 1:
+        Q = K.q
+        counts = Counter()
+        for m, bottom in {len(chain): chain[0] for chain in jordan_chains(data.la)}.items():
+            r_m, r_above = (sum(h >= k for h in data.la) for k in (m, m + 1))
+            c = tuple(int(t == bottom) for t in range(len(x)))
+            counts[quotient_type(K, x, (c,), pows)] += (Q**r_m - Q**r_above) // (Q - 1)
+        lines = _subspace_count(Q, len(data.la), 0, 1)
+        if sum(counts.values()) != lines:
+            raise AssertionError(f"{sum(counts.values())} lines in the orbits where {lines} exist")
+    else:
+        counts = Counter(quotient_type(K, x, w, pows) for w in cyclic_subspaces(K, x, d))
     return StratumReport(
         la=data.la,
         d=d,

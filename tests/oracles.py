@@ -16,6 +16,10 @@ only prime fields appear.
 The Hall numbers are the closed form (Macdonald, ch. II §4) that the
 enumerated stratum tallies of the flag varieties are checked against.
 
+The line walk is the former d = 1 stratum tally, every line of ker x
+listed and typed; it is the reference for the tally by centralizer
+orbit.
+
 The stacked-orbit walk is the former enumeration of cyclic subspaces,
 one echelon form per subspace; it is the reference for the walk that
 clears x W once per generator block.
@@ -1028,6 +1032,19 @@ def hall_number_row(lam: tuple[int, ...], nu: tuple[int, ...], d: int, Q: int) -
     for i in columns:
         g *= 1 - Fraction(1, Q ** mult[i])
     return g
+
+
+# ---------------------------------------------------------------------------
+# line strata by walk
+
+
+def line_strata_by_walk(data) -> Counter:
+    """The lines W of ker x for the split datum, tallied by the type of x
+    on V/W, as `varieties.sl_stratum_analysis` counted them before it
+    typed one line per centralizer orbit: every line is listed and typed."""
+    K, x = data.field, data.nilpotent
+    pows = vr.power_images(data.la)
+    return Counter(vr.quotient_type(K, x, w, pows) for w in vr.cyclic_subspaces(K, x, 1))
 
 
 # ---------------------------------------------------------------------------

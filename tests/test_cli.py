@@ -162,6 +162,14 @@ def test_verify_spin_series(capsys):
     assert len(doc["results"]) == 18
 
 
+def test_verify_restriction_to_n_max_7(capsys):
+    # (1^7) alone has 597,871 lines over F_9; at d = 1 the suite types one
+    # line per centralizer orbit, so n = 7 runs as fast as n = 6
+    code, out, err = run_cli(["verify", "--suite", "restriction", "--n-max", "7"], capsys)
+    assert code == 0 and err == ""
+    assert out == '{"ok": true, "results": [{"checked": "all", "n_max": 7}], "suite": "restriction"}\n'
+
+
 def test_determinism(capsys):
     a = run_cli(["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "2", "--format", "json"], capsys)
     b = run_cli(["tables", "--group", "sl", "--n", "4", "--q", "3", "--xi-order", "2", "--format", "json"], capsys)

@@ -261,7 +261,7 @@ def test_twisted_classes_trivial_tau():
 def test_twisted_classes_nontrivial_tau():
     # cyclic of order 5 with tau = mult by 2: classes = Z/5 / im(tau - 1),
     # im(tau - 1) = Z/5, so a single class
-    g = cg.CyclicGroup(5, tau_mult=2)
+    g = cg.CyclicGroup(5, tau_mult=2, n_prime=5)
     t = cg.twisted_classes(g)
     assert len(t) == 1 and og.class_sizes(t) == (5,)
     # spin gamma with a sign flip
@@ -279,7 +279,7 @@ def test_extend_character_trivial_cases():
 
 
 def test_extend_character_rejects_unstable():
-    g = cg.CyclicGroup(5, tau_mult=2)
+    g = cg.CyclicGroup(5, tau_mult=2, n_prime=5)
     chi = og.cyclic_characters(g)[1]  # chi(a) = zeta5^a, not tau-stable
     with pytest.raises(ValueError):
         cg.extend_character(chi, g)
@@ -317,7 +317,7 @@ def test_elem_abelian_group():
 
 
 def test_char_orthogonality_cyclic():
-    g = cg.CyclicGroup(6)
+    g = cg.CyclicGroup(6, tau_mult=1, n_prime=6)
     chars = og.cyclic_characters(g)
     for i, ci in enumerate(chars):
         for j, cj in enumerate(chars):
@@ -357,7 +357,7 @@ def test_extensions_are_the_semidirect_characters_over_rho():
 def test_character_table_oracle_on_a_known_group():
     # Z/4 x| <inversion> is the dihedral group of order 8: five classes,
     # degrees 1, 1, 1, 1, 2
-    table = og.character_table(og.TauExtended(cg.CyclicGroup(4, tau_mult=-1)))
+    table = og.character_table(og.TauExtended(cg.CyclicGroup(4, tau_mult=-1, n_prime=4)))
     identity = (0, 0)
     assert sorted(round(chi[identity].real) for chi in table) == [1, 1, 1, 1, 2]
 
@@ -370,8 +370,8 @@ def _spin_groups(q: int, n_max: int = 28):
 
 def test_closed_form_twisted_classes_match_the_all_b_closure():
     groups = [g for q in (3, 5) for _, g in _spin_groups(q)]
-    groups += [cg.CyclicGroup(m, tau_mult=t) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
-    groups.append(cg.CyclicGroup(1))
+    groups += [cg.CyclicGroup(m, tau_mult=t, n_prime=m) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
+    groups.append(cg.CyclicGroup(1, tau_mult=1, n_prime=1))
     for g in groups:
         assert cg.twisted_classes(g) == og.twisted_classes_by_all_b(g)
 

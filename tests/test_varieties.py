@@ -204,6 +204,29 @@ def test_stratum_tally_matches_hall_numbers():
                     assert report.total_generators == sum(hall.values()), (lam, d, q)
 
 
+def test_line_strata_by_orbit_match_the_walk():
+    """At d = 1 each centralizer orbit of lines is typed once and sized in
+    closed form.  The tally equals the walk over every line; past the
+    walk's budget, as for (1^8) over F_9, it equals the Hall numbers."""
+    for q, n_max in ((3, 6), (5, 5)):
+        for n in range(1, n_max + 1):
+            for lam in pt.partitions_of(n):
+                data = sp.build_sl_split(lam, q)
+                walk = orc.line_strata_by_walk(data)
+                report = vr.sl_stratum_analysis(data, 1)
+                assert report.strata == tuple(sorted(walk.items())), (lam, q)
+                assert report.total_generators == sum(walk.values()), (lam, q)
+    for lam in ((1,) * 8, (1,) * 6 + (2,), (1, 1, 2, 4)):
+        data = sp.build_sl_split(lam, 3)
+        report = vr.sl_stratum_analysis(data, 1)
+        hall = {nu: orc.hall_number_row(lam, nu, 1, 9) for nu in pt.partitions_of(sum(lam) - 1)}
+        hall = {nu: g for nu, g in hall.items() if g}
+        assert dict(report.strata) == hall, lam
+        assert report.total_generators == sum(hall.values()), lam
+    with pytest.raises(vr.VarietyBudgetError):
+        orc.line_strata_by_walk(sp.build_sl_split((1,) * 8, 3))
+
+
 def test_enumerate_flags_so_case_I_singleton():
     for q in (3, 5):
         data = sp.build_so_split((5,), q)
