@@ -11,8 +11,11 @@ away; span membership, basis extension and the quotient action all go
 through it.  One pivot step, `pivot`, serves `rref`, `det` and the
 extension of an echelon basis by a vector reduced against it.  One rank
 routine, `subquotient_type`, gives the Jordan type of a nilpotent map on
-any subquotient of stable spans (V itself, V/W, W'/W or E-perp/E) from
-the ranks of its powers there.  The line representatives of a reduced
+any subquotient of stable spans from the ranks of its powers there: on
+V itself (`jordan_partition`), on W'/W for the SL flags and on E-perp/E
+for the SO flags; no matrix of the map on a subspace is built.  (The
+type on V/W of the split shift is read off its power images by
+`varieties.quotient_type`.)  The line representatives of a reduced
 echelon basis come in lexicographic order.
 """
 
@@ -299,21 +302,6 @@ def partition_from_ranks(ranks: tuple[int, ...]) -> tuple[int, ...]:
     for k in range(1, len(ranks)):
         parts.extend([k] * (r[k - 1] - 2 * r[k] + r[k + 1]))
     return tuple(sorted(parts))
-
-
-def restrict_to_subspace(K: FieldSpec, a: Matrix, basis: Matrix) -> Matrix:
-    """Matrix of the action of a on the subspace, in the given basis.
-
-    Requires the subspace to be a-stable; raises otherwise.
-    """
-    cols = []
-    for v in basis:
-        w = mat_vec(K, a, v)
-        coords = solve(K, transpose(basis), w)
-        if coords is None:
-            raise ValueError("subspace is not stable under the matrix")
-        cols.append(coords)
-    return transpose(mat(cols))
 
 
 def quotient_action(K: FieldSpec, a: Matrix, sub: Matrix) -> tuple[Matrix, list[int]]:

@@ -249,8 +249,8 @@ def y0_row_spin(
     q_k: int = 1,
     omega_value: Optional[str] = None,
     extension: Optional[str] = None,
-) -> GreenBasisRow:
-    """One table row for a spin class with central character -1 at eps.
+) -> tuple[GreenBasisRow, ...]:
+    """The table rows of a spin class with central character -1 at eps.
 
     For even N the central character also takes a value at omega.  On a
     class with an even, nonzero number of odd parts it selects one of the
@@ -258,9 +258,12 @@ def y0_row_spin(
     "-i" (matched against the character value on the full generator
     word), by default "i" when N = 2 (mod 4), where the center is Z/4
     and omega squares to eps, so it acts by i or -i; otherwise "1".  A
-    class with one candidate ignores omega_value.  When tau acts nontrivially on a
-    local system of dimension > 1 it has two extensions, and extension
-    ("plus" or "minus") names one; a class with one extension ignores it.
+    class with one candidate ignores omega_value.  A class with one
+    extension gives one row and ignores extension.  When tau acts
+    nontrivially on a local system of dimension > 1 it has two
+    extensions, from one build of the class: extension ("plus" or
+    "minus") names the row to give, and without it the class gives its
+    plus row, then its minus row.
     """
     la = check_partition(la)
     if not is_in_XN(la):
@@ -286,14 +289,13 @@ def y0_row_spin(
     if not is_tau_stable(A, rho):
         raise NotFStableError("the local system attached to the pair is moved by F")
     exts = extend_character(rho, A)
-    if len(exts) == 1:
-        ext = exts[0]
-    else:
+    if len(exts) > 1:
         labels = ["plus", "minus"]
-        if extension not in labels:
+        if extension not in [None, *labels]:
             raise ValueError(f"two extensions exist; pass extension= one of {labels}")
-        ext = next(e for e in exts if e.label == extension)
-    return _checked_row("spin", q, la, defect(la), rho, ext, A, exponents_spin(la))
+        exts = [next(e for e in exts if e.label == label) for label in ([extension] if extension else labels)]
+    exp = exponents_spin(la)
+    return tuple(_checked_row("spin", q, la, defect(la), rho, ext, A, exp) for ext in exts)
 
 
 def y0_table_sl(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:
@@ -315,20 +317,18 @@ def y0_table_spin(
 ) -> list[GreenBasisRow]:
     """Rows for every class of X_N (split twist, central sign -1).
 
-    omega_value passes through to y0_row_spin, which owns its default.
-    Without extension, a class with two extensions gives its plus row,
-    then its minus row (y0_row_spin ignores the name "plus" on a class
-    with one extension).
+    omega_value and extension pass through to y0_row_spin, which owns
+    their defaults: without extension, a class with two extensions gives
+    its plus row, then its minus row.  A class whose local system F
+    moves gives no row.
     """
     from .partitions import enumerate_XN
 
     rows = []
     for la in enumerate_XN(N):
         try:
-            rows.append(y0_row_spin(la, q_p, q_k, omega_value, extension or "plus"))
+            rows += y0_row_spin(la, q_p, q_k, omega_value, extension)
         except NotFStableError:
             continue
-        if extension is None and rows[-1].extension_label == "plus":
-            rows.append(y0_row_spin(la, q_p, q_k, omega_value, "minus"))
     return rows
 

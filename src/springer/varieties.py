@@ -275,41 +275,41 @@ def enumerate_flags_sl(
         raise VarietyBudgetError(f"flag count exceeds budget {bound}")
     flags = []
     for w, nu, wanted in kept:
-        for wp, lap in _completions(K, x, pows, w, d, wanted):
+        for wp, lap in _completions(K, x, w, d, wanted):
             flags.append(Flag(W=w, Wp=wp, type_quotient=lap, type_mod_W=nu))
     flags.sort(key=lambda f: (f.W, f.Wp))
     return flags
 
 
 def _completions(
-    K: FieldSpec, x: la.Matrix, pows: list, w: la.Matrix, d: int, laps: Collection[Partition]
+    K: FieldSpec, x: la.Matrix, w: la.Matrix, d: int, laps: Collection[Partition]
 ) -> Iterator[tuple[la.Matrix, Partition]]:
     """Every W' over W with x of a type in laps on W'/W and regular on
     V/W', paired with that type.
 
     Enumerated through the quotient V/W: W'/W must be x-stable of the
     target type with regular quotient, so it is the annihilator of a
-    d-dimensional cyclic subspace for the transpose action; work in
-    quotient coordinates.  The walk keeps the default budget, the CLI's:
-    enumerate_flags_sl has already refused any variety whose W'
+    d-dimensional cyclic subspace U for the transpose action; work in
+    quotient coordinates.  Each W' the walk yields is such an
+    annihilator, so V/W' is dual to U, on which x^T is regular: x is
+    regular on V/W', and that is not checked again.  The type on W'/W is
+    subquotient_type of the lifted W' over W, the routine that types
+    E-perp/E for the SO flags.  The walk keeps the default budget, the
+    CLI's: enumerate_flags_sl has already refused any variety whose W'
     candidates exceed its budget.
     """
     n = len(x)
     qact, compl = la.quotient_action(K, x, w)
     for u_dual in cyclic_subspaces(K, la.transpose(qact), d):
-        wp_bar = la.nullspace(K, u_dual)
-        mid = la.jordan_partition(K, la.restrict_to_subspace(K, qact, wp_bar)) if wp_bar else ()
-        if mid not in laps:
-            continue
         # lift: quotient coordinate t is the standard coordinate compl[t]
         lifted = []
-        for vbar in wp_bar:
+        for vbar in la.nullspace(K, u_dual):
             v = [0] * n
             for c, coord in zip(compl, vbar):
                 v[c] = coord
             lifted.append(tuple(v))
         wp = la.echelon_basis(K, tuple(lifted) + w)
-        if quotient_type(K, x, wp, pows) == (d,):
+        if (mid := la.subquotient_type(K, x, wp, w)) in laps:
             yield wp, mid
 
 

@@ -13,8 +13,9 @@ F-stability check.
 The last section keeps the plain forms of the cyclic-subspace
 enumeration, quotient and subquotient types, basis extension, span
 vectors and the subfield F_q of F_{q^2} that the library shortcuts,
-with the matrix inverse and a Jordan-shift builder written apart from
-`split`.
+with the matrix inverse, the restriction to a stable subspace (which
+the definition checks read) and a Jordan-shift builder written apart
+from `split`.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def verify_flag_sl(data: SplitSLData, d: int, lap: Partition, flag: vr.Flag) -> 
         for v in basis:
             if not in_span(K, basis, la.mat_vec(K, x, v)):
                 return False
-    if la.jordan_partition(K, la.restrict_to_subspace(K, x, W)) != (d,):
+    if la.jordan_partition(K, restrict_to_subspace(K, x, W)) != (d,):
         return False
     if la.jordan_partition(K, action_between(K, x, W, Wp)) != tuple(lap):
         return False
@@ -227,7 +228,7 @@ def verify_flag_so(data: SplitSOData, lap: Partition, flag: vr.SOFlag) -> bool:
     for v in E:
         if not in_span(K, E, la.mat_vec(K, x, v)):
             return False
-    restr = la.restrict_to_subspace(K, x, E)
+    restr = restrict_to_subspace(K, x, E)
     if all(v == 0 for row in restr for v in row):
         return False
     for u in E:
@@ -305,7 +306,7 @@ def _completion_for_w(data: SplitSLData, x: la.Matrix, pows, w: la.Matrix, d: in
         if la.jordan_partition(K, action_between(K, x, w, wp)) == tuple(lap):
             if vr.quotient_type(K, x, wp, pows) == (d,):
                 return wp
-    candidates = [wp for wp, _ in vr._completions(K, x, pows, w, d, {tuple(lap)})]
+    candidates = [wp for wp, _ in vr._completions(K, x, w, d, {tuple(lap)})]
     if not candidates:
         raise AssertionError("no completion W' exists for the explicit flag")
     rational = [c for c in candidates if frob0(data, c) == c]
@@ -366,7 +367,7 @@ def split_flag_sl(data: SplitSLData, d: int, lap: Partition, case) -> list[vr.Fl
     def flag_from_w(wvecs) -> vr.Flag:
         w = la.echelon_basis(K, wvecs)
         wp = _completion_for_w(data, x, pows, w, d, lap)
-        type_w = la.jordan_partition(K, la.restrict_to_subspace(K, x, w))
+        type_w = la.jordan_partition(K, restrict_to_subspace(K, x, w))
         type_top = vr.quotient_type(K, x, wp, pows)
         if type_w != (d,) or type_top != (d,):
             raise AssertionError(f"x is not regular on W ({type_w}) or on V/W' ({type_top})")
@@ -596,6 +597,18 @@ def jordan_partition_by_powers(K, a: la.Matrix) -> Partition:
         power = la.mat_mul(K, power, a)
         ranks.append(rank(K, power))
     return la.partition_from_ranks(tuple(ranks))
+
+
+def restrict_to_subspace(K, a: la.Matrix, basis: la.Matrix) -> la.Matrix:
+    """Matrix of the action of a on the subspace, in the given basis, one
+    solve per basis vector; raises when the subspace is not a-stable."""
+    cols = []
+    for v in basis:
+        coords = la.solve(K, la.transpose(basis), la.mat_vec(K, a, v))
+        if coords is None:
+            raise ValueError("subspace is not stable under the matrix")
+        cols.append(coords)
+    return la.transpose(la.mat(cols))
 
 
 def action_between(K, a: la.Matrix, small: la.Matrix, big: la.Matrix) -> la.Matrix:

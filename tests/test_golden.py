@@ -163,6 +163,11 @@ GOLDEN = [
     ("split --group so --lambda 1,2,2,4,4 --q 3", "e924290fadcf3e3ad7301a14c396147e04f88574602ebe14226a82ac96148c85"),
     ("split --group so --lambda 4,4,5 --q 9", "4eda6124f10abbae8c9d7e798b40678b2802e9f425cc9a10b805cf18ce5d498e"),
     ("flags --group so --lambda 2,2,4,4 --q 3", "f85904a9e46a6eff8e21301de2b03c37039083fdf9f257ce76f3077b5884ddc0"),
+    # W'/W types in characteristic 2 with n = 6, recorded while W'/W was
+    # typed by restricting the quotient action and each W' re-checked for
+    # a regular V/W'
+    ("flags --group sl --lambda 1,2,4 --d 3 --q 2", "73424b195fd7965380ef40d41e875b538ee3c8e35f21e2ef94036099d35229ba"),
+    ("flags --group sl --lambda 1,1,2,2 --d 1 --q 2", "4460c97810d3a47a66bf85ca86e49e0d3818b1827c6e4c251fdb664437ee167c"),
 ]
 
 

@@ -75,7 +75,7 @@ def test_y0_sl_refusals():
 def test_y0_spin_dim2_row():
     # |I| = 3 (lambda = (1,3,5), N = 9): unique rho of dim 2; identity value
     # 2, value -2 at eps, 0 elsewhere when tau is trivial (q = 5)
-    row = tb.y0_row_spin((1, 3, 5), 5)
+    (row,) = tb.y0_row_spin((1, 3, 5), 5)
     assert row.dim == 2
     vm = dict(zip([rep for rep, _ in row.classes], row.values))
     ident = (0, 0)
@@ -90,7 +90,7 @@ def test_y0_spin_dim2_row():
 def test_y0_spin_omega_selection():
     # lambda = (1,3), N = 4: Gamma = Z/2 x Z/2, two candidate local systems
     assert tb.y0_row_spin((1, 3), 5) == tb.y0_row_spin((1, 3), 5, omega_value="1")
-    rows = [tb.y0_row_spin((1, 3), 5, omega_value=v) for v in ("1", "-1")]
+    rows = [row for v in ("1", "-1") for row in tb.y0_row_spin((1, 3), 5, omega_value=v)]
     assert rows[0].values != rows[1].values
     w = (0, 3)
     for row, expect in zip(rows, (1, -1)):
@@ -104,7 +104,8 @@ def test_y0_spin_omega_default_is_i_exactly_at_n_2_mod_4():
     # one for omega "i" when N = 2 (mod 4) and for "1" otherwise
     def row_or_refusal(lam, q, **kwargs):
         try:
-            return tb.y0_row_spin(lam, q, extension="plus", **kwargs)
+            (row,) = tb.y0_row_spin(lam, q, extension="plus", **kwargs)
+            return row
         except tb.NotFStableError as exc:
             return str(exc)
 
@@ -135,7 +136,7 @@ def test_row_orthogonality_sl():
 
 
 def test_row_orthogonality_spin():
-    rows = [tb.y0_row_spin((1, 3), 5, omega_value=v) for v in ("1", "-1")]
+    rows = [row for v in ("1", "-1") for row in tb.y0_row_spin((1, 3), 5, omega_value=v)]
     assert og.row_orthogonality(rows)
 
 
@@ -185,10 +186,26 @@ def test_two_extension_refusal_lists_plus_then_minus():
         labels = [(r.la, r.extension_label) for r in rows]
         assert [x for x in labels if x[1] != "trivial"] == [(la, "plus"), (la, "minus")], (N, q)
         i = labels.index((la, "plus"))
-        assert rows[i : i + 2] == [tb.y0_row_spin(la, q, extension=e) for e in ("plus", "minus")]
+        assert rows[i : i + 2] == [row for e in ("plus", "minus") for row in tb.y0_row_spin(la, q, extension=e)]
+        assert tuple(rows[i : i + 2]) == tb.y0_row_spin(la, q)
         with pytest.raises(ValueError) as exc:
             tb.y0_table_spin(N, q, extension="trivial")
         assert str(exc.value) == "two extensions exist; pass extension= one of ['plus', 'minus']", (N, q)
+
+
+def test_spin_table_extends_each_class_once(monkeypatch):
+    # X_27 at q = 3: 75 classes give rows, 35 of them a plus and a minus
+    # row, and each class runs extend_character once for both
+    calls = []
+
+    def counted(rho, A):
+        calls.append(rho)
+        return cg.extend_character(rho, A)
+
+    monkeypatch.setattr(tb, "extend_character", counted)
+    rows = tb.y0_table_spin(27, 3)
+    assert len({r.la for r in rows}) == len(calls) == 75
+    assert len(rows) == 110
 
 
 def _omega_of(chi, G):
@@ -215,7 +232,7 @@ def test_twisted_extensions_are_orthonormal_and_opposite():
                     if chi.dim != 2 or not cg.is_tau_stable(G, chi):
                         continue
                     omega = _omega_of(chi, G)
-                    plus, minus = (tb.y0_row_spin(la, q, omega_value=omega, extension=e) for e in ("plus", "minus"))
+                    plus, minus = tb.y0_row_spin(la, q, omega_value=omega)
                     for row in (plus, minus):
                         norm = sum(v * v.conj() * size for v, (_, size) in zip(row.values, row.classes))
                         assert norm == G.order, (la, q, row.extension_label)
