@@ -8,6 +8,11 @@ flag-enumeration budget is fixed (varieties.DEFAULT_BUDGET); orbit ids
 (flags --orbits) come from generators of the centralizer's unit group
 and need no budget of their own.
 
+Each subcommand checks its usage first, then hands --q as given to the
+library, whose entry points factor it once (ffield.prime_power) before
+any other work: a q that is not a prime power is refused even where
+only a header would print.
+
 Exit status: 0 on success, 1 on verification failure, refusal or an
 --output path that cannot be written (with a machine-readable report),
 2 on usage errors, 3 when an internal invariant fails (one JSON line on
@@ -34,21 +39,6 @@ def partition(text: str) -> tuple[int, ...]:
     """The --lambda type: comma-separated integers, "" for the empty partition.
     Parts out of order or not positive are left to pt.check_partition's refusal."""
     return tuple(int(x) for x in text.split(",")) if text else ()
-
-
-def _prime_of(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
 
 
 def _emit(lines: list[str], out: Optional[str]) -> None:
@@ -81,9 +71,8 @@ def cmd_series(args) -> int:
         if args.n is None or args.q is None:
             args.parser.error("--group sl needs --n and --q")
         _unused(args, "--group sl", "N")
-        p, _ = _prime_of(args.q)
         lines.append("d\tf_rational")
-        for c in sr.enumerate_sl_series(args.n, p, args.q):
+        for c in sr.enumerate_sl_series(args.n, args.q):
             lines.append(f"{c.d}\t{str(c.f_rational).lower()}")
     _emit(lines, args.output)
     return 0
@@ -98,10 +87,9 @@ def cmd_xn(args) -> int:
 
 def cmd_split(args) -> int:
     lam = pt.check_partition(args.lam)
-    p, k = _prime_of(args.q)
     lines = []
     if args.group == "sl":
-        data = sp.build_sl_split(lam, p, k)
+        data = sp.build_sl_split(lam, args.q)
         K = data.field
         lines.append(f"unipotent u over F_{K.q} (rows of coefficient vectors):")
         lines.append(_mat_str(K, data.unipotent))
@@ -112,7 +100,7 @@ def cmd_split(args) -> int:
         lines.append(f"check jordan_type: {list(fla.jordan_partition(K, data.nilpotent))}")
         lines.append("check fixed_by_twisted_frobenius: pass")
     else:
-        data = sp.build_so_split(lam, p, k)
+        data = sp.build_so_split(lam, args.q)
         K = data.field
         lines.append(f"nilpotent x over F_{K.q} (rows of coefficient vectors):")
         lines.append(_mat_str(K, data.nilpotent))
@@ -150,10 +138,9 @@ def cmd_flags(args) -> int:
         args.parser.error(f"--group so enumerates planes and takes no --d, not {args.d}")
     if args.group == "so" and args.orbits:
         args.parser.error("--group so takes no --orbits")
-    p, k = _prime_of(args.q)
     lines = ["flag_id\tlambda_prime\tW\tWp\ttype_mod_W\torbit\tf_stable"]
     if args.group == "sl":
-        data = sp.build_sl_split(lam, p, k)
+        data = sp.build_sl_split(lam, args.q)
         K = data.field
         laps = _lambda_primes(args, sum(lam) - 2 * args.d)
         all_flags = vr.enumerate_flags_sl(data, args.d, laps)
@@ -169,7 +156,7 @@ def cmd_flags(args) -> int:
                 orbit = orbit_of.get((f.W, f.Wp), "-")
                 lines.append(_flag_row(idx, lap, f.W, f.Wp, f.type_mod_W, orbit, vr.is_f_stable(data, f.W, f.Wp)))
     else:
-        data = sp.build_so_split(lam, p, k)
+        data = sp.build_so_split(lam, args.q)
         all_flags = vr.enumerate_flags_so(data)
         for lap in _lambda_primes(args, sum(lam) - 4):
             for idx, f in enumerate(f for f in all_flags if f.type_mid == lap):
@@ -212,13 +199,12 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    p, k = _prime_of(args.q)
     if args.group == "sl":
         if args.n is None or args.xi_order is None:
             args.parser.error("--group sl needs --n and --xi-order")
         _unused(args, "--group sl", "N", "omega", "extension")
         _at_least(args, 1, "n", "xi_order")
-        rows = tb.y0_table_sl(args.n, args.xi_order, p, k)
+        rows = tb.y0_table_sl(args.n, args.xi_order, args.q)
         series = args.xi_order
     else:
         if args.N is None:
@@ -227,7 +213,7 @@ def cmd_tables(args) -> int:
         _at_least(args, 1, "N")
         if args.N % 2 and args.omega is not None:
             args.parser.error(f"--omega acts only at even --N, not {args.N}")
-        rows = tb.y0_table_spin(args.N, p, k, omega_value=args.omega, extension=args.extension)
+        rows = tb.y0_table_spin(args.N, args.q, omega_value=args.omega, extension=args.extension)
         series = "by-defect"
     if args.format == "json":
         doc = {
@@ -264,8 +250,9 @@ def cmd_verify(args) -> int:
         _unused(args, "--suite spin-series", "n_max")
         args.N_max = 20 if args.N_max is None else args.N_max
         _at_least(args, 3, "N_max")
+        counts = sr.xn_defect_counts(args.N_max)
         for N in range(3, args.N_max + 1):
-            r = sr.verify_series_cardinality(N)
+            r = sr.verify_series_cardinality(N, counts[N])
             entry = {
                 "N": N,
                 "ok": r.ok,

@@ -34,6 +34,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyc, CycRing
+from .ffield import prime_power
 from .partitions import Partition, check_partition, is_in_XN, odd_part_positions
 
 Element = tuple[int, int]  # SpinGamma: (epsilon power, generator bitmask)
@@ -243,8 +244,6 @@ def build_spin_gamma(la_parts: Partition, tau_signs: Sequence[int]) -> SpinGamma
 def p_prime_part(n: int, p: int) -> int:
     if n < 1:
         raise ValueError(f"the group order n = {n} must be at least 1")
-    if p == 1:
-        return n
     while n % p == 0:
         n //= p
     return n
@@ -255,9 +254,10 @@ def sl_component_order(la_parts: Partition, n: int, p: int) -> int:
     return gcd(*(p_prime_part(i, p) for i in set(la_parts)), p_prime_part(n, p))
 
 
-def build_sl_component(la_parts: Partition, p: int, q: int) -> CyclicGroup:
-    """Cyclic component group of a unipotent of type la in SL_n, with tau
-    the twisted Frobenius a -> a^{-q}."""
+def build_sl_component(la_parts: Partition, q: int) -> CyclicGroup:
+    """Cyclic component group of a unipotent of type la in SL_n over F_q,
+    with tau the twisted Frobenius a -> a^{-q}."""
+    p, _ = prime_power(q)
     la_parts = check_partition(la_parts)
     n = sum(la_parts)
     m = sl_component_order(la_parts, n, p)

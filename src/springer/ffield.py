@@ -15,6 +15,7 @@ tables are built, so everything here is safe to share between threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 # Fields at or below this size get full lookup tables (add and neg only
@@ -26,19 +27,19 @@ _TABLE_LIMIT = 1024
 _SIZE_LIMIT = 10**6
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+@lru_cache(maxsize=None)
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, p prime and k >= 1: the package's one
+    factorization, by trial division up to sqrt(q); cached because the
+    table builders ask once per row."""
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        k, m = 0, q
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if m == 1:
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     degree k over F_p (order on (c_0, ..., c_{k-1})), so repeated runs
     produce identical encodings and identical table output.
     """
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise ValueError(f"p = {p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree k = {k} must be >= 1")

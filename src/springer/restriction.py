@@ -83,8 +83,8 @@ class CrosscheckReport:
 
 def restriction_crosscheck_sl(la: Partition, laps: Iterable[Partition], d: int, q: int) -> list[CrosscheckReport]:
     """Principal stratum count of the flag variety versus the branching
-    number, one report per lambda' in laps, in the order given, for a
-    prime q.
+    number, one report per lambda' in laps, in the order given, for the
+    split unipotent of twisted SL_n over F_q, q any prime power.
 
     The isotypic piece lives on the top-dimensional components, which are
     the strata labeled by single-row drops of the ambient type; strata

@@ -14,7 +14,7 @@ the checked statement is the cardinality identity of
 verify_series_cardinality: per series, as many classes as bipartitions
 of the rank.  The classes are counted by defect without listing X_N:
 xn_defect_counts takes one pass over the part sizes, keyed by (size,
-defect).  The test suite checks it against the listing by enumerate_XN.
+defect), for every N at once; tests check it against enumerate_XN.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .component_groups import p_prime_part
+from .ffield import prime_power
 from .partitions import num_partitions, part_defect
 
 
@@ -78,9 +79,10 @@ def enumerate_spin_series(N: int) -> list[CuspidalDatumSpin]:
     return out
 
 
-def enumerate_sl_series(n: int, p: int, q: int) -> list[CuspidalDatumSL]:
-    """Series labels for SL_n in characteristic p: divisors d of the
-    p'-part of n, each flagged F-rational by xi_is_f_stable(d, q)."""
+def enumerate_sl_series(n: int, q: int) -> list[CuspidalDatumSL]:
+    """Series labels for SL_n over F_q in characteristic p: divisors d of
+    the p'-part of n, each flagged F-rational by xi_is_f_stable(d, q)."""
+    p, _ = prime_power(q)
     if n < 1:
         raise ValueError("n must be positive")
     nprime = p_prime_part(n, p)
@@ -125,33 +127,34 @@ class SeriesCardinalityReport:
         return self.all_classes_mapped and all(e.ok for e in self.entries)
 
 
-def xn_defect_counts(N: int) -> dict[int, int]:
-    """|{la in X_N : defect(la) = d}| for each d that occurs.
+def xn_defect_counts(N_max: int) -> list[dict[int, int]]:
+    """Entry N, for each N <= N_max: |{la in X_N : defect(la) = d}| for
+    each d that occurs.
 
-    One pass over the part sizes k = 1..N, counting members by (size,
+    One pass over the part sizes k = 1..N_max, counting members by (size,
     defect): an even part k adds 2k, 4k, ... boxes (it comes in pairs),
-    an odd part adds k boxes at most once, with its part_defect.
+    an odd part adds k boxes at most once, with its part_defect.  No
+    part above N reaches size N, so the pass is complete for each N.
     """
     counts = {(0, 0): 1}
-    for k in range(1, N + 1):
-        steps = [(k, part_defect(k))] if k % 2 else [(m, 0) for m in range(2 * k, N + 1, 2 * k)]
+    for k in range(1, N_max + 1):
+        steps = [(k, part_defect(k))] if k % 2 else [(m, 0) for m in range(2 * k, N_max + 1, 2 * k)]
         grown = dict(counts)
         for (size, d), c in counts.items():
             for m, dd in steps:
-                if size + m > N:
+                if size + m > N_max:
                     break
                 key = (size + m, d + dd)
                 grown[key] = grown.get(key, 0) + c
         counts = grown
-    return {d: c for (size, d), c in counts.items() if size == N}
+    return [{d: c for (size, d), c in counts.items() if size == N} for N in range(N_max + 1)]
 
 
-def verify_series_cardinality(N: int) -> SeriesCardinalityReport:
-    """Per series d: |{la in X_N : defect = d}| versus the number of
-    bipartitions of the series rank; also checks that every defect of a
-    class is an enumerated series label."""
+def verify_series_cardinality(N: int, by_d: dict[int, int]) -> SeriesCardinalityReport:
+    """Per series d: |{la in X_N : defect = d}|, entry N of xn_defect_counts,
+    versus the number of bipartitions of the series rank; also checks
+    that every defect of a class is an enumerated series label."""
     series = enumerate_spin_series(N)
-    by_d = xn_defect_counts(N)
     entries = tuple(
         SeriesCountEntry(
             d=s.d,

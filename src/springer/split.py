@@ -20,7 +20,8 @@ Hermitian conditions exactly, because a pure Jordan shift preserves no
 purely antidiagonal sesquilinear form once the block size exceeds 2.  For even
 block sizes the antidiagonal scalar must be trace-zero (conjugation
 negates it) for the form to be Hermitian; the completion picks the
-canonical such scalar.
+canonical such scalar.  Both builders take the prime power q and factor
+it (ffield.prime_power) before any other work.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import flinalg as la
-from .ffield import FieldSpec, make_field
+from .ffield import FieldSpec, make_field, prime_power
 from .partitions import Partition, check_partition, delta_index, is_in_XN_tilde
 
 
@@ -94,18 +95,19 @@ class SplitSOData:
     qexp: int  # q = p^qexp
 
 
-def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
-    """Assembled split orthogonal data (V, f, x) for a partition in X~_N.
+def build_so_split(la_parts: Partition, q: int) -> SplitSOData:
+    """Split orthogonal data (V, f, x) over F_q, q odd, for la in X~_N.
 
     Invariants machine-checked: f symmetric and non-degenerate, x
     skew-adjoint for f, and the Jordan type of x equal to the partition.
     """
+    p, k = prime_power(q)
     la_parts = check_partition(la_parts)
     if not is_in_XN_tilde(la_parts):
         raise ValueError(f"{la_parts} has an even part with odd multiplicity")
-    if q_p == 2:
+    if p == 2:
         raise ValueError("orthogonal split data needs odd q")
-    K = make_field(q_p, q_k)
+    K = make_field(p, k)
     form = split_so_form(la_parts, K)
     x = jordan_shift(la_parts)
     if la.transpose(form) != form or la.det(K, form) == 0:
@@ -115,7 +117,7 @@ def build_so_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSOData:
         raise AssertionError("x is not skew-adjoint for the form")
     if la.jordan_partition(K, x) != la_parts:
         raise AssertionError("Jordan type mismatch")
-    return SplitSOData(la=la_parts, field=K, form=form, nilpotent=x, qexp=q_k)
+    return SplitSOData(la=la_parts, field=K, form=form, nilpotent=x, qexp=k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +239,8 @@ def _solve_block_form(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
     return la.mat(B)
 
 
-def build_sl_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSLData:
-    """Split unipotent of Jordan type la for the twisted SL_n form.
+def build_sl_split(la_parts: Partition, q: int) -> SplitSLData:
+    """Split unipotent of Jordan type la for twisted SL_n(q), over F_{q^2}.
 
     Every block's antidiagonal carries the fixed signs (-1)^{j+1}; no
     per-part sign is chosen.  The returned data has, machine-checked: A
@@ -246,21 +248,22 @@ def build_sl_split(la_parts: Partition, q_p: int, q_k: int = 1) -> SplitSLData:
     which is the statement that u is fixed by the twisted Frobenius
     built from A.
     """
+    p, k = prime_power(q)
     la_parts = check_partition(la_parts)
     n = sum(la_parts)
-    K2 = make_field(q_p, 2 * q_k)
+    K2 = make_field(p, 2 * k)
 
     x = jordan_shift(la_parts)
     u = la.mat_add(K2, x, la.identity(K2, n))
     A = [[0] * n for _ in range(n)]
     for chain in jordan_chains(la_parts):
-        block = _solve_block_form(K2, q_k, len(chain))
+        block = _solve_block_form(K2, k, len(chain))
         for i, row in zip(chain, block):
             for j, c in zip(chain, row):
                 A[i][j] = c
     A = la.mat(A)
 
-    data = SplitSLData(la=la_parts, field=K2, qexp=q_k, form=A, unipotent=u, nilpotent=x)
+    data = SplitSLData(la=la_parts, field=K2, qexp=k, form=A, unipotent=u, nilpotent=x)
     _verify_sl_split(data)
     return data
 

@@ -28,15 +28,18 @@ from .component_groups import (
     spin_irreducibles,
     twisted_classes,
 )
+from .ffield import prime_power
 from .partitions import (
     Partition,
     check_partition,
     class_dimension,
     defect,
     delta_index,
+    enumerate_XN,
     group_dimension,
     is_in_XN,
     odd_part_positions,
+    partitions_of,
 )
 from .series import spin_weyl_rank, xi_is_f_stable
 
@@ -203,21 +206,20 @@ def _checked_row(
     )
 
 
-def y0_row_sl(la: Partition, xi_order: int, q_p: int, q_k: int = 1) -> GreenBasisRow:
-    """One table row for a class of twisted SL_n.
+def y0_row_sl(la: Partition, xi_order: int, q: int) -> GreenBasisRow:
+    """One table row for a class of twisted SL_n over F_q, q a prime power.
 
     Refuses central characters moved by F (order not dividing q + 1) and
     pairs with empty fiber (a part not divisible by the order).
     """
     la = check_partition(la)
-    q = q_p**q_k
     if any(x % xi_order for x in la):
         raise EmptyFiberError(f"no local system: {xi_order} does not divide every part of {la}")
     if not xi_is_f_stable(xi_order, q):
         raise NotFStableError(
             f"central character of order {xi_order} is moved by F (it maps to its -q power; {xi_order} does not divide q + 1 = {q + 1})"
         )
-    A = build_sl_component(la, q_p, q=q)
+    A = build_sl_component(la, q)
     found = cyclic_characters_with_xi(A, xi_order)
     if not found:
         raise EmptyFiberError(f"no character of Z/{A.m} lifts the order-{xi_order} central character")
@@ -244,13 +246,10 @@ def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
 
 
 def y0_row_spin(
-    la: Partition,
-    q_p: int,
-    q_k: int = 1,
-    omega_value: Optional[str] = None,
-    extension: Optional[str] = None,
+    la: Partition, q: int, omega_value: Optional[str] = None, extension: Optional[str] = None
 ) -> tuple[GreenBasisRow, ...]:
-    """The table rows of a spin class with central character -1 at eps.
+    """The table rows of a spin class over F_q, q an odd prime power, with
+    central character -1 at eps.
 
     For even N the central character also takes a value at omega.  On a
     class with an even, nonzero number of odd parts it selects one of the
@@ -265,12 +264,12 @@ def y0_row_spin(
     "minus") names the row to give, and without it the class gives its
     plus row, then its minus row.
     """
+    p, _ = prime_power(q)
     la = check_partition(la)
     if not is_in_XN(la):
         raise EmptyFiberError(f"{la} is not in X_N: no local system with central sign -1")
-    if q_p == 2:
+    if p == 2:
         raise ValueError("spin tables need odd q")
-    q = q_p**q_k
     N = sum(la)
     signs = spin_tau_signs(la, q)
     A = build_spin_gamma(la, tau_signs=signs)
@@ -298,36 +297,35 @@ def y0_row_spin(
     return tuple(_checked_row("spin", q, la, defect(la), rho, ext, A, exp) for ext in exts)
 
 
-def y0_table_sl(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:
-    """All rows of the order-d series of twisted SL_n, la in lexicographic order.
+def y0_table_sl(n: int, xi_order: int, q: int) -> list[GreenBasisRow]:
+    """All rows of the order-d series of twisted SL_n over F_q, la in
+    lexicographic order.
 
     The classes of the series are the la whose parts d divides: none when
     d does not divide n, else d * mu for mu a partition of n / d.  Scaling
-    by d keeps the lexicographic order of partitions_of(n // d).
+    by d keeps the lexicographic order of partitions_of(n // d).  A q that
+    is not a prime power is refused first, also when no row would follow.
     """
-    from .partitions import partitions_of
-
+    prime_power(q)
     if n % xi_order:
         return []
-    return [y0_row_sl(tuple(xi_order * x for x in mu), xi_order, q_p, q_k) for mu in partitions_of(n // xi_order)]
+    return [y0_row_sl(tuple(xi_order * x for x in mu), xi_order, q) for mu in partitions_of(n // xi_order)]
 
 
-def y0_table_spin(
-    N: int, q_p: int, q_k: int = 1, omega_value: Optional[str] = None, extension: Optional[str] = None
-) -> list[GreenBasisRow]:
-    """Rows for every class of X_N (split twist, central sign -1).
+def y0_table_spin(N: int, q: int, omega_value: Optional[str] = None, extension: Optional[str] = None) -> list[GreenBasisRow]:
+    """Rows for every class of X_N (split twist, central sign -1) over F_q.
 
     omega_value and extension pass through to y0_row_spin, which owns
     their defaults: without extension, a class with two extensions gives
     its plus row, then its minus row.  A class whose local system F
-    moves gives no row.
+    moves gives no row.  A q that is not a prime power is refused first,
+    also when X_N is empty.
     """
-    from .partitions import enumerate_XN
-
+    prime_power(q)
     rows = []
     for la in enumerate_XN(N):
         try:
-            rows += y0_row_spin(la, q_p, q_k, omega_value, extension)
+            rows += y0_row_spin(la, q, omega_value, extension)
         except NotFStableError:
             continue
     return rows

@@ -18,7 +18,9 @@ in echelon form once per such block, and each W of the block is one
 pivot step on top of it.
 The count is known in closed form before the walk, so an instance
 above the budget raises rather than crawling, and the walk is checked
-to yield exactly that many subspaces.
+to yield exactly that many subspaces.  The budget is the one constant
+DEFAULT_BUDGET, which every enumeration reads when it is called; no
+caller passes a budget of its own.
 
 The Jordan type of x on V/W is attached to every flag; its ranks come
 from W's rows in the quotient coordinates of V/im x^k.  The images of
@@ -55,7 +57,7 @@ from .ffield import FieldSpec
 from .partitions import Partition, normalize
 from .split import SplitSLData, SplitSOData, jordan_chains, jordan_shift
 
-DEFAULT_BUDGET = 10**6
+DEFAULT_BUDGET = 10**6  # read at call time; only tests lower it
 
 
 class VarietyBudgetError(RuntimeError):
@@ -74,7 +76,7 @@ def _subspace_count(Q: int, kd: int, kdm1: int, d: int) -> int:
     return lines * Q ** max(kdm1 - d + 1, 0)
 
 
-def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BUDGET) -> list[la.Matrix]:
+def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int) -> list[la.Matrix]:
     """All d-dimensional x-stable W with x|_W regular nilpotent, each once,
     as a sorted list of echelon bases.
 
@@ -110,9 +112,9 @@ def cyclic_subspaces(K: FieldSpec, x: la.Matrix, d: int, bound: int = DEFAULT_BU
     if not comp:
         return []
     count = _subspace_count(K.q, len(kernels[d]), len(kernels[d - 1]), d)
-    if count > bound:
+    if count > DEFAULT_BUDGET:
         what = "candidate lines" if d == 1 else "candidates"
-        raise VarietyBudgetError(f"{count} {what} exceed budget {bound}")
+        raise VarietyBudgetError(f"{count} {what} exceed budget {DEFAULT_BUDGET}")
     if d == 1:
         out = [(c,) for c in la.line_representatives(K, comp)]
     else:
@@ -245,17 +247,15 @@ class Flag:
     type_mod_W: Partition  # x on V/W (the stratum invariant)
 
 
-def enumerate_flags_sl(
-    data: SplitSLData, d: int, laps: Collection[Partition], bound: int = DEFAULT_BUDGET
-) -> list[Flag]:
+def enumerate_flags_sl(data: SplitSLData, d: int, laps: Collection[Partition]) -> list[Flag]:
     """All flags (W in W') for the split unipotent whose W'/W type is one
     of laps, marked with types.
 
     Target types of the wrong size are dropped, and none left gives an
     empty list.  Instances above the candidate budget raise
     VarietyBudgetError, and so do those whose W' candidates, summed over
-    the W with a wanted type, exceed bound, before any W' is built: x on
-    V/W has type nu, so dim ker x^k there is sum_i min(nu_i, k).
+    the W with a wanted type, exceed it, before any W' is built: x on V/W
+    has type nu, so dim ker x^k there is sum_i min(nu_i, k).
     """
     K = data.field
     x = data.nilpotent
@@ -265,14 +265,14 @@ def enumerate_flags_sl(
         return []
     pows = power_images(data.la)
     kept, dual_count = [], 0
-    for w in cyclic_subspaces(K, x, d, bound):
+    for w in cyclic_subspaces(K, x, d):
         nu = quotient_type(K, x, w, pows)
         if wanted := laps & horizontal_strip_drops(nu, d):
             kept.append((w, nu, wanted))
             kd, kdm1 = (sum(min(part, k) for part in nu) for k in (d, d - 1))
             dual_count += _subspace_count(K.q, kd, kdm1, d)
-    if dual_count > bound:
-        raise VarietyBudgetError(f"flag count exceeds budget {bound}")
+    if dual_count > DEFAULT_BUDGET:
+        raise VarietyBudgetError(f"flag count exceeds budget {DEFAULT_BUDGET}")
     flags = []
     for w, nu, wanted in kept:
         for wp, lap in _completions(K, x, w, d, wanted):
@@ -294,9 +294,8 @@ def _completions(
     annihilator, so V/W' is dual to U, on which x^T is regular: x is
     regular on V/W', and that is not checked again.  The type on W'/W is
     subquotient_type of the lifted W' over W, the routine that types
-    E-perp/E for the SO flags.  The walk keeps the default budget, the
-    CLI's: enumerate_flags_sl has already refused any variety whose W'
-    candidates exceed its budget.
+    E-perp/E for the SO flags.  enumerate_flags_sl has already refused
+    any variety whose W' candidates exceed the budget.
     """
     n = len(x)
     qact, compl = la.quotient_action(K, x, w)
@@ -391,12 +390,12 @@ def _so_flag(data: SplitSOData, E: la.Matrix) -> SOFlag:
     return SOFlag(E=E, Eperp=eperp, type_mid=la.subquotient_type(K, data.nilpotent, eperp, E))
 
 
-def enumerate_flags_so(data: SplitSOData, bound: int = DEFAULT_BUDGET) -> list[SOFlag]:
+def enumerate_flags_so(data: SplitSOData) -> list[SOFlag]:
     """x-stable totally isotropic planes E with x|_E != 0, in echelon
     order, each with the type of x on Eperp/E."""
     K, form = data.field, data.form
     out = []
-    for E in cyclic_subspaces(K, data.nilpotent, 2, bound):
+    for E in cyclic_subspaces(K, data.nilpotent, 2):
         a, b = E
         # the form is symmetric: (a, a) and (a, b) = (b, a) off form.a, then (b, b)
         if any(la.mat_vec(K, E, la.mat_vec(K, form, a))) or la.mat_vec(K, (b,), la.mat_vec(K, form, b))[0]:

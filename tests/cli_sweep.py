@@ -17,7 +17,14 @@ The list is:
   q in {2, 3, 4}, and again with ``--orbits`` for n <= 4;
 - SO ``flags`` for every lambda in X~_N, 2 <= N <= 9, at q in {3, 5};
 - spin ``tables`` for 3 <= N <= 21 at q in {3, 5, 7}, and with each
-  ``--extension`` at q = 3.
+  ``--extension`` at q = 3;
+- every subcommand that parses q, at prime powers that are not primes:
+  ``split`` at q in {4, 8, 9, 25, 27} on both sides, SL ``tables`` at q
+  in {4, 8, 9}, SL ``series`` at q in {8, 9}, SO ``flags`` at q = 9;
+- ``verify --suite spin-series --N-max 80``;
+- for each subcommand that takes ``--q``, at q in {0, 1, 6, -3}:
+  invocations whose usage is wrong and invocations that only q makes
+  invalid, including ``tables`` runs that would print only a header.
 
 It is not a test module, so pytest does not collect it.  The whole list
 takes a few minutes; ``flags --group sl --lambda 1,1,1,1 --d 1 --q 3``
@@ -61,6 +68,34 @@ def invocations(pt) -> list[str]:
     for q in (3, 5, 7):
         out += [f"tables --group spin --N {N} --q {q}" for N in range(3, 22)]
     out += [f"tables --group spin --N {N} --q 3 --extension {e}" for N in range(3, 22) for e in ("plus", "minus")]
+    for q in (4, 8, 9, 25, 27):
+        out += [f"split --group sl --lambda {lam} --q {q}" for lam in ("1", "1,2", "3", "1,1,2", "4", "2,3")]
+        out += [f"split --group so --lambda {lam} --q {q}" for lam in ("1", "3", "2,2", "1,2,2", "1,3,5")]
+    for q in (4, 8, 9):
+        out += [f"tables --group sl --n {n} --q {q} --xi-order {d}" for n in (4, 6, 10, 12) for d in (1, 2, 3, 5, 9)]
+    for q in (8, 9):
+        out += [f"series --group sl --n {n} --q {q}" for n in range(1, 19)]
+    for N in range(2, 8):
+        out += [f"flags --group so --lambda {','.join(map(str, lam))} --q 9" for lam in pt.enumerate_XN(N, tilde=True)]
+    out += ["verify --suite spin-series --N-max 80"]
+    for q in (0, 1, 6, -3):
+        out += [
+            f"series --group sl --n 4 --N 4 --q {q}",
+            f"series --group sl --n 4 --q {q}",
+            f"split --group sl --q {q}",
+            f"split --group sl --lambda 1,2 --q {q}",
+            f"split --group so --lambda 2 --q {q}",
+            f"flags --group sl --lambda 1,2 --d 2 --q {q}",
+            f"flags --group so --lambda 3 --q {q} --orbits",
+            f"flags --group sl --lambda 1,2 --q {q}",
+            f"flags --group so --lambda 3 --q {q}",
+            f"tables --group sl --q {q}",
+            f"tables --group spin --N 5 --q {q} --xi-order 2",
+            f"tables --group sl --n 4 --q {q} --xi-order 2",
+            f"tables --group sl --n 5 --q {q} --xi-order 2",
+            f"tables --group spin --N 5 --q {q}",
+            f"tables --group spin --N 2 --q {q}",
+        ]
     return list(dict.fromkeys(out))
 
 

@@ -503,7 +503,7 @@ def spin_irreducibles_uncached(G: SpinGamma) -> list[IrrChar]:
     ]
 
 
-def y0_table_sl_by_filter(n: int, xi_order: int, q_p: int, q_k: int = 1) -> list[GreenBasisRow]:
+def y0_table_sl_by_filter(n: int, xi_order: int, q: int) -> list[GreenBasisRow]:
     """The order-d SL table from every partition of n, keeping those whose
     parts d divides."""
-    return [y0_row_sl(la, xi_order, q_p, q_k) for la in partitions_of(n) if all(x % xi_order == 0 for x in la)]
+    return [y0_row_sl(la, xi_order, q) for la in partitions_of(n) if all(x % xi_order == 0 for x in la)]

@@ -272,6 +272,29 @@ def test_integers_below_one_are_usage_errors(argv, capsys):
     assert "must be at least 1" in err and "Traceback" not in err and " at 0x" not in err
 
 
+# for each subcommand that takes --q: a usage error, then a run that only
+# q makes invalid (the tables runs would print only a header)
+Q_ORDER_CASES = [
+    ("series --group sl --N 4 --q {q}", "series --group sl --n 4 --q {q}"),
+    ("split --group sl --q {q}", "split --group sl --lambda 1,2 --q {q}"),
+    ("flags --group sl --lambda 1,2 --d 2 --q {q}", "flags --group so --lambda 3 --q {q}"),
+    ("tables --group sl --q {q}", "tables --group sl --n 5 --q {q} --xi-order 2"),
+    ("tables --group spin --N 5 --q {q} --xi-order 2", "tables --group spin --N 2 --q {q}"),
+]
+
+
+@pytest.mark.parametrize("q", (0, 1, 6, -3))
+@pytest.mark.parametrize("usage, valid", Q_ORDER_CASES)
+def test_usage_is_checked_before_q_and_q_before_any_work(usage, valid, q, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(usage.format(q=q).split())
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    code, out, err = run_cli(valid.format(q=q).split(), capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"{q} is not a prime power"}
+
+
 def test_p_prime_part_refuses_orders_below_one():
     for n in (0, -4):
         with pytest.raises(ValueError, match="group order"):

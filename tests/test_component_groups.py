@@ -199,13 +199,13 @@ def test_identity_value_is_dim_and_eps_value():
 
 def test_sl_component_orders():
     # (n), p not dividing n -> order n
-    g = cg.build_sl_component((5,), 3, q=3)
+    g = cg.build_sl_component((5,), 3)
     assert g.m == 5
     # (2,4), n = 6, p = 5 -> gcd(2,4,6) = 2
-    g = cg.build_sl_component((2, 4), 5, q=5)
+    g = cg.build_sl_component((2, 4), 5)
     assert g.m == 2
     # any partition with a part 1 -> trivial
-    g = cg.build_sl_component((1, 4), 3, q=3)
+    g = cg.build_sl_component((1, 4), 3)
     assert g.m == 1
 
 
@@ -215,7 +215,7 @@ def test_sl_component_order_equals_gcd_of_parts_and_nprime():
     for p in (2, 3, 5, 7):
         for n in range(1, 11):
             for lam in pt.partitions_of(n):
-                g = cg.build_sl_component(lam, p, q=p)
+                g = cg.build_sl_component(lam, p)
                 acc = cg.p_prime_part(n, p)
                 for part in lam:
                     acc = gcd(acc, part)
@@ -230,7 +230,7 @@ def test_421_count_matches_exhaustive_character_search():
         for n in range(1, 11):
             nprime = cg.p_prime_part(n, p)
             for lam in pt.partitions_of(n):
-                G = cg.build_sl_component(lam, p, q=p)
+                G = cg.build_sl_component(lam, p)
                 for d in range(1, nprime + 1):
                     if nprime % d != 0:
                         continue
@@ -240,16 +240,16 @@ def test_421_count_matches_exhaustive_character_search():
 
 
 def test_cyclic_tau_inverse_q_power():
-    g = cg.build_sl_component((5,), 3, q=3)
+    g = cg.build_sl_component((5,), 3)
     # tau: a -> -3 a = 2 a mod 5; tau has order 4 on Z/5
     assert g.tau_mult == 2
     assert og.tau_order(g) == 4
-    g2 = cg.build_sl_component((2, 4), 5, q=5)
+    g2 = cg.build_sl_component((2, 4), 5)
     assert g2.m == 2 and og.tau_order(g2) == 1  # inversion trivial on order 2
 
 
 def test_twisted_classes_trivial_tau():
-    g = cg.build_sl_component((2, 4), 5, q=5)
+    g = cg.build_sl_component((2, 4), 5)
     table = cg.twisted_classes(g)
     assert len(table) == 2
     assert sum(og.class_sizes(table)) == g.order
@@ -271,7 +271,7 @@ def test_twisted_classes_nontrivial_tau():
 
 
 def test_extend_character_trivial_cases():
-    g = cg.build_sl_component((2, 4), 5, q=5)
+    g = cg.build_sl_component((2, 4), 5)
     chi = og.cyclic_characters(g)[1]
     exts = cg.extend_character(chi, g)
     assert len(exts) == 1 and exts[0].label == "trivial"
@@ -328,7 +328,7 @@ def test_char_orthogonality_cyclic():
 def test_dispatch():
     # each group kind has its own character routine
     assert len(cg.spin_irreducibles(_untwisted((1, 3)))) == 2
-    assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5, q=5), 2)) == 1
+    assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5), 2)) == 1
     assert len(og.elem_abelian_characters(og.ElemAbelian2(2))) == 4
 
 

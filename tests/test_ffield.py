@@ -2,7 +2,7 @@ import pytest
 from oracles_clifford import least_nonsquare_in_subfield, sqrt, zeta4
 from oracles_flags import subfield_elements
 
-from springer.ffield import _poly_mod, _poly_mul, is_prime, make_field
+from springer.ffield import _poly_mod, _poly_mul, make_field, prime_power
 
 
 def test_make_field_prime_field():
@@ -137,8 +137,46 @@ def test_element_serialization_roundtrip():
         assert F9.encode(F9.serialize_element(a)) == a
 
 
-def test_is_prime():
-    assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+def test_make_field_takes_exactly_the_primes():
+    primes = []
+    for p in range(-3, 30):
+        try:
+            make_field(p, 1)
+        except ValueError:
+            continue
+        primes.append(p)
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_prime_power_against_every_power_of_a_sieved_prime():
+    # every p^k <= 5000 generated from a sieve of Eratosthenes; every other
+    # q in 1..5000 is refused
+    top = 5000
+    sieve = [True] * (top + 1)
+    powers = {}
+    for p in range(2, top + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+            k, pk = 1, p
+            while pk <= top:
+                powers[pk] = (p, k)
+                k, pk = k + 1, pk * p
+    for q in range(1, top + 1):
+        if q in powers:
+            assert prime_power(q) == powers[q], q
+        else:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                prime_power(q)
+    assert len(powers) == 669 + 42  # 669 primes below 5000, 42 higher powers
+
+
+def test_prime_power_edge_cases():
+    for q in (0, -1, -3, -4, -27, 1000003 * 2, 999983 * 1000003):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+    assert prime_power(1000003) == (1000003, 1)
+    assert prime_power(3**12) == (3, 12)
+    assert prime_power(2**40) == (2, 40)
 
 
 def _digits(a, p, k):

@@ -50,24 +50,29 @@ def test_count_bipartitions():
 
 
 def test_series_cardinality_small_examples():
-    r5 = sr.verify_series_cardinality(5)
+    counts = sr.xn_defect_counts(9)
+    r5 = sr.verify_series_cardinality(5, counts[5])
     assert r5.ok and r5.entries[0].class_count == 2 and r5.entries[0].bipartition_count == 2
-    r4 = sr.verify_series_cardinality(4)
+    r4 = sr.verify_series_cardinality(4, counts[4])
     e0 = [e for e in r4.entries if e.d == 0][0]
     assert e0.class_count == 2 and e0.bipartition_count == 2
-    r9 = sr.verify_series_cardinality(9)
+    r9 = sr.verify_series_cardinality(9, counts[9])
     assert r9.ok
 
 
 def test_defect_counts_match_the_listing_of_XN():
-    # the one-pass count by (size, defect) against X_N listed in full
+    # the one-pass count by (size, defect) against X_N listed in full: one
+    # pass to 40 counts every smaller size, as a pass to that size does
+    counts = sr.xn_defect_counts(40)
+    assert len(counts) == 41
     for N in range(41):
-        assert sr.xn_defect_counts(N) == Counter(pt.defect(la) for la in pt.enumerate_XN(N)), N
+        assert counts[N] == sr.xn_defect_counts(N)[N] == Counter(pt.defect(la) for la in pt.enumerate_XN(N)), N
 
 
 def test_series_cardinality_through_20():
+    counts = sr.xn_defect_counts(20)
     for N in range(3, 21):
-        assert sr.verify_series_cardinality(N).ok, N
+        assert sr.verify_series_cardinality(N, counts[N]).ok, N
 
 
 def test_sl_springer_label():
@@ -91,13 +96,15 @@ def test_sl_series_divisibility_bijection():
 
 
 def test_enumerate_sl_series():
-    s = sr.enumerate_sl_series(6, 5, q=5)
+    s = sr.enumerate_sl_series(6, 5)
     assert [(c.d, c.f_rational) for c in s] == [(1, True), (2, True), (3, True), (6, True)]
-    s = sr.enumerate_sl_series(6, 5, q=3)
+    s = sr.enumerate_sl_series(6, 7)
     assert [(c.d, c.f_rational) for c in s] == [(1, True), (2, True), (3, False), (6, False)]
-    # p | n removes p-part from the divisor list
-    s = sr.enumerate_sl_series(6, 3, q=3)
+    # p | n removes p-part from the divisor list, also when q = p^k, k > 1
+    s = sr.enumerate_sl_series(6, 3)
     assert [c.d for c in s] == [1, 2]
+    s = sr.enumerate_sl_series(6, 8)
+    assert [(c.d, c.f_rational) for c in s] == [(1, True), (3, True)]
 
 
 def test_xi_f_stable_direct():

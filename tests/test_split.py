@@ -47,10 +47,10 @@ def test_build_so_split_rejects():
 
 
 def test_so_jordan_roundtrip():
-    for q_p, q_k in ((3, 1), (5, 1), (3, 2)):
+    for q in (3, 5, 9):
         for N in range(1, 11):
             for lam in pt.enumerate_XN(N, tilde=True):
-                data = sp.build_so_split(lam, q_p, q_k)
+                data = sp.build_so_split(lam, q)
                 assert la.jordan_partition(data.field, data.nilpotent) == lam
 
 
@@ -83,10 +83,10 @@ def test_sl_split_even_block_trace_zero_scalar():
 
 
 def test_sl_jordan_roundtrip_and_form_invariance():
-    for q_p, q_k in ((3, 1), (2, 2), (5, 1), (3, 2)):
+    for q in (3, 4, 5, 9):
         for n in range(1, 11):
             for lam in pt.partitions_of(n):
-                data = sp.build_sl_split(lam, q_p, q_k)
+                data = sp.build_sl_split(lam, q)
                 K = data.field
                 x = la.mat(
                     [K.sub(u, int(i == j)) for j, u in enumerate(row)] for i, row in enumerate(data.unipotent)
@@ -148,7 +148,7 @@ def test_spin_frobenius_report_matches_formula():
         q = p**k
         for N in range(1, 14):
             for lam in pt.enumerate_XN(N):
-                signs = cl.spin_frobenius_signs(sp.build_so_split(lam, p, k))
+                signs = cl.spin_frobenius_signs(sp.build_so_split(lam, q))
                 assert tb.spin_tau_signs(lam, q) == signs, (q, lam)
                 if q % 4 == 1:
                     assert all(s == 1 for s in signs), (q, lam)
@@ -203,10 +203,10 @@ def test_spin_tau_signs_refuses_partitions_outside_XN(capsys):
 
 def test_sl_frobenius_report():
     # tau is a -> a^{-q} on the cyclic component group
-    group = cg.build_sl_component((2, 4), 5, q=5)
+    group = cg.build_sl_component((2, 4), 5)
     assert group.m == 2
     assert og.tau_order(group) == 1  # inversion trivial on order 2
-    group = cg.build_sl_component((5,), 3, q=3)
+    group = cg.build_sl_component((5,), 3)
     assert group.m == 5 and group.tau_mult == 2
     assert og.tau_order(group) == 4  # tau^2 is not the identity here
 

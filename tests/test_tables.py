@@ -161,9 +161,9 @@ def test_sl_table_from_partitions_of_n_over_d_matches_the_filtered_walk():
     # every partition of n filtered by divisibility
     for n in range(1, 13):
         for d in range(1, n + 1):
-            for q_p, q_k in ((3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
-                new = _table_or_refusal(tb.y0_table_sl, n, d, q_p, q_k)
-                assert new == _table_or_refusal(og.y0_table_sl_by_filter, n, d, q_p, q_k), (n, d, q_p**q_k)
+            for q in (3, 4, 5, 7, 9):
+                new = _table_or_refusal(tb.y0_table_sl, n, d, q)
+                assert new == _table_or_refusal(og.y0_table_sl_by_filter, n, d, q), (n, d, q)
 
 
 def test_row_json_roundtrip():

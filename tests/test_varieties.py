@@ -139,22 +139,29 @@ def test_all_lambda_prime_enumeration_matches_single_calls():
         assert {f.type_quotient for f in flags} <= set(laps)
 
 
-def test_flag_budget_counts_the_dual_candidates_up_front():
+def _flags_within(monkeypatch, budget: int, *args) -> list:
+    """enumerate_flags_sl(*args) with varieties.DEFAULT_BUDGET set to budget."""
+    with monkeypatch.context() as m:
+        m.setattr(vr, "DEFAULT_BUDGET", budget)
+        return vr.enumerate_flags_sl(*args)
+
+
+def test_flag_budget_counts_the_dual_candidates_up_front(monkeypatch):
     # (1,1,2), d = 1 over F_9: 810 flags of type (2) and 181 of type (1,1);
     # the W' candidates summed over W are exactly the flags, so 991 is the
     # least budget that passes, and the refusal comes before any W'
     data = sp.build_sl_split((1, 1, 2), 3)
     laps = [(1, 1), (2,)]
-    assert len(vr.enumerate_flags_sl(data, 1, laps, bound=991)) == 810 + 181
+    assert len(_flags_within(monkeypatch, 991, data, 1, laps)) == 810 + 181
     with pytest.raises(vr.VarietyBudgetError, match="flag count exceeds budget 990"):
-        vr.enumerate_flags_sl(data, 1, laps, bound=990)
+        _flags_within(monkeypatch, 990, data, 1, laps)
     for lam, d in (((1, 3), 1), ((2, 2), 1), ((2, 4), 2)):
         data = sp.build_sl_split(lam, 3)
         laps = list(pt.partitions_of(sum(lam) - 2 * d))
         count = len(vr.enumerate_flags_sl(data, d, laps))
-        assert len(vr.enumerate_flags_sl(data, d, laps, bound=count)) == count, lam
+        assert len(_flags_within(monkeypatch, count, data, d, laps)) == count, lam
         with pytest.raises(vr.VarietyBudgetError):
-            vr.enumerate_flags_sl(data, d, laps, bound=count - 1)
+            _flags_within(monkeypatch, count - 1, data, d, laps)
 
 
 def _fibre_types(report, lap):
@@ -418,10 +425,10 @@ def test_orbit_decomposition_empty():
     assert dec.orbits == ()
 
 
-def test_budget_error_on_huge_instance():
+def test_budget_error_on_huge_instance(monkeypatch):
     data = sp.build_sl_split((1, 2), 3)
     with pytest.raises(vr.VarietyBudgetError):
-        vr.enumerate_flags_sl(data, 1, [(1,)], bound=3)
+        _flags_within(monkeypatch, 3, data, 1, [(1,)])
 
 
 def _enumeration_cases():
