@@ -116,7 +116,7 @@ def build_so_split(la_parts: Partition, q: int) -> SplitSOData:
     if any(v for row in skew for v in row):
         raise AssertionError("x is not skew-adjoint for the form")
     if la.jordan_partition(K, x) != la_parts:
-        raise AssertionError("Jordan type mismatch")
+        raise AssertionError("x is not of the Jordan type of the partition")
     return SplitSOData(la=la_parts, field=K, form=form, nilpotent=x, qexp=k)
 
 
@@ -282,4 +282,4 @@ def _verify_sl_split(data: SplitSLData) -> None:
     if la.mat_mul(K, la.mat_mul(K, la.transpose(u), A), data.conj_mat(u)) != A:
         raise AssertionError("u does not preserve the sesquilinear form")
     if la.jordan_partition(K, data.nilpotent) != data.la:
-        raise AssertionError("Jordan type mismatch")
+        raise AssertionError("u - 1 is not of the Jordan type of the partition")

@@ -414,22 +414,6 @@ class CentralizerUnits:
     units: tuple  # generators of its unit group
 
 
-def commutant_basis(x: la.Matrix, K: FieldSpec) -> la.Matrix:
-    """A basis of {m : m x = x m}, each m flattened row by row: the
-    nullspace of the commutator equations."""
-    n = len(x)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for t in range(n):
-                # (M x - x M)[i][j] = sum_t M[i][t] x[t][j] - x[i][t] M[t][j]
-                row[i * n + t] = K.add(row[i * n + t], x[t][j])
-                row[t * n + j] = K.sub(row[t * n + j], x[i][t])
-            rows.append(tuple(row))
-    return la.nullspace(K, la.mat(rows))
-
-
 def centralizer_units(la_parts: Partition, K: FieldSpec) -> CentralizerUnits:
     """Generators of the unit group of the commutant C of x = jordan_shift(la_parts).
 
@@ -442,6 +426,10 @@ def centralizer_units(la_parts: Partition, K: FieldSpec) -> CentralizerUnits:
     is generated by the scaling of each chain by the primitive element g
     of K and by 1 + c E for every other E, with c in the F_p-basis
     1, g, ..., g^(k-1) of K.
+
+    dimension counts the maps E(a, b, i), sum of min(h_a, h_b), which is
+    dim C over any field; its reference, the commutant as a nullspace,
+    is in tests/oracles_flags.py.  Each generator must commute with x.
     """
     x = jordan_shift(la_parts)
     n = len(x)
@@ -449,7 +437,6 @@ def centralizer_units(la_parts: Partition, K: FieldSpec) -> CentralizerUnits:
     powers = [1]
     for _ in range(1, K.k):
         powers.append(K.mul(powers[-1], K.primitive))
-    basis_size = 0
     gens = []
 
     def with_entries(entries, c):
@@ -461,19 +448,15 @@ def centralizer_units(la_parts: Partition, K: FieldSpec) -> CentralizerUnits:
     for ca in chains:
         for cb in chains:
             for i in range(1, min(len(ca), len(cb)) + 1):
-                basis_size += 1
                 if ca is cb and i == len(ca):
                     gens.append(with_entries([(r, r) for r in ca], K.primitive))
                 else:
                     entries = [(ca[i - 1 - m], cb[len(cb) - 1 - m]) for m in range(i)]
                     gens.extend(with_entries(entries, c) for c in powers)
-    dim = len(commutant_basis(x, K))
-    if basis_size != dim:
-        raise AssertionError(f"{basis_size} chain maps for a commutant of dimension {dim}")
     for g in gens:
         if la.mat_mul(K, g, x) != la.mat_mul(K, x, g):
             raise AssertionError("a centralizer generator does not commute with x")
-    return CentralizerUnits(dimension=dim, units=tuple(gens))
+    return CentralizerUnits(dimension=sum(min(a, b) for a in la_parts for b in la_parts), units=tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -528,8 +511,10 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 def is_f_stable(data: SplitSLData | SplitSOData, *bases: la.Matrix) -> bool:
     """Whether the q-power map, q = p^qexp, fixes the span of each echelon
     basis: it keeps the pivot pattern, so exactly when it fixes every entry.
-    That is F on split orthogonal data; the twisted SL flag Frobenius
-    composes it with a duality through the Hermitian form, which carries a
-    flag of q-rational subspaces to a flag of q-rational subspaces."""
+    The twisted SL flag Frobenius composes it with a duality through the
+    Hermitian form, which carries a flag of q-rational subspaces to a flag
+    of q-rational subspaces.  Its one caller in the library is the SL side
+    of cli.cmd_flags; on split orthogonal data, which lives over F_q, it
+    is always true."""
     K, qexp = data.field, data.qexp
     return all(K.frobenius(c, qexp) == c for basis in bases for row in basis for c in row)

@@ -1,13 +1,17 @@
-"""Byte-identity sweep of the command line, for comparing two checkouts.
+"""Byte-identity sweep of the command line against its recorded output.
 
-    python3 tests/cli_sweep.py PATH/TO/src > sweep.txt
+    python3 tests/cli_sweep.py PATH/TO/src             # compare
+    python3 tests/cli_sweep.py PATH/TO/src --record    # rewrite the record
 
 Imports ``springer`` from the given ``src/`` directory and runs a fixed
-list of invocations in one process.  Each prints one tab-separated line:
+list of invocations in one process.  Each gives one tab-separated line:
 the argv, the exit code, the sha256 of stdout and the last line of
-stderr (empty when there is none).  Running this script against the
-``src/`` of two checkouts and diffing the outputs shows every invocation
-whose bytes differ.
+stderr (empty when there is none).  The lines are compared with
+``tests/cli_sweep.txt``: only the lines that differ are printed, the
+recorded one with "-" and the new one with "+", and the exit status is 1
+if any differ.  ``--record`` writes the lines to that file instead.  A
+change that alters output on purpose re-records the file and lists the
+changed lines.
 
 The list is:
 - every golden digest of ``tests/test_golden.py`` and the refusals that
@@ -27,7 +31,7 @@ The list is:
   invalid, including ``tables`` runs that would print only a header.
 
 It is not a test module, so pytest does not collect it.  The whole list
-takes a few minutes; ``flags --group sl --lambda 1,1,1,1 --d 1 --q 3``
+takes about a minute; ``flags --group sl --lambda 1,1,1,1 --d 1 --q 3``
 and its ``--orbits`` run are most of that.
 """
 
@@ -42,6 +46,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+RECORD = HERE / "cli_sweep.txt"
 
 
 def _golden() -> list[str]:
@@ -110,18 +115,35 @@ def run(main, argv: str) -> str:
     return f"{argv}\t{code}\t{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}\t{last}"
 
 
-def sweep(src: Path) -> None:
+def sweep(src: Path) -> list[str]:
     sys.path.insert(0, str(src.resolve()))
     from springer import partitions as pt
     from springer.cli import main
 
     if not Path(pt.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"springer was imported from {pt.__file__}, not from {src}")
-    for argv in invocations(pt):
-        print(run(main, argv), flush=True)
+    return [run(main, argv) for argv in invocations(pt)]
+
+
+def differences(recorded: list[str], lines: list[str]) -> list[str]:
+    """"-" recorded and "+" new lines, for each argv whose line differs or
+    that only one side has, in the order of the new run."""
+    old = {line.split("\t", 1)[0]: line for line in recorded}
+    new = {line.split("\t", 1)[0]: line for line in lines}
+    out = []
+    for argv in list(new) + [a for a in old if a not in new]:
+        if old.get(argv) != new.get(argv):
+            out += [f"- {old[argv]}"] * (argv in old) + [f"+ {new[argv]}"] * (argv in new)
+    return out
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2 or sys.argv[2:] not in ([], ["--record"]):
         raise SystemExit(__doc__)
-    sweep(Path(sys.argv[1]))
+    lines = sweep(Path(sys.argv[1]))
+    if sys.argv[2:]:
+        RECORD.write_text("".join(line + "\n" for line in lines))
+    else:
+        diff = differences(RECORD.read_text().splitlines(), lines)
+        print("\n".join(diff) if diff else f"{len(lines)} invocations match {RECORD.name}")
+        sys.exit(1 if diff else 0)

@@ -38,6 +38,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import oracles_flags as ofl
 
 from springer import flinalg as la
 from springer import varieties as vr
@@ -1099,7 +1100,7 @@ def centralizer_unit_scan(x, K, bound: int = vr.DEFAULT_BUDGET) -> vr.Centralize
     """The whole unit group of {m : m x = x m}, by a scan of its q^dim
     elements; VarietyBudgetError when q^dim exceeds the bound."""
     n = len(x)
-    basis_flat = vr.commutant_basis(x, K)
+    basis_flat = ofl.commutant_basis(x, K)
     dim = len(basis_flat)
     if K.q**dim > bound:
         raise vr.VarietyBudgetError(f"{K.q**dim} algebra elements exceed budget {bound}")

@@ -14,8 +14,9 @@ The last section keeps the plain forms of the cyclic-subspace
 enumeration, quotient and subquotient types, basis extension, span
 vectors and the subfield F_q of F_{q^2} that the library shortcuts,
 with the matrix inverse, the restriction to a stable subspace (which
-the definition checks read) and a Jordan-shift builder written apart
-from `split`.
+the definition checks read), the commutant of a matrix as a nullspace
+(the reference for the centralizer dimension and the unit scan) and a
+Jordan-shift builder written apart from `split`.
 """
 
 from __future__ import annotations
@@ -701,6 +702,23 @@ def inverse(K, a: la.Matrix) -> la.Matrix:
     if len(red) != n or pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(r[n:] for r in red)
+
+
+def commutant_basis(x: la.Matrix, K) -> la.Matrix:
+    """A basis of {m : m x = x m}, each m flattened row by row: the
+    nullspace of the commutator equations.  The reference for the
+    dimension varieties.centralizer_units counts in closed form."""
+    n = len(x)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for t in range(n):
+                # (M x - x M)[i][j] = sum_t M[i][t] x[t][j] - x[i][t] M[t][j]
+                row[i * n + t] = K.add(row[i * n + t], x[t][j])
+                row[t * n + j] = K.sub(row[t * n + j], x[i][t])
+            rows.append(tuple(row))
+    return la.nullspace(K, la.mat(rows))
 
 
 def nilpotent_of_type(lam: Partition) -> la.Matrix:

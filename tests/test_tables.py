@@ -240,3 +240,20 @@ def test_twisted_extensions_are_orthonormal_and_opposite():
                     assert plus.values == tuple(-v for v in minus.values), (la, q)
                     seen += 1
     assert seen == 4  # (1,3,7) and (1,5,7), each at q = 3 and q = 7
+
+
+def test_every_two_extension_row_is_twisted_orthonormal():
+    # the table builder does not check twisted orthogonality itself (the
+    # intertwiner checks in extend_character imply it): every plus and
+    # minus row of N <= 27 at q = 3 and of N <= 21 at q = 7 satisfies
+    # sum over classes of size * |value|^2 = |A|
+    seen = 0
+    for q, n_max in ((3, 27), (7, 21)):
+        for N in range(3, n_max + 1):
+            for row in tb.y0_table_spin(N, q):
+                if row.extension_label == "trivial":
+                    continue
+                sizes = [size for _, size in row.classes]
+                assert sum(v * v.conj() * size for v, size in zip(row.values, sizes)) == sum(sizes), (row.la, q)
+                seen += 1
+    assert seen == 244

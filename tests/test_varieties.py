@@ -11,7 +11,7 @@ from springer import flinalg as la
 from springer import partitions as pt
 from springer import split as sp
 from springer import varieties as vr
-from springer.ffield import make_field
+from springer.ffield import make_field, prime_power
 
 
 def _so_flags(data, lap):
@@ -387,6 +387,17 @@ def test_centralizer_generators_generate_the_unit_group():
         scan = orc.centralizer_unit_scan(x, K)
         assert gens.dimension == scan.dimension == centralizer_algebra_dimension(lam), (K.q, lam)
         assert _generated_group(K, gens.units) == set(scan.units), (K.q, lam)
+
+
+def test_centralizer_dimension_counts_the_commutant():
+    # the library counts the chain maps; the nullspace of the commutator
+    # equations and the closed form sum of min(a, b) must agree with it
+    for q in (2, 3, 4, 9):
+        K = make_field(*prime_power(q))
+        for n in range(1, 8):
+            for lam in pt.partitions_of(n):
+                dim = vr.centralizer_units(lam, K).dimension
+                assert dim == len(ofl.commutant_basis(sp.jordan_shift(lam), K)) == centralizer_algebra_dimension(lam), (q, lam)
 
 
 def test_orbit_ids_match_the_unit_scan():
