@@ -1,13 +1,13 @@
-"""Finite models of component groups of unipotent centralizers.
+"""The component groups of unipotent centralizers on the spin side.
 
-Two shapes occur: the Clifford-type 2-group generated by the odd-block
-products (spin side) and cyclic groups of order n'_lambda (special
-linear side).  Each carries a Frobenius automorphism tau.
+The model is the Clifford-type 2-group generated by the odd-block
+products, with its Frobenius automorphism tau.  (On the special linear
+side the group is cyclic and its rows have a closed form, which
+tables.y0_row_sl writes out directly.)
 
 A character is a dict from group elements, in group element order, to
 exact cyclotomic values; an extension to the coset A tau is the same
-kind of dict, read at g tau.  On the cyclic side only the character
-lifting the requested central character is built.
+kind of dict, read at g tau.
 
 The spin characters with xi(eps) = -1 come from monomial matrices: the
 generators are Kronecker products of Pauli matrices scaled by 1 or i,
@@ -20,21 +20,19 @@ exponents of the generators, so a process builds one checked model set
 per epsilon-signature and shares it across partitions and tau-signs;
 the group law and irreducibility are verified exactly for each set.
 
-Both groups keep their arithmetic in closed form: SpinGamma multiplies
-bitmasks by popcounts, and the twisted classes of either group are read
-off without closing orbits (gcd cosets on Z/m, one sign parity per
-element on SpinGamma).
+SpinGamma keeps its arithmetic in closed form: it multiplies bitmasks
+by popcounts, and its twisted classes are read off without closing
+orbits, by one sign parity per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyc, CycRing
-from .ffield import prime_power
 from .partitions import Partition, check_partition, is_in_XN, odd_part_positions
 
 Element = tuple[int, int]  # SpinGamma: (epsilon power, generator bitmask)
@@ -133,7 +131,7 @@ def anticommuting_matrices(signs: Sequence[int], R: CycRing) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the groups
+# the group
 
 
 class SpinGamma:
@@ -208,60 +206,10 @@ class SpinGamma:
             raise ValueError("the full word is odd for an odd number of generators")
         return (0, (1 << self.r) - 1)
 
-class CyclicGroup:
-    """Z / m with the power automorphism a -> t a (t coprime to m), as a
-    quotient of the center Z / n_prime."""
-
-    def __init__(self, m: int, tau_mult: int, n_prime: int):
-        if m < 1:
-            raise ValueError("order must be positive")
-        self.m = m
-        self.tau_mult = tau_mult % m if m > 1 else 0
-        if m > 1 and gcd(self.tau_mult, m) != 1:
-            raise ValueError("tau multiplier must be invertible mod m")
-        self.n_prime = n_prime
-        self.elements = list(range(m))
-
-    @property
-    def order(self) -> int:
-        return self.m
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.m
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.m
-
-    def tau(self, a: int) -> int:
-        return (self.tau_mult * a) % self.m
-
 
 def build_spin_gamma(la_parts: Partition, tau_signs: Sequence[int]) -> SpinGamma:
     """The component-group model attached to a partition in X_N."""
     return SpinGamma(la_parts, tau_signs)
-
-
-def p_prime_part(n: int, p: int) -> int:
-    if n < 1:
-        raise ValueError(f"the group order n = {n} must be at least 1")
-    while n % p == 0:
-        n //= p
-    return n
-
-
-def sl_component_order(la_parts: Partition, n: int, p: int) -> int:
-    """gcd of the p'-parts of the distinct part sizes and of n'."""
-    return gcd(*(p_prime_part(i, p) for i in set(la_parts)), p_prime_part(n, p))
-
-
-def build_sl_component(la_parts: Partition, q: int) -> CyclicGroup:
-    """Cyclic component group of a unipotent of type la in SL_n over F_q,
-    with tau the twisted Frobenius a -> a^{-q}."""
-    p, _ = prime_power(q)
-    la_parts = check_partition(la_parts)
-    n = sum(la_parts)
-    m = sl_component_order(la_parts, n, p)
-    return CyclicGroup(m, tau_mult=-q, n_prime=p_prime_part(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -445,37 +393,20 @@ def spin_irreducibles(G: SpinGamma) -> list[IrrChar]:
     return list(_SPIN_MODELS[G.exponents])
 
 
-def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int) -> list[IrrChar]:
-    """Characters of Z/m whose pullback along Z/n' -> Z/m is the canonical
-    character of order xi_order.  Exactly one when xi_order | m, else none."""
-    if G.n_prime % xi_order != 0:
-        raise ValueError(f"no central character of order {xi_order} exists (center has order {G.n_prime})")
-    if xi_order < 1 or G.m % xi_order != 0:
-        return []
-    j = (G.m // xi_order) % G.m
-    ring = CycRing(lcm(4, G.m))
-    values = {a: ring.root_of_unity(G.m, j * a) for a in G.elements}
-    return [IrrChar(label=f"chi{j}", dim=1, ring=ring, values=values)]
-
-
 # ---------------------------------------------------------------------------
 # twisted classes and extensions
 
 
-def twisted_classes(G) -> tuple:
+def twisted_classes(G: SpinGamma) -> tuple:
     """Orbits of a -> b a tau(b)^{-1} on the coset A tau, as
     (representative, members) pairs in representative order.
 
-    On Z/m the orbit of a is a + (1 - t) Z/m = a + gcd(1 - t, m) Z/m.  On
-    SpinGamma, eps acts trivially and x_i x_j sends (e, S) to
-    eps^(v_i + v_j) (e, S), where v_k = [k in S] + [tau negates x_k] mod
-    2.  So (e, S) is alone in its class when v is constant, that is when
-    S xor F is empty or full for F the negated generators (always so for
-    r < 2), and otherwise its class is {(0, S), (1, S)}.
+    eps acts trivially and x_i x_j sends (e, S) to eps^(v_i + v_j) (e, S),
+    where v_k = [k in S] + [tau negates x_k] mod 2.  So (e, S) is alone
+    in its class when v is constant, that is when S xor F is empty or
+    full for F the negated generators (always so for r < 2), and
+    otherwise its class is {(0, S), (1, S)}.
     """
-    if isinstance(G, CyclicGroup):
-        step = gcd(1 - G.tau_mult, G.m)
-        return tuple((a, tuple(range(a, G.m, step))) for a in range(step))
     full = (1 << G.r) - 1
     classes = []
     for e, s in G.elements:
@@ -486,7 +417,7 @@ def twisted_classes(G) -> tuple:
     return tuple(sorted(classes))
 
 
-def is_tau_stable(G, chi: IrrChar) -> bool:
+def is_tau_stable(G: SpinGamma, chi: IrrChar) -> bool:
     return all(chi.values[G.tau(g)] == v for g, v in chi.values.items())
 
 
@@ -496,13 +427,14 @@ class ExtendedChar:
     coset_values: dict  # element g -> value at g*tau, in group element order
 
 
-def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
+def extend_character(chi: IrrChar, G: SpinGamma) -> list[ExtendedChar]:
     """Extensions of a tau-stable character to the coset A tau.
 
-    Abelian groups and trivial tau get the trivial extension (value at
-    g tau equals chi(g)).  A higher-dimensional spin character with
-    nontrivial tau has two, through T and -T, where T rho(g) T^{-1} =
-    rho(tau g) and T^2 = 1.  There tau is conjugation by the even word
+    A linear character, or any character when tau is trivial, gets the
+    trivial extension (value at g tau equals chi(g)).  A character of
+    higher dimension with nontrivial tau has two, through T and -T, where
+    T rho(g) T^{-1} = rho(tau g) and T^2 = 1; it is a spin character, so
+    it carries its model chi.rep.  There tau is conjugation by the even word
     w = x_F, F the generators that tau negates (or the complement when F
     is odd), so T = i^s rho(w): s is u or u + 1 for u the phase of the
     column-0 entry of rho(w^{-1}), with the parity of the epsilon power
@@ -517,8 +449,6 @@ def extend_character(chi: IrrChar, G) -> list[ExtendedChar]:
     trivial_tau = all(G.tau(g) == g for g in G.elements)
     if chi.dim == 1 or trivial_tau:
         return [ExtendedChar(label="trivial", coset_values=chi.values)]
-    if chi.rep is None:
-        raise ValueError("higher-dimensional extensions only arise for the spin model")
     rep = chi.rep
     even = [f for f in (G.flip_mask, G.flip_mask ^ ((1 << G.r) - 1)) if f.bit_count() % 2 == 0]
     if not even:

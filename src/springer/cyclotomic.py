@@ -28,7 +28,8 @@ def _divide_monic(a: list[int], b: Sequence[int]) -> list[int]:
         c = q[k] = a[k + db]
         for i, x in enumerate(b):
             a[k + i] -= c * x
-    assert not any(a), "division by a monic polynomial left a remainder"
+    if any(a):
+        raise AssertionError("division by a monic polynomial left a remainder")
     return q
 
 
@@ -111,7 +112,8 @@ class Cyc:
     def __init__(self, ring: CycRing, coeffs: Sequence):
         self.ring = ring
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == ring.degree
+        if len(self.coeffs) != ring.degree:
+            raise AssertionError(f"{len(self.coeffs)} coefficients for a ring of degree {ring.degree}")
 
     # -- arithmetic
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .component_groups import p_prime_part
 from .ffield import prime_power
 from .partitions import num_partitions, part_defect
 
@@ -77,6 +76,15 @@ def enumerate_spin_series(N: int) -> list[CuspidalDatumSpin]:
             out.append(CuspidalDatumSpin(d=d, levi_type=_spin_levi_label(N, d), weyl_rank=spin_weyl_rank(N, d)))
     out.sort(key=lambda c: (abs(c.d), -c.d))
     return out
+
+
+def p_prime_part(n: int, p: int) -> int:
+    """n with every factor p divided out."""
+    if n < 1:
+        raise ValueError(f"the group order n = {n} must be at least 1")
+    while n % p == 0:
+        n //= p
+    return n
 
 
 def enumerate_sl_series(n: int, q: int) -> list[CuspidalDatumSL]:

@@ -92,7 +92,6 @@ class SplitSOData:
     field: FieldSpec
     form: la.Matrix
     nilpotent: la.Matrix
-    qexp: int  # q = p^qexp
 
 
 def build_so_split(la_parts: Partition, q: int) -> SplitSOData:
@@ -117,7 +116,7 @@ def build_so_split(la_parts: Partition, q: int) -> SplitSOData:
         raise AssertionError("x is not skew-adjoint for the form")
     if la.jordan_partition(K, x) != la_parts:
         raise AssertionError("x is not of the Jordan type of the partition")
-    return SplitSOData(la=la_parts, field=K, form=form, nilpotent=x, qexp=k)
+    return SplitSOData(la=la_parts, field=K, form=form, nilpotent=x)
 
 
 # ---------------------------------------------------------------------------

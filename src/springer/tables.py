@@ -10,24 +10,38 @@ A table row Y0 lists the exact values Tr(a tau, rho~) over the twisted
 classes of the component group of a split element: the computable basis
 vector attached to the pair (class, local system) under the convention
 that the normalizing scalar is 1 at split elements.
+
+The spin rows come from the models of component_groups.  The SL rows
+are written in closed form.  For a unipotent of type la in SL_n over
+F_q, q = p^k, the component group is Z/m, m the gcd of the p'-parts of
+the parts and of n (the p'-part of the gcd of the parts, which divides
+n), and F acts by a -> -q a.  Its twisted classes are
+the cosets of gcd(q + 1, m) Z/m, and the character lifting the order-d
+central character is a -> zeta_d^a.  So the row holds zeta_d^a on the
+classes a < gcd(q + 1, m), each of m / gcd(q + 1, m) elements.  Once
+both refusals of y0_row_sl have passed, d divides q + 1, so it is prime
+to p, and it divides every part, so it divides m: that character exists,
+is F-stable, extends trivially and is constant on each class.  The
+checks a model would run there are theorems, and tests/oracles_groups.py
+keeps the model as their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional
 
 from .component_groups import (
     ExtendedChar,
     IrrChar,
-    build_sl_component,
     build_spin_gamma,
-    cyclic_characters_with_xi,
     extend_character,
     is_tau_stable,
     spin_irreducibles,
     twisted_classes,
 )
+from .cyclotomic import CycRing
 from .ffield import prime_power
 from .partitions import (
     Partition,
@@ -41,7 +55,7 @@ from .partitions import (
     odd_part_positions,
     partitions_of,
 )
-from .series import spin_weyl_rank, xi_is_f_stable
+from .series import p_prime_part, spin_weyl_rank, xi_is_f_stable
 
 
 class EmptyFiberError(ValueError):
@@ -132,6 +146,11 @@ class GreenBasisRow:
     values: tuple  # tuple of Cyc, one per class
     exponents: ExponentData
 
+    def __post_init__(self):
+        # q^{(a_0 + r)/2} must stay polynomial in every emitted row
+        if not self.exponents.even:
+            raise AssertionError(f"odd exponent sum {self.exponents.total} in an emitted row")
+
     def to_dict(self) -> dict:
         return {
             "group": self.group,
@@ -165,19 +184,17 @@ def _rep_str(group: str, rep) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def _checked_row(
-    group: str, q: int, la: Partition, series: int, rho: IrrChar, ext: ExtendedChar, A, exp: ExponentData
-) -> GreenBasisRow:
-    """The row of ext's values on the twisted classes of A (the orbits
-    of a -> b a tau(b)^{-1}, read off in closed form).
+def _checked_row(la: Partition, q: int, rho: IrrChar, ext: ExtendedChar, A, exp: ExponentData) -> GreenBasisRow:
+    """The spin row of ext's values on the twisted classes of A (the
+    orbits of a -> b a tau(b)^{-1}, read off in closed form).
 
-    Checked: each value is constant on its class, the exponent sum is
-    even, and the trivial extension carries dim rho on the identity
-    class.  An extension through the word intertwiner T = +-i^s rho(w)
-    (tau nontrivial on rho) has tr T there, not dim rho; extend_character
-    has checked T^2 = 1 and T rho T^-1 = rho tau for the irreducible rho,
-    which makes twisted orthogonality (sum over classes of size *
-    |value|^2 = |A|) a theorem, so the tests assert it instead.
+    Checked: each value is constant on its class, the trivial extension
+    carries dim rho on the identity class, and (in GreenBasisRow) the
+    exponent sum is even.  An extension through the word intertwiner
+    T = +-i^s rho(w) (tau nontrivial on rho) has tr T there, not dim rho;
+    extend_character has checked T^2 = 1 and T rho T^-1 = rho tau for the
+    irreducible rho, which makes twisted orthogonality (sum over classes
+    of size * |value|^2 = |A|) a theorem, so the tests assert it instead.
     """
     classes = twisted_classes(A)
     vm = ext.coset_values
@@ -188,13 +205,11 @@ def _checked_row(
         values.append(vm[rep])
     if ext.label == "trivial" and values[0] != rho.dim:
         raise AssertionError("identity-class value differs from the dimension")
-    if not exp.even:
-        raise AssertionError(f"odd exponent sum {exp.total} in an emitted row")
     return GreenBasisRow(
-        group=group,
+        group="spin",
         q=q,
         la=la,
-        series=series,
+        series=defect(la),
         rho_label=rho.label,
         extension_label=ext.label,
         dim=rho.dim,
@@ -207,23 +222,39 @@ def _checked_row(
 def y0_row_sl(la: Partition, xi_order: int, q: int) -> GreenBasisRow:
     """One table row for a class of twisted SL_n over F_q, q a prime power.
 
-    Refuses central characters moved by F (order not dividing q + 1) and
-    pairs with empty fiber (a part not divisible by the order).
+    Refuses an order d below 1, pairs with empty fiber (a part not
+    divisible by d) and central characters moved by F (d not dividing
+    q + 1).
+    Otherwise the row is the closed form of the module docstring: the
+    character chi_j, j = m / d, of Z/m, its trivial extension, and the
+    classes (a, m / step), a < step = gcd(q + 1, m), with values zeta_d^a
+    in the ring of order lcm(4, m).
     """
     la = check_partition(la)
+    if xi_order < 1:
+        raise ValueError(f"the central character order {xi_order} must be at least 1")
     if any(x % xi_order for x in la):
         raise EmptyFiberError(f"no local system: {xi_order} does not divide every part of {la}")
     if not xi_is_f_stable(xi_order, q):
         raise NotFStableError(
             f"central character of order {xi_order} is moved by F (it maps to its -q power; {xi_order} does not divide q + 1 = {q + 1})"
         )
-    A = build_sl_component(la, q)
-    found = cyclic_characters_with_xi(A, xi_order)
-    if not found:
-        raise EmptyFiberError(f"no character of Z/{A.m} lifts the order-{xi_order} central character")
-    rho = found[0]
-    ext = extend_character(rho, A)[0]
-    return _checked_row("sl", q, la, xi_order, rho, ext, A, exponents_sl(la, xi_order))
+    p, _ = prime_power(q)
+    m = p_prime_part(gcd(*la), p)
+    step = gcd(q + 1, m)
+    ring = CycRing(lcm(4, m))
+    return GreenBasisRow(
+        group="sl",
+        q=q,
+        la=la,
+        series=xi_order,
+        rho_label=f"chi{(m // xi_order) % m}",
+        extension_label="trivial",
+        dim=1,
+        classes=tuple((a, m // step) for a in range(step)),
+        values=tuple(ring.root_of_unity(xi_order, a) for a in range(step)),
+        exponents=exponents_sl(la, xi_order),
+    )
 
 
 def spin_tau_signs(la: Partition, q: int) -> tuple[int, ...]:
@@ -292,7 +323,7 @@ def y0_row_spin(
             raise ValueError(f"two extensions exist; pass extension= one of {labels}")
         exts = [next(e for e in exts if e.label == label) for label in ([extension] if extension else labels)]
     exp = exponents_spin(la)
-    return tuple(_checked_row("spin", q, la, defect(la), rho, ext, A, exp) for ext in exts)
+    return tuple(_checked_row(la, q, rho, ext, A, exp) for ext in exts)
 
 
 def y0_table_sl(n: int, xi_order: int, q: int) -> list[GreenBasisRow]:

@@ -508,13 +508,13 @@ def orbit_decomposition(flags: Sequence[Flag], units: CentralizerUnits, K: Field
 # F-stability of flags
 
 
-def is_f_stable(data: SplitSLData | SplitSOData, *bases: la.Matrix) -> bool:
+def is_f_stable(data: SplitSLData, *bases: la.Matrix) -> bool:
     """Whether the q-power map, q = p^qexp, fixes the span of each echelon
-    basis: it keeps the pivot pattern, so exactly when it fixes every entry.
-    The twisted SL flag Frobenius composes it with a duality through the
-    Hermitian form, which carries a flag of q-rational subspaces to a flag
-    of q-rational subspaces.  Its one caller in the library is the SL side
-    of cli.cmd_flags; on split orthogonal data, which lives over F_q, it
-    is always true."""
+    basis over F_{q^2}: it keeps the pivot pattern, so exactly when it
+    fixes every entry.  The twisted SL flag Frobenius composes it with a
+    duality through the Hermitian form, which carries a flag of
+    q-rational subspaces to a flag of q-rational subspaces.  (Split
+    orthogonal data lives over F_q itself, so there the answer is always
+    true, and cli.cmd_flags prints it as a constant.)"""
     K, qexp = data.field, data.qexp
     return all(K.frobenius(c, qexp) == c for basis in bases for row in basis for c in row)

@@ -26,6 +26,11 @@ The list is:
   ``split`` at q in {4, 8, 9, 25, 27} on both sides, SL ``tables`` at q
   in {4, 8, 9}, SL ``series`` at q in {8, 9}, SO ``flags`` at q = 9;
 - ``verify --suite spin-series --N-max 80``;
+- SL ``tables`` for every n <= 24 and every divisor d of n, at q in
+  {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32};
+- fields too large for lookup tables: ``split --group sl --lambda
+  1,2,3`` at q in {37, 49, 101}, ``split --group so --lambda 1,2,2`` at
+  q = 1031, and SL ``flags`` at q = 37, plain and with ``--orbits``;
 - for each subcommand that takes ``--q``, at q in {0, 1, 6, -3}:
   invocations whose usage is wrong and invocations that only q makes
   invalid, including ``tables`` runs that would print only a header.
@@ -101,6 +106,11 @@ def invocations(pt) -> list[str]:
             f"tables --group spin --N 5 --q {q}",
             f"tables --group spin --N 2 --q {q}",
         ]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32):
+        out += [f"tables --group sl --n {n} --q {q} --xi-order {d}" for n in range(1, 25) for d in range(1, n + 1) if n % d == 0]
+    out += [f"split --group sl --lambda 1,2,3 --q {q}" for q in (37, 49, 101)]
+    out += ["split --group so --lambda 1,2,2 --q 1031"]
+    out += ["flags --group sl --lambda 2 --q 37", "flags --group sl --lambda 3 --q 37 --orbits"]
     return list(dict.fromkeys(out))
 
 
@@ -133,7 +143,8 @@ def differences(recorded: list[str], lines: list[str]) -> list[str]:
     out = []
     for argv in list(new) + [a for a in old if a not in new]:
         if old.get(argv) != new.get(argv):
-            out += [f"- {old[argv]}"] * (argv in old) + [f"+ {new[argv]}"] * (argv in new)
+            out += [f"- {old[argv]}"] if argv in old else []
+            out += [f"+ {new[argv]}"] if argv in new else []
     return out
 
 

@@ -53,6 +53,7 @@ SPLIT = "tests/test_split.py::"
 VARIETIES = "tests/test_varieties.py::"
 TABLES = "tests/test_tables.py::"
 GROUPS = "tests/test_component_groups.py::"
+CYCLOTOMIC = "tests/test_cyclotomic.py::"
 GOLDEN = "tests/test_golden.py::test_cli_stdout_digest"
 
 # the shift both builders take, with no link on its first or on its last
@@ -271,9 +272,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "identity-class value differs from the dimension",
         "component_groups.py",
-        "values = {a: ring.root_of_unity(G.m, j * a) for a in G.elements}",
-        "values = {a: ring.root_of_unity(G.m, j * (a + 1)) for a in G.elements}",
-        (TABLES + "test_y0_sl_24_example",),
+        'return [ExtendedChar(label="trivial", coset_values=chi.values)]',
+        'return [ExtendedChar(label="trivial", coset_values={g: chi.values[G.mul(g, G.epsilon())] for g in G.elements})]',
+        (TABLES + "test_y0_spin_dim2_row",),
     ),
     Mutant(
         "odd exponent sum",
@@ -281,6 +282,21 @@ MUTANTS: tuple[Mutant, ...] = (
         "dim_l = k * d * d - 1",
         "dim_l = k * d * d",
         (TABLES + "test_y0_sl_24_example",),
+    ),
+    # -- cyclotomic arithmetic
+    Mutant(
+        "division by a monic polynomial left a remainder",
+        "cyclotomic.py",
+        "num = [-1] + [0] * (n - 1) + [1]",
+        "num = [1] + [0] * (n - 1) + [1]",
+        (CYCLOTOMIC + "test_i_squared",),
+    ),
+    Mutant(
+        "coefficients for a ring of degree",
+        "cyclotomic.py",
+        "return Cyc(self, (0,) * self.degree)",
+        "return Cyc(self, (0,) * (self.degree + 1))",
+        (CYCLOTOMIC + "test_geometric_sum_vanishes",),
     ),
 )
 

@@ -588,9 +588,9 @@ def spin_frobenius_signs(data: SplitSOData) -> tuple[int, ...]:
     """
     if not is_in_XN(data.la):
         raise ValueError(f"{data.la} is not in X_N")
-    K2 = make_field(data.field.p, 2 * data.qexp)
+    K2 = make_field(data.field.p, 2 * data.field.k)
     return tuple(
-        prod(orthonormalize_block(b.size, b.delta, K2, data.qexp).frob_signs)
+        prod(orthonormalize_block(b.size, b.delta, K2, data.field.k).frob_signs)
         for b in so_blocks(data.la)
         if b.kind == "odd"
     )

@@ -1,12 +1,15 @@
 """Brute-force checks on the component-group models and the table rows.
 
 The package builds only the characters a table row needs (on the spin
-side, those with xi(eps) = -1; on the cyclic side, the one lifting the
-central character); here every character of a cyclic group is listed,
-the spin characters trivial on eps are added, and the whole character table of the spin model is assembled and
-checked to be one (class count, completeness, exact orthonormality),
-with conjugacy classes, commutators and the action of tau found by
-running over every element.  The elementary abelian 2-group (the
+side, those with xi(eps) = -1) and writes the SL rows in closed form.
+Here the cyclic component group of SL_n is modelled with its Frobenius,
+the character lifting the central character and the row assembly that
+reads it on the twisted classes; every character of a cyclic group is
+listed; the spin characters trivial on eps are added, and the whole
+character table of the spin model is assembled and checked to be one
+(class count, completeness, exact orthonormality), with conjugacy
+classes, commutators and the action of tau found by running over every
+element.  The elementary abelian 2-group (the
 orthogonal quotient) and its sign characters, the orthogonality of
 finished table rows and the dimension of a nilpotent's commutant are
 references for the tests too.
@@ -21,11 +24,12 @@ rational square root, rather than read off as a Clifford word.  The
 Clifford sign rule and tau, which the model computes by popcounts, are
 also counted here one generator index at a time.
 
-Two table paths that the package shortcuts are kept here in full: the
+Three table paths that the package shortcuts are kept here in full: the
 checked spin model construction run afresh for one group, where the
-package builds it once per epsilon-signature and shares it, and the SL
-table read off every partition of n with a part not divisible by d
-dropped, where the package scales the partitions of n/d.
+package builds it once per epsilon-signature and shares it; the SL row
+built from the cyclic group model, where the package writes the closed
+form; and the SL table read off every partition of n with a part not
+divisible by d dropped, where the package scales the partitions of n/d.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from springer.component_groups import (
-    CyclicGroup,
     ExtendedChar,
     IrrChar,
     SpinGamma,
@@ -49,8 +52,10 @@ from springer.component_groups import (
     word_mul,
 )
 from springer.cyclotomic import CycRing
+from springer.ffield import prime_power
 from springer.partitions import Partition, check_partition, partitions_of
-from springer.tables import GreenBasisRow, y0_row_sl
+from springer.series import p_prime_part, xi_is_f_stable
+from springer.tables import EmptyFiberError, GreenBasisRow, NotFStableError, exponents_sl
 
 # ---------------------------------------------------------------------------
 # group structure by running over every element
@@ -98,6 +103,113 @@ def tau_order(G) -> int:
 def class_sizes(classes) -> tuple[int, ...]:
     """Sizes of the twisted classes that component_groups.twisted_classes returns."""
     return tuple(len(members) for _, members in classes)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic component group of SL_n and the rows read off it
+
+
+class CyclicGroup:
+    """Z / m with the power automorphism a -> t a (t coprime to m), as a
+    quotient of the center Z / n_prime."""
+
+    def __init__(self, m: int, tau_mult: int, n_prime: int):
+        if m < 1:
+            raise ValueError("order must be positive")
+        self.m = m
+        self.tau_mult = tau_mult % m if m > 1 else 0
+        if m > 1 and gcd(self.tau_mult, m) != 1:
+            raise ValueError("tau multiplier must be invertible mod m")
+        self.n_prime = n_prime
+        self.elements = list(range(m))
+
+    @property
+    def order(self) -> int:
+        return self.m
+
+    def mul(self, a: int, b: int) -> int:
+        return (a + b) % self.m
+
+    def inv(self, a: int) -> int:
+        return (-a) % self.m
+
+    def tau(self, a: int) -> int:
+        return (self.tau_mult * a) % self.m
+
+
+def sl_component_order(la_parts: Partition, n: int, p: int) -> int:
+    """gcd of the p'-parts of the distinct part sizes and of n'."""
+    return gcd(*(p_prime_part(i, p) for i in set(la_parts)), p_prime_part(n, p))
+
+
+def build_sl_component(la_parts: Partition, q: int) -> CyclicGroup:
+    """Cyclic component group of a unipotent of type la in SL_n over F_q,
+    with tau the twisted Frobenius a -> a^{-q}."""
+    p, _ = prime_power(q)
+    la_parts = check_partition(la_parts)
+    n = sum(la_parts)
+    m = sl_component_order(la_parts, n, p)
+    return CyclicGroup(m, tau_mult=-q, n_prime=p_prime_part(n, p))
+
+
+def cyclic_characters_with_xi(G: CyclicGroup, xi_order: int) -> list[IrrChar]:
+    """Characters of Z/m whose pullback along Z/n' -> Z/m is the canonical
+    character of order xi_order.  Exactly one when xi_order | m, else none."""
+    if G.n_prime % xi_order != 0:
+        raise ValueError(f"no central character of order {xi_order} exists (center has order {G.n_prime})")
+    if xi_order < 1 or G.m % xi_order != 0:
+        return []
+    j = (G.m // xi_order) % G.m
+    ring = CycRing(lcm(4, G.m))
+    values = {a: ring.root_of_unity(G.m, j * a) for a in G.elements}
+    return [IrrChar(label=f"chi{j}", dim=1, ring=ring, values=values)]
+
+
+def cyclic_twisted_classes(G: CyclicGroup) -> tuple:
+    """The twisted classes of Z/m in closed form: the orbit of a is
+    a + (1 - t) Z/m = a + gcd(1 - t, m) Z/m."""
+    step = gcd(1 - G.tau_mult, G.m)
+    return tuple((a, tuple(range(a, G.m, step))) for a in range(step))
+
+
+def y0_row_sl_by_group(la: Partition, xi_order: int, q: int) -> GreenBasisRow:
+    """The SL row read off the cyclic group model: the same two refusals
+    as tables.y0_row_sl, then the character lifting the central
+    character, checked tau-stable, extended trivially, and checked
+    constant on each twisted class and equal to its dimension on the
+    identity class."""
+    la = check_partition(la)
+    if any(x % xi_order for x in la):
+        raise EmptyFiberError(f"no local system: {xi_order} does not divide every part of {la}")
+    if not xi_is_f_stable(xi_order, q):
+        raise NotFStableError(
+            f"central character of order {xi_order} is moved by F (it maps to its -q power; {xi_order} does not divide q + 1 = {q + 1})"
+        )
+    A = build_sl_component(la, q)
+    found = cyclic_characters_with_xi(A, xi_order)
+    if not found:
+        raise EmptyFiberError(f"no character of Z/{A.m} lifts the order-{xi_order} central character")
+    (rho,) = found
+    vm = rho.values
+    if any(vm[A.tau(a)] != v for a, v in vm.items()):
+        raise AssertionError("the lifted character is not tau-stable")
+    classes = cyclic_twisted_classes(A)
+    if any(vm[x] != vm[rep] for rep, members in classes for x in members):
+        raise AssertionError("extension value is not constant on a twisted class")
+    if vm[0] != rho.dim:
+        raise AssertionError("identity-class value differs from the dimension")
+    return GreenBasisRow(
+        group="sl",
+        q=q,
+        la=la,
+        series=xi_order,
+        rho_label=rho.label,
+        extension_label="trivial",
+        dim=rho.dim,
+        classes=tuple((rep, len(members)) for rep, members in classes),
+        values=tuple(vm[rep] for rep, _ in classes),
+        exponents=exponents_sl(la, xi_order),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,5 +617,5 @@ def spin_irreducibles_uncached(G: SpinGamma) -> list[IrrChar]:
 
 def y0_table_sl_by_filter(n: int, xi_order: int, q: int) -> list[GreenBasisRow]:
     """The order-d SL table from every partition of n, keeping those whose
-    parts d divides."""
-    return [y0_row_sl(la, xi_order, q) for la in partitions_of(n) if all(x % xi_order == 0 for x in la)]
+    parts d divides, each row read off the cyclic group model."""
+    return [y0_row_sl_by_group(la, xi_order, q) for la in partitions_of(n) if all(x % xi_order == 0 for x in la)]

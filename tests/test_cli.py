@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from springer import component_groups as cg
+from springer import series as sr
 from springer import tables as tb
 from springer.cli import main
 
@@ -125,7 +125,7 @@ def test_invariant_failure_exit_3(monkeypatch, capsys):
         raise AssertionError("twisted classes do not cover the group")
 
     monkeypatch.setattr(tb, "twisted_classes", fail)
-    code, out, err = run_cli(["tables", "--group", "sl", "--n", "6", "--q", "5", "--xi-order", "2"], capsys)
+    code, out, err = run_cli(["tables", "--group", "spin", "--N", "9", "--q", "5"], capsys)
     assert code == 3
     assert out == ""
     assert "Traceback" not in err
@@ -298,7 +298,7 @@ def test_usage_is_checked_before_q_and_q_before_any_work(usage, valid, q, capsys
 def test_p_prime_part_refuses_orders_below_one():
     for n in (0, -4):
         with pytest.raises(ValueError, match="group order"):
-            cg.p_prime_part(n, 3)
+            sr.p_prime_part(n, 3)
 
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)

@@ -9,6 +9,7 @@ import pytest
 
 from springer import component_groups as cg
 from springer import partitions as pt
+from springer import series as sr
 from springer import tables as tb
 from springer.cyclotomic import CycRing
 
@@ -199,58 +200,56 @@ def test_identity_value_is_dim_and_eps_value():
 
 def test_sl_component_orders():
     # (n), p not dividing n -> order n
-    g = cg.build_sl_component((5,), 3)
+    g = og.build_sl_component((5,), 3)
     assert g.m == 5
     # (2,4), n = 6, p = 5 -> gcd(2,4,6) = 2
-    g = cg.build_sl_component((2, 4), 5)
+    g = og.build_sl_component((2, 4), 5)
     assert g.m == 2
     # any partition with a part 1 -> trivial
-    g = cg.build_sl_component((1, 4), 3)
+    g = og.build_sl_component((1, 4), 3)
     assert g.m == 1
 
 
 def test_sl_component_order_equals_gcd_of_parts_and_nprime():
-    from math import gcd
-
     for p in (2, 3, 5, 7):
         for n in range(1, 11):
             for lam in pt.partitions_of(n):
-                g = cg.build_sl_component(lam, p)
-                acc = cg.p_prime_part(n, p)
+                g = og.build_sl_component(lam, p)
+                acc = sr.p_prime_part(n, p)
                 for part in lam:
                     acc = gcd(acc, part)
                 # gcd of the p'-parts equals the p'-part of the plain gcd
-                assert g.m == cg.p_prime_part(acc, p) or g.m == acc
-                assert g.m == cg.sl_component_order(lam, n, p)
+                assert g.m == sr.p_prime_part(acc, p) or g.m == acc
+                assert g.m == og.sl_component_order(lam, n, p)
 
 
 def test_421_count_matches_exhaustive_character_search():
     """|A_G(u)^_xi| is 1 exactly when d divides every part."""
     for p in (2, 3, 5, 7):
         for n in range(1, 11):
-            nprime = cg.p_prime_part(n, p)
+            nprime = sr.p_prime_part(n, p)
             for lam in pt.partitions_of(n):
-                G = cg.build_sl_component(lam, p)
+                G = og.build_sl_component(lam, p)
                 for d in range(1, nprime + 1):
                     if nprime % d != 0:
                         continue
-                    found = cg.cyclic_characters_with_xi(G, d)
+                    found = og.cyclic_characters_with_xi(G, d)
                     divides_all = all(x % d == 0 for x in lam)
                     assert len(found) == (1 if divides_all else 0), (p, n, lam, d)
 
 
 def test_cyclic_tau_inverse_q_power():
-    g = cg.build_sl_component((5,), 3)
+    g = og.build_sl_component((5,), 3)
     # tau: a -> -3 a = 2 a mod 5; tau has order 4 on Z/5
     assert g.tau_mult == 2
     assert og.tau_order(g) == 4
-    g2 = cg.build_sl_component((2, 4), 5)
+    g2 = og.build_sl_component((2, 4), 5)
     assert g2.m == 2 and og.tau_order(g2) == 1  # inversion trivial on order 2
 
 
 def test_twisted_classes_trivial_tau():
-    g = cg.build_sl_component((2, 4), 5)
-    table = cg.twisted_classes(g)
+    g = og.build_sl_component((2, 4), 5)
+    table = og.cyclic_twisted_classes(g)
     assert len(table) == 2
     assert sum(og.class_sizes(table)) == g.order
     ga = _untwisted((1, 3))
@@ -261,8 +260,8 @@ def test_twisted_classes_trivial_tau():
 def test_twisted_classes_nontrivial_tau():
     # cyclic of order 5 with tau = mult by 2: classes = Z/5 / im(tau - 1),
     # im(tau - 1) = Z/5, so a single class
-    g = cg.CyclicGroup(5, tau_mult=2, n_prime=5)
-    t = cg.twisted_classes(g)
+    g = og.CyclicGroup(5, tau_mult=2, n_prime=5)
+    t = og.cyclic_twisted_classes(g)
     assert len(t) == 1 and og.class_sizes(t) == (5,)
     # spin gamma with a sign flip
     ga = cg.build_spin_gamma((1, 5), tau_signs=(1, -1))
@@ -271,18 +270,25 @@ def test_twisted_classes_nontrivial_tau():
 
 
 def test_extend_character_trivial_cases():
-    g = cg.build_sl_component((2, 4), 5)
-    chi = og.cyclic_characters(g)[1]
-    exts = cg.extend_character(chi, g)
-    assert len(exts) == 1 and exts[0].label == "trivial"
-    assert all(exts[0].coset_values[a] == chi.values[a] for a in g.elements)
+    # a linear character, and a character of dimension 2 under trivial
+    # tau, each get the one extension that repeats its values
+    for lam, dim in (((1, 3), 1), ((1, 3, 5), 2)):
+        g = _untwisted(lam)
+        for chi in cg.spin_irreducibles(g):
+            assert chi.dim == dim
+            exts = cg.extend_character(chi, g)
+            assert len(exts) == 1 and exts[0].label == "trivial"
+            assert all(exts[0].coset_values[a] == chi.values[a] for a in g.elements)
 
 
 def test_extend_character_rejects_unstable():
-    g = cg.CyclicGroup(5, tau_mult=2, n_prime=5)
-    chi = og.cyclic_characters(g)[1]  # chi(a) = zeta5^a, not tau-stable
-    with pytest.raises(ValueError):
-        cg.extend_character(chi, g)
+    # lambda = (1,5), q = 3: tau swaps the two characters
+    g = cg.build_spin_gamma((1, 5), tau_signs=tb.spin_tau_signs((1, 5), 3))
+    chars = cg.spin_irreducibles(g)
+    assert len(chars) == 2 and not any(cg.is_tau_stable(g, chi) for chi in chars)
+    for chi in chars:
+        with pytest.raises(ValueError, match="not tau-stable"):
+            cg.extend_character(chi, g)
 
 
 def test_extend_character_spin_nontrivial_tau():
@@ -317,7 +323,7 @@ def test_elem_abelian_group():
 
 
 def test_char_orthogonality_cyclic():
-    g = cg.CyclicGroup(6, tau_mult=1, n_prime=6)
+    g = og.CyclicGroup(6, tau_mult=1, n_prime=6)
     chars = og.cyclic_characters(g)
     for i, ci in enumerate(chars):
         for j, cj in enumerate(chars):
@@ -328,7 +334,7 @@ def test_char_orthogonality_cyclic():
 def test_dispatch():
     # each group kind has its own character routine
     assert len(cg.spin_irreducibles(_untwisted((1, 3)))) == 2
-    assert len(cg.cyclic_characters_with_xi(cg.build_sl_component((2, 4), 5), 2)) == 1
+    assert len(og.cyclic_characters_with_xi(og.build_sl_component((2, 4), 5), 2)) == 1
     assert len(og.elem_abelian_characters(og.ElemAbelian2(2))) == 4
 
 
@@ -357,7 +363,7 @@ def test_extensions_are_the_semidirect_characters_over_rho():
 def test_character_table_oracle_on_a_known_group():
     # Z/4 x| <inversion> is the dihedral group of order 8: five classes,
     # degrees 1, 1, 1, 1, 2
-    table = og.character_table(og.TauExtended(cg.CyclicGroup(4, tau_mult=-1, n_prime=4)))
+    table = og.character_table(og.TauExtended(og.CyclicGroup(4, tau_mult=-1, n_prime=4)))
     identity = (0, 0)
     assert sorted(round(chi[identity].real) for chi in table) == [1, 1, 1, 1, 2]
 
@@ -369,11 +375,13 @@ def _spin_groups(q: int, n_max: int = 28):
 
 
 def test_closed_form_twisted_classes_match_the_all_b_closure():
-    groups = [g for q in (3, 5) for _, g in _spin_groups(q)]
-    groups += [cg.CyclicGroup(m, tau_mult=t, n_prime=m) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
-    groups.append(cg.CyclicGroup(1, tau_mult=1, n_prime=1))
+    for q in (3, 5):
+        for _, g in _spin_groups(q):
+            assert cg.twisted_classes(g) == og.twisted_classes_by_all_b(g)
+    groups = [og.CyclicGroup(m, tau_mult=t, n_prime=m) for m in range(1, 40) for t in range(m) if gcd(t, m) == 1]
+    groups.append(og.CyclicGroup(1, tau_mult=1, n_prime=1))
     for g in groups:
-        assert cg.twisted_classes(g) == og.twisted_classes_by_all_b(g)
+        assert og.cyclic_twisted_classes(g) == og.twisted_classes_by_all_b(g)
 
 
 def test_popcount_sign_rule_matches_the_bitwise_loops():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from oracles_clifford import least_nonsquare_in_subfield, sqrt, zeta4
 from oracles_flags import subfield_elements
@@ -209,3 +211,75 @@ def test_log_tables_match_polynomial_products():
                 assert K.mul(a, b) == K.encode(product), (p, k, a, b)
             if a:
                 assert K.mul(a, K.inv(a)) == 1, (p, k, a)
+
+
+def _order(mul, g) -> int:
+    """Multiplicative order of g, by stepping through its powers."""
+    x, k = g, 1
+    while x != 1:
+        x, k = mul(x, g), k + 1
+    return k
+
+
+def _clmul(a: int, b: int, modulus: int, k: int) -> int:
+    """Product in F_2[x]/(modulus) on bit patterns: a carry-less product,
+    then the modulus bits cleared from the top down."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    for i in reversed(range(k, out.bit_length())):
+        if out >> i & 1:
+            out ^= modulus << (i - k)
+    return out
+
+
+def _sample_triples(K, rng, n=150):
+    return [tuple(rng.randrange(K.q) for _ in range(3)) for _ in range(n)]
+
+
+def test_untabled_fields_against_independent_arithmetic():
+    # F_1031, F_2^11 and F_7^4 lie above the table cap, so they multiply by
+    # polynomial products and add by digit loops; seeded samples of each
+    # are checked against arithmetic that shares no code with FieldSpec
+    rng = random.Random(1031)
+    fields = {(p, k): make_field(p, k) for p, k in ((1031, 1), (2, 11), (7, 4))}
+    for K in fields.values():
+        assert K._mul_table is None and K._add_table is None, K
+        for a in {rng.randrange(1, K.q) for _ in range(100)} | {1, K.q - 1}:
+            assert K.mul(a, K.inv(a)) == 1, (K, a)
+        assert _order(K.mul, K.primitive) == K.q - 1, K
+
+    K, q = fields[1031, 1], 1031
+    for a, b, _ in _sample_triples(K, rng):
+        assert (K.add(a, b), K.sub(a, b), K.mul(a, b), K.neg(a)) == ((a + b) % q, (a - b) % q, a * b % q, -a % q)
+        if a:
+            assert K.inv(a) == pow(a, -1, q)
+    assert _order(lambda x, y: x * y % q, K.primitive) == q - 1
+
+    K = fields[2, 11]
+    modulus = sum(c << i for i, c in enumerate(K.modulus))
+    assert modulus >> 11 == 1
+    for a, b, _ in _sample_triples(K, rng):
+        assert (K.add(a, b), K.neg(a)) == (a ^ b, a)
+        assert K.mul(a, b) == _clmul(a, b, modulus, 11), (a, b)
+    assert _order(lambda x, y: _clmul(x, y, modulus, 11), K.primitive) == K.q - 1
+
+    K = fields[7, 4]
+    for a, b, c in _sample_triples(K, rng):
+        assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c)) and K.add(a, b) == K.add(b, a)
+        assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c)) and K.mul(a, b) == K.mul(b, a)
+        assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c)), (a, b, c)
+        assert K.add(a, K.neg(a)) == 0 and K.add(a, 0) == a and K.mul(a, 1) == a
+        assert K.frobenius(K.add(a, b)) == K.add(K.frobenius(a), K.frobenius(b))
+        assert K.frobenius(K.mul(a, b)) == K.mul(K.frobenius(a), K.frobenius(b))
+    for a in range(7):
+        for b in range(7):
+            assert (K.add(a, b), K.mul(a, b)) == ((a + b) % 7, a * b % 7)
+    # the Frobenius fixes exactly F_7 and has order 4
+    assert [a for a in K.elements() if K.frobenius(a) == a] == list(range(7))
+    orbit = [K.primitive]
+    while len(orbit) == 1 or orbit[-1] != orbit[0]:
+        orbit.append(K.frobenius(orbit[-1]))
+    assert len(orbit) == 5

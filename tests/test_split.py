@@ -203,10 +203,10 @@ def test_spin_tau_signs_refuses_partitions_outside_XN(capsys):
 
 def test_sl_frobenius_report():
     # tau is a -> a^{-q} on the cyclic component group
-    group = cg.build_sl_component((2, 4), 5)
+    group = og.build_sl_component((2, 4), 5)
     assert group.m == 2
     assert og.tau_order(group) == 1  # inversion trivial on order 2
-    group = cg.build_sl_component((5,), 3)
+    group = og.build_sl_component((5,), 3)
     assert group.m == 5 and group.tau_mult == 2
     assert og.tau_order(group) == 4  # tau^2 is not the identity here
 

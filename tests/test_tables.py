@@ -70,6 +70,9 @@ def test_y0_sl_refusals():
         tb.y0_row_sl((1, 5), 2, 3)  # 2 does not divide 1
     with pytest.raises(tb.NotFStableError):
         tb.y0_row_sl((3, 3), 3, 3)  # 3 does not divide q + 1 = 4
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            tb.y0_row_sl((2, 4), d, 5)
 
 
 def test_y0_spin_dim2_row():
@@ -156,12 +159,33 @@ def _table_or_refusal(build, *args):
         return type(exc), str(exc)
 
 
+SL_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
+def test_sl_rows_match_the_cyclic_group_model():
+    # the closed-form row equals the row read off Z/m and its Frobenius,
+    # or refuses with the same type and message, for every la of n <= 12
+    # and every order d <= n
+    rows = classes = 0
+    for n in range(1, 13):
+        for la in pt.partitions_of(n):
+            for d in range(1, n + 1):
+                for q in SL_Q:
+                    new = _table_or_refusal(tb.y0_row_sl, la, d, q)
+                    assert new == _table_or_refusal(og.y0_row_sl_by_group, la, d, q), (la, d, q)
+                    if isinstance(new, tb.GreenBasisRow):
+                        rows += 1
+                        classes += new.classes[0][1] > 1  # classes of more than one element
+    assert (rows, classes) == (2070, 86)
+
+
 def test_sl_table_from_partitions_of_n_over_d_matches_the_filtered_walk():
-    # rows (or the refusal) of the scaled partitions of n/d equal those of
-    # every partition of n filtered by divisibility
+    # rows (or the refusal) of the scaled partitions of n/d equal those
+    # read off the cyclic group model for every partition of n filtered
+    # by divisibility
     for n in range(1, 13):
         for d in range(1, n + 1):
-            for q in (3, 4, 5, 7, 9):
+            for q in SL_Q:
                 new = _table_or_refusal(tb.y0_table_sl, n, d, q)
                 assert new == _table_or_refusal(og.y0_table_sl_by_filter, n, d, q), (n, d, q)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import oracles as orc
 import oracles_flags as ofl
@@ -11,11 +12,19 @@ from springer import flinalg as la
 from springer import partitions as pt
 from springer import split as sp
 from springer import varieties as vr
+from springer.cli import main
 from springer.ffield import make_field, prime_power
 
 
 def _so_flags(data, lap):
     return [f for f in vr.enumerate_flags_so(data) if f.type_mid == lap]
+
+
+def _printed_so_f_stable(lam, q, capsys) -> dict:
+    """E -> the f_stable column that `flags --group so` prints on its row."""
+    assert main(["flags", "--group", "so", "--lambda", ",".join(map(str, lam)), "--q", str(q)]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    return {tuple(map(tuple, json.loads(row[2]))): row[-1] for row in rows}
 
 
 def _all_subspaces(K, n, d):
@@ -238,28 +247,29 @@ def test_line_strata_by_orbit_match_the_walk():
         orc.line_strata_by_walk(sp.build_sl_split((1,) * 8, 3))
 
 
-def test_enumerate_flags_so_case_I_singleton():
+def test_enumerate_flags_so_case_I_singleton(capsys):
     for q in (3, 5):
         data = sp.build_so_split((5,), q)
         flags = _so_flags(data, (1,))
         assert len(flags) == 1
         # E = <e_1, e_2> of the single block
         assert flags[0].E == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
-        assert vr.is_f_stable(data, flags[0].E)
+        assert _printed_so_f_stable((5,), q, capsys) == {flags[0].E: "true"}
 
 
-def test_enumerate_flags_so_case_IV_two_flags():
+def test_enumerate_flags_so_case_IV_two_flags(capsys):
     # lambda = (1,3) -> lambda' = (): exactly the two planes <e1, e2 +- e'_1>
     for q in (3, 5):
         data = sp.build_so_split((1, 3), q)
         flags = _so_flags(data, ())
         assert len(flags) == 2
+        printed = _printed_so_f_stable((1, 3), q, capsys)
         for f in flags:
             assert ofl.verify_flag_so(data, (), f)
-            assert vr.is_f_stable(data, f.E)
+            assert printed[f.E] == "true"
 
 
-def test_enumerate_flags_so_case_V_family():
+def test_enumerate_flags_so_case_V_family(capsys):
     # lambda = (1,2,2) -> lambda' = (1): contains the beta family
     for q in (3, 5):
         data = sp.build_so_split((1, 2, 2), q)
@@ -268,9 +278,10 @@ def test_enumerate_flags_so_case_V_family():
         fam = ofl.split_flag_so(data, (1,), case)
         assert len(fam) == q  # one flag per beta in F_q
         enum_keys = {f.E for f in flags}
+        printed = _printed_so_f_stable((1, 2, 2), q, capsys)
         for f in fam:
             assert f.E in enum_keys
-            assert vr.is_f_stable(data, f.E)
+            assert printed[f.E] == "true"
 
 
 def test_split_flag_sl_case_I():
