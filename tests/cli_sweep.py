@@ -31,6 +31,9 @@ The list is:
 - fields too large for lookup tables: ``split --group sl --lambda
   1,2,3`` at q in {37, 49, 101}, ``split --group so --lambda 1,2,2`` at
   q = 1031, and SL ``flags`` at q = 37, plain and with ``--orbits``;
+- the twisted SL Hermitian form one block at a time: ``split --group
+  sl --lambda h`` for 1 <= h <= 12 at q in {2, 3, 4, 5, 7, 8, 9, 25, 27,
+  37, 101}, and ``--lambda 1,2,3,4,5,6`` at q in {2, 3, 9};
 - for each subcommand that takes ``--q``, at q in {0, 1, 6, -3}:
   invocations whose usage is wrong and invocations that only q makes
   invalid, including ``tables`` runs that would print only a header.
@@ -111,6 +114,9 @@ def invocations(pt) -> list[str]:
     out += [f"split --group sl --lambda 1,2,3 --q {q}" for q in (37, 49, 101)]
     out += ["split --group so --lambda 1,2,2 --q 1031"]
     out += ["flags --group sl --lambda 2 --q 37", "flags --group sl --lambda 3 --q 37 --orbits"]
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 27, 37, 101):
+        out += [f"split --group sl --lambda {h} --q {q}" for h in range(1, 13)]
+    out += [f"split --group sl --lambda 1,2,3,4,5,6 --q {q}" for q in (2, 3, 9)]
     return list(dict.fromkeys(out))
 
 
