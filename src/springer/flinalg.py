@@ -16,13 +16,15 @@ V itself (`jordan_partition`), on W'/W for the SL flags and on E-perp/E
 for the SO flags; no matrix of the map on a subspace is built.  (The
 type on V/W of the split shift is read off its power images by
 `varieties.quotient_type`.)  The line representatives of a reduced
-echelon basis come in lexicographic order.
+echelon basis come in lexicographic order.  There is no linear solve:
+`split` writes its Hermitian form level by level, and the solves the
+test oracles run live in tests/oracles_flags.py.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ffield import FieldSpec
 
@@ -230,22 +232,6 @@ def nullspace(K: FieldSpec, a: Matrix) -> Matrix:
             v[pc] = K.neg(red[r][fc])
         basis.append(tuple(v))
     return echelon_basis(K, basis)
-
-
-def solve(K: FieldSpec, a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of a x = b with free variables set to zero, or None."""
-    if not a:
-        return None
-    ncols = len(a[0])
-    aug = tuple(row + (bv,) for row, bv in zip(a, b))
-    red, pivots = rref(K, aug)
-    for r in range(len(red)):
-        if pivots[r] == ncols:
-            return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
 
 
 def det(K: FieldSpec, a: Matrix) -> int:

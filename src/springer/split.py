@@ -12,16 +12,17 @@ The Frobenius signs on the odd-block generators of the component group
 are the closed form tables.spin_tau_signs; the orthonormal-basis
 derivation they come from is the reference in tests/oracles_clifford.py.
 
-Special linear side: a Jordan-basis unipotent made rational for the
-twisted (unitary-type) Frobenius by a Hermitian sesquilinear form.  The
-form's antidiagonal carries the fixed signs (-1)^{j+1} in every block;
-the remaining entries are completed by solving the invariance and
-Hermitian conditions exactly, because a pure Jordan shift preserves no
-purely antidiagonal sesquilinear form once the block size exceeds 2.  For even
-block sizes the antidiagonal scalar must be trace-zero (conjugation
-negates it) for the form to be Hermitian; the completion picks the
-canonical such scalar.  Both builders take the prime power q and factor
-it (ffield.prime_power) before any other work.
+Special linear side: a Jordan-basis unipotent u = 1 + x made rational
+for the twisted (unitary-type) Frobenius by a Hermitian sesquilinear
+form A, one block per chain, written with no linear solve.  On the
+antidiagonal levels i + j of a block, invariance u^T A conj(u) = A says
+that neighbouring entries sum to minus the entry beside both on the
+level below, so each level past the antidiagonal has one degree of
+freedom.  Hermitian symmetry mirrors a level onto itself, so that choice
+is made at its centre, and the walk outward from a Hermitian centre
+stays Hermitian (build_sl_split derives the walk).  Both builders take
+the prime power q and factor it (ffield.prime_power) before any other
+work.
 """
 
 from __future__ import annotations
@@ -140,109 +141,57 @@ class SplitSLData:
 
 
 @lru_cache(maxsize=None)
-def _subfield_coords(K2: FieldSpec, qexp: int):
-    """F_q-coordinates on F_{q^2}: returns (beta, coords).  beta is the
-    least element with beta^q != beta, so 1, beta is an F_q-basis, and
-    coords(c) = (c0, c1) with c = c0 + c1 beta.  Both coordinates are
-    fixed by a -> a^q, so c - c^q = c1 (beta - beta^q): c1 is that
-    quotient and c0 = c - c1 beta, one Frobenius per element instead of
-    a scan of F_{q^2}."""
-    beta = next(a for a in K2.elements() if K2.frobenius(a, qexp) != a)
-    scale = K2.inv(K2.sub(beta, K2.frobenius(beta, qexp)))
-
-    def coords(c: int) -> tuple[int, int]:
-        c1 = K2.mul(K2.sub(c, K2.frobenius(c, qexp)), scale)
-        return K2.sub(c, K2.mul(c1, beta)), c1
-
-    return beta, coords
-
-
-@lru_cache(maxsize=None)
-def _solve_block_form(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
-    """The h x h Hermitian block preserved by the Jordan shift unipotent.
-
-    Prescribes B[j, h+1-j] = (-1)^{j+1} * c_h on the antidiagonal
-    (c_h = 1 for odd h, a canonical trace-zero scalar for even h) and
-    solves the invariance + Hermitian conditions over F_q, free variables
-    set to zero.
-    """
-    beta, coords = _subfield_coords(K2, qexp)
-    cb0, cb1 = coords(K2.frobenius(beta, qexp))
-
-    nvar = 2 * h * h  # (i, j, component)
-
-    def var(i: int, j: int, comp: int) -> int:
-        return (i * h + j) * 2 + comp
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-
-    def add_eq(coeffs: dict[int, int], b0: int = 0):
-        row = [0] * nvar
-        for v, c in coeffs.items():
-            row[v] = K2.add(row[v], c)
-        rows.append(row)
-        rhs.append(b0)
-
-    # invariance: B[i-1, j] + B[i, j-1] + B[i-1, j-1] = 0 (1-based, absent = 0)
-    for i in range(1, h + 1):
-        for j in range(1, h + 1):
-            coeffs: dict[int, int] = {}
-            for (ii, jj) in ((i - 1, j), (i, j - 1), (i - 1, j - 1)):
-                if ii >= 1 and jj >= 1:
-                    for comp in (0, 1):
-                        v = var(ii - 1, jj - 1, comp)
-                        coeffs[v] = K2.add(coeffs.get(v, 0), 1)
-            if coeffs:
-                # component equations: the coefficient 1 acts diagonally
-                add_eq({v: c for v, c in coeffs.items() if v % 2 == 0}, 0)
-                add_eq({v: c for v, c in coeffs.items() if v % 2 == 1}, 0)
-
-    # Hermitian: B[i][j] - conj(B[j][i]) = 0
-    # with B[j][i] = c0 + c1 beta: conj = c0 + c1 (cb0 + cb1 beta)
-    for i in range(h):
-        for j in range(h):
-            # component 0: B[i][j].0 - B[j][i].0 - cb0 * B[j][i].1 = 0
-            coeffs = {var(i, j, 0): 1}
-            coeffs[var(j, i, 0)] = K2.add(coeffs.get(var(j, i, 0), 0), K2.neg(1))
-            coeffs[var(j, i, 1)] = K2.add(coeffs.get(var(j, i, 1), 0), K2.neg(cb0))
-            add_eq(coeffs, 0)
-            # component 1: B[i][j].1 - cb1 * B[j][i].1 = 0
-            coeffs = {var(i, j, 1): 1}
-            coeffs[var(j, i, 1)] = K2.add(coeffs.get(var(j, i, 1), 0), K2.neg(cb1))
-            add_eq(coeffs, 0)
-
-    # prescribed antidiagonal
-    if h % 2 == 1 or K2.p == 2:
-        c_h = 1
+def _hermitian_block(K2: FieldSpec, qexp: int, h: int) -> la.Matrix:
+    """One chain's block of the form, walked as build_sl_split derives
+    it, in 0-based indices: level h - 1 is the antidiagonal, r[a] is the
+    sum of the neighbours (a, level - a), (a + 1, level - 1 - a), and the
+    centre is in row m."""
+    if K2.p == 2:
+        beta = next(a for a in K2.elements() if K2.frobenius(a, qexp) != a)
+        c_h, gamma = 1, K2.mul(beta, K2.inv(K2.add(beta, K2.frobenius(beta, qexp))))
     else:
-        c_h = next(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
-    for j in range(1, h + 1):
-        sign = (-1) ** ((j + 1) % 2)
-        val = c_h if sign == 1 else K2.neg(c_h)
-        v0, v1 = coords(val)
-        add_eq({var(j - 1, h - j, 0): 1}, v0)
-        add_eq({var(j - 1, h - j, 1): 1}, v1)
-
-    # solve over F_q: every coefficient and rhs lives in the subfield, so
-    # K2 arithmetic restricted to sub is exactly F_q arithmetic
-    sol = la.solve(K2, la.mat(rows), tuple(rhs))
-    if sol is None:
-        raise AssertionError(f"no invariant Hermitian form with the prescribed antidiagonal (h={h})")
+        c_h = 1 if h % 2 else next(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
+        gamma = K2.inv(K2.scalar(2))
     B = [[0] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(h):
-            c0 = sol[var(i, j, 0)]
-            c1 = sol[var(i, j, 1)]
-            B[i][j] = K2.add(c0, K2.mul(c1, beta))
+    for j in range(h):
+        B[j][h - 1 - j] = K2.neg(c_h) if j % 2 else c_h
+    for level in range(h, 2 * h - 1):
+        r = {a: K2.neg(B[a][level - 1 - a]) for a in range(level - h + 1, h - 1)}
+        m = level // 2
+        if level % 2:
+            B[m + 1][m] = K2.mul(r[m], gamma)
+            B[m][m + 1] = K2.sub(r[m], B[m + 1][m])
+        for a in range(m - 1, level - h, -1):
+            B[a][level - a] = K2.sub(r[a], B[a + 1][level - 1 - a])
+        for a in range((level + 1) // 2, h - 1):
+            B[a + 1][level - 1 - a] = K2.sub(r[a], B[a][level - a])
     return la.mat(B)
 
 
 def build_sl_split(la_parts: Partition, q: int) -> SplitSLData:
     """Split unipotent of Jordan type la for twisted SL_n(q), over F_{q^2}.
 
-    Every block's antidiagonal carries the fixed signs (-1)^{j+1}; no
-    per-part sign is chosen.  The returned data has, machine-checked: A
+    u = 1 + x for the Jordan shift x; A has one h x h block per chain.
+    In a block (1-based, entries outside it 0), u^T A conj(u) = A reads
+    A[i-1][j] + A[i][j-1] + A[i-1][j-1] = 0: on each level L = i + j,
+    neighbouring entries sum to r_a = -A[a][L-1-a] from the level below.
+    So the levels L <= h vanish, the antidiagonal alternates, A[j][h+1-j]
+    = (-1)^{j+1} c_h, and each later level has one degree of freedom (its
+    entries alternately gain t and -t).  A[j][i] = conj(A[i][j]) mirrors
+    each level onto itself and gives mirrored neighbour pairs conjugate
+    sums, so the choice sits at the centre, which the mirror fixes, and
+    a Hermitian centre walks out to a Hermitian level.  Hermitian needs
+    conj(c_h) = (-1)^{h+1} c_h: c_h = 1 for odd h or p = 2, else the least
+    nonzero c_h that conjugation negates.  On a later even level the
+    diagonal entry must lie in F_q and is 0.  On a later odd level L = 2m + 1 the
+    central pair sums to r = -A[m][m] in F_q; the lower entry is r gamma
+    and the upper r - r gamma, with gamma + conj(gamma) = 1: 1/2 for odd
+    p, beta / (beta + beta^q) for p = 2, beta the least element outside
+    F_q.  The diagonal is 0 past the antidiagonal, so r != 0 only right
+    after it, for odd h.  These choices reproduce the solve over F_q with
+    free variables 0 that tests/oracles_flags.py keeps as the reference.
+
+    The returned data has, machine-checked: A non-degenerate and
     Hermitian, u of Jordan type la, u preserving the sesquilinear form,
     which is the statement that u is fixed by the twisted Frobenius
     built from A.
@@ -256,7 +205,7 @@ def build_sl_split(la_parts: Partition, q: int) -> SplitSLData:
     u = la.mat_add(K2, x, la.identity(K2, n))
     A = [[0] * n for _ in range(n)]
     for chain in jordan_chains(la_parts):
-        block = _solve_block_form(K2, k, len(chain))
+        block = _hermitian_block(K2, k, len(chain))
         for i, row in zip(chain, block):
             for j, c in zip(chain, row):
                 A[i][j] = c

@@ -87,13 +87,6 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     # -- split: the twisted SL builder
     Mutant(
-        "no invariant Hermitian form with the prescribed antidiagonal",
-        "split.py",
-        "sign = (-1) ** ((j + 1) % 2)",
-        "sign = 1",
-        (SPLIT + "test_build_sl_split_examples",),
-    ),
-    Mutant(
         "form is degenerate",
         "split.py",
         "for i, row in zip(chain, block):",
@@ -124,16 +117,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "check form_hermitian",
         "split.py",
-        "B[i][j] = K2.add(c0, K2.mul(c1, beta))",
-        "B[i][j] = K2.add(c0, c1)",
-        (GOLDEN + "[split --group sl --lambda 2,4 --q 5]",),
+        "gamma = K2.inv(K2.scalar(2))",
+        "gamma = 1",
+        (GOLDEN + "[split --group sl --lambda 1,2,3 --q 3]",),
         "form is not Hermitian",
     ),
     Mutant(
         "check u_preserves_form",
         "split.py",
-        "for (ii, jj) in ((i - 1, j), (i, j - 1), (i - 1, j - 1)):",
-        "for (ii, jj) in ((i - 1, j), (i, j - 1)):",
+        "r = {a: K2.neg(B[a][level - 1 - a])",
+        "r = {a: 0",
         (GOLDEN + "[split --group sl --lambda 1,2,3 --q 3]",),
         "u does not preserve the sesquilinear form",
     ),

@@ -10,13 +10,17 @@ pivots.  `flag_frobenius_sl` is the duality-twisted Frobenius on SL
 flags, whose square is the plain q^2-power map; `frob0`, the echelon
 form of the q-power image, is the plain form of the entrywise
 F-stability check.
-The last section keeps the plain forms of the cyclic-subspace
-enumeration, quotient and subquotient types, basis extension, span
-vectors and the subfield F_q of F_{q^2} that the library shortcuts,
-with the matrix inverse, the restriction to a stable subspace (which
-the definition checks read), the commutant of a matrix as a nullspace
-(the reference for the centralizer dimension and the unit scan) and a
-Jordan-shift builder written apart from `split`.
+The section on the enumeration keeps the plain forms of the
+cyclic-subspace enumeration, quotient and subquotient types, basis
+extension, span vectors and the subfield F_q of F_{q^2} that the
+library shortcuts, with the matrix inverse, a linear solve, the
+restriction to a stable subspace (which the definition checks read),
+the commutant of a matrix as a nullspace (the reference for the
+centralizer dimension and the unit scan) and a Jordan-shift builder
+written apart from `split`.  The last section finds each block of the
+twisted SL Hermitian form by solving its linear conditions over F_q in
+F_q-coordinates on F_{q^2}: the reference for split's walk over the
+block's antidiagonals.
 """
 
 from __future__ import annotations
@@ -504,7 +508,7 @@ def split_flag_so(data: SplitSOData, lap: Partition, case) -> list[vr.SOFlag]:
 # nonzero entries only, span vectors (line representatives included)
 # are running sums, a basis is extended by one reduction per candidate,
 # a subquotient's Jordan type is read off ranks without building the
-# induced matrix, and F_q-coordinates on F_{q^2} come in closed form.
+# induced matrix, and F_q inside F_{q^2} is not scanned.
 # These are the plain forms they replaced, kept as the references the
 # shortcuts must reproduce exactly (order included).
 
@@ -516,6 +520,23 @@ def subfield_elements(K, d: int) -> list[int]:
     if K.k % d:
         raise ValueError(f"F_{K.p}^{d} is not a subfield of F_{K.p}^{K.k}")
     return [a for a in K.elements() if K.pow(a, K.p**d) == a]
+
+
+def subfield_coords(K2, qexp: int):
+    """F_q-coordinates on F_{q^2}: returns (beta, coords).  beta is the
+    least element with beta^q != beta, so 1, beta is an F_q-basis, and
+    coords(c) = (c0, c1) with c = c0 + c1 beta.  Both coordinates are
+    fixed by a -> a^q, so c - c^q = c1 (beta - beta^q): c1 is that
+    quotient and c0 = c - c1 beta, one Frobenius per element instead of
+    a scan of F_{q^2}."""
+    beta = next(a for a in K2.elements() if K2.frobenius(a, qexp) != a)
+    scale = K2.inv(K2.sub(beta, K2.frobenius(beta, qexp)))
+
+    def coords(c: int) -> tuple[int, int]:
+        c1 = K2.mul(K2.sub(c, K2.frobenius(c, qexp)), scale)
+        return K2.sub(c, K2.mul(c1, beta)), c1
+
+    return beta, coords
 
 
 def rref_plain(K, a: la.Matrix) -> tuple[la.Matrix, tuple[int, ...]]:
@@ -605,7 +626,7 @@ def restrict_to_subspace(K, a: la.Matrix, basis: la.Matrix) -> la.Matrix:
     solve per basis vector; raises when the subspace is not a-stable."""
     cols = []
     for v in basis:
-        coords = la.solve(K, la.transpose(basis), la.mat_vec(K, a, v))
+        coords = solve(K, la.transpose(basis), la.mat_vec(K, a, v))
         if coords is None:
             raise ValueError("subspace is not stable under the matrix")
         cols.append(coords)
@@ -621,7 +642,7 @@ def action_between(K, a: la.Matrix, small: la.Matrix, big: la.Matrix) -> la.Matr
     k = len(small)
     cols = []
     for v in chosen:
-        coords = la.solve(K, la.transpose(full), la.mat_vec(K, a, v))
+        coords = solve(K, la.transpose(full), la.mat_vec(K, a, v))
         if coords is None:
             raise ValueError("big subspace is not stable under the matrix")
         cols.append(coords[k:])
@@ -704,6 +725,21 @@ def inverse(K, a: la.Matrix) -> la.Matrix:
     return tuple(r[n:] for r in red)
 
 
+def solve(K, a: la.Matrix, b: la.Vector) -> Optional[la.Vector]:
+    """One solution of a x = b with free variables set to zero, or None."""
+    if not a:
+        return None
+    ncols = len(a[0])
+    aug = tuple(row + (bv,) for row, bv in zip(a, b))
+    red, pivots = la.rref(K, aug)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
 def commutant_basis(x: la.Matrix, K) -> la.Matrix:
     """A basis of {m : m x = x m}, each m flattened row by row: the
     nullspace of the commutator equations.  The reference for the
@@ -772,3 +808,89 @@ def cyclic_subspaces_by_span(K, x: la.Matrix, d: int) -> list[la.Matrix]:
                 seen.add(sp)
                 out.append(sp)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the twisted SL Hermitian block by a linear solve
+
+
+def hermitian_block_by_solve(K2, qexp: int, h: int) -> la.Matrix:
+    """The h x h Hermitian block preserved by the Jordan shift unipotent,
+    as the solution of its linear conditions in 2h^2 unknowns over F_q
+    (the two coordinates of each entry in the basis 1, beta).
+
+    Prescribes B[j, h+1-j] = (-1)^{j+1} * c_h on the antidiagonal
+    (c_h = 1 for odd h or p = 2, the least trace-zero scalar otherwise)
+    and solves the invariance + Hermitian conditions, free variables set
+    to zero.  The reference for split's walk over the antidiagonals.
+    """
+    beta, coords = subfield_coords(K2, qexp)
+    cb0, cb1 = coords(K2.frobenius(beta, qexp))
+
+    nvar = 2 * h * h  # (i, j, component)
+
+    def var(i: int, j: int, comp: int) -> int:
+        return (i * h + j) * 2 + comp
+
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+
+    def add_eq(coeffs: dict[int, int], b0: int = 0):
+        row = [0] * nvar
+        for v, c in coeffs.items():
+            row[v] = K2.add(row[v], c)
+        rows.append(row)
+        rhs.append(b0)
+
+    # invariance: B[i-1, j] + B[i, j-1] + B[i-1, j-1] = 0 (1-based, absent = 0)
+    for i in range(1, h + 1):
+        for j in range(1, h + 1):
+            coeffs: dict[int, int] = {}
+            for (ii, jj) in ((i - 1, j), (i, j - 1), (i - 1, j - 1)):
+                if ii >= 1 and jj >= 1:
+                    for comp in (0, 1):
+                        v = var(ii - 1, jj - 1, comp)
+                        coeffs[v] = K2.add(coeffs.get(v, 0), 1)
+            if coeffs:
+                # component equations: the coefficient 1 acts diagonally
+                add_eq({v: c for v, c in coeffs.items() if v % 2 == 0}, 0)
+                add_eq({v: c for v, c in coeffs.items() if v % 2 == 1}, 0)
+
+    # Hermitian: B[i][j] - conj(B[j][i]) = 0
+    # with B[j][i] = c0 + c1 beta: conj = c0 + c1 (cb0 + cb1 beta)
+    for i in range(h):
+        for j in range(h):
+            # component 0: B[i][j].0 - B[j][i].0 - cb0 * B[j][i].1 = 0
+            coeffs = {var(i, j, 0): 1}
+            coeffs[var(j, i, 0)] = K2.add(coeffs.get(var(j, i, 0), 0), K2.neg(1))
+            coeffs[var(j, i, 1)] = K2.add(coeffs.get(var(j, i, 1), 0), K2.neg(cb0))
+            add_eq(coeffs, 0)
+            # component 1: B[i][j].1 - cb1 * B[j][i].1 = 0
+            coeffs = {var(i, j, 1): 1}
+            coeffs[var(j, i, 1)] = K2.add(coeffs.get(var(j, i, 1), 0), K2.neg(cb1))
+            add_eq(coeffs, 0)
+
+    # prescribed antidiagonal
+    if h % 2 == 1 or K2.p == 2:
+        c_h = 1
+    else:
+        c_h = next(a for a in K2.elements() if a and K2.frobenius(a, qexp) == K2.neg(a))
+    for j in range(1, h + 1):
+        sign = (-1) ** ((j + 1) % 2)
+        val = c_h if sign == 1 else K2.neg(c_h)
+        v0, v1 = coords(val)
+        add_eq({var(j - 1, h - j, 0): 1}, v0)
+        add_eq({var(j - 1, h - j, 1): 1}, v1)
+
+    # solve over F_q: every coefficient and rhs lives in the subfield, so
+    # K2 arithmetic restricted to sub is exactly F_q arithmetic
+    sol = solve(K2, la.mat(rows), tuple(rhs))
+    if sol is None:
+        raise AssertionError(f"no invariant Hermitian form with the prescribed antidiagonal (h={h})")
+    B = [[0] * h for _ in range(h)]
+    for i in range(h):
+        for j in range(h):
+            c0 = sol[var(i, j, 0)]
+            c1 = sol[var(i, j, 1)]
+            B[i][j] = K2.add(c0, K2.mul(c1, beta))
+    return la.mat(B)

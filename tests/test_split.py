@@ -11,7 +11,7 @@ from springer import partitions as pt
 from springer import split as sp
 from springer import tables as tb
 from springer.cli import main
-from springer.ffield import make_field
+from springer.ffield import make_field, prime_power
 
 
 def test_build_so_split_block_3():
@@ -224,7 +224,17 @@ def test_subfield_coordinates_match_the_scan_of_F_q2():
     for p, qexp in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)):
         K2 = make_field(p, 2 * qexp)
         sub = ofl.subfield_elements(K2, qexp)
-        beta, coords = sp._subfield_coords(K2, qexp)
+        beta, coords = ofl.subfield_coords(K2, qexp)
         assert beta == next(a for a in K2.elements() if a not in sub)
         table = {K2.add(c0, K2.mul(c1, beta)): (c0, c1) for c0 in sub for c1 in sub}
         assert {c: coords(c) for c in K2.elements()} == table, (p, qexp)
+
+
+def test_hermitian_blocks_match_the_linear_solve():
+    # the walk over the antidiagonals against the solve of the 2h^2
+    # linear conditions over F_q with free variables 0, block by block
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 37):
+        p, k = prime_power(q)
+        K2 = make_field(p, 2 * k)
+        for h in range(1, 15):
+            assert sp._hermitian_block(K2, k, h) == ofl.hermitian_block_by_solve(K2, k, h), (q, h)
